@@ -105,41 +105,53 @@ def _require_polynomial_field(x: VectorFieldJet):
 class _JetKernelProblem:
     """Shared assembly/split logic for ad_X and first-integral kernels."""
 
-    def __init__(self, dim, columns, images, horizon):
-        self.dim = dim
+    def __init__(self, x: VectorFieldJet, max_degree: int, columns, images):
+        self.dim = x.dim
         self.columns = columns            # unknown labels, graded order
         self.images = images              # PolySeries list per column, per target slot
-        self.horizon = horizon
+        self.horizon = max_degree + x.mu() - 1
 
-    def solve(self):
-        # constraint rows are (target slot, monomial); one matrix per cut
-        supports = [set() for _ in self.images[0]] if self.images else []
-        for img in self.images:
+    def solve(self) -> tuple[list[linalg.SparseRow], list[linalg.SparseRow]]:
+        """(exact, tentative) kernel vectors in RREF, from one elimination.
+
+        Constraint rows are (target slot, monomial) coefficients.  Rows up to
+        the horizon give the raw kernel; inserting the rows beyond it into the
+        same pivots gives the exact kernel.  A raw vector is tentative when it
+        is outside the span of the exact and earlier tentative ones."""
+        rows: dict[tuple[int, Exponent], linalg.SparseRow] = {}
+        for col, img in enumerate(self.images):
             for j, series in enumerate(img):
-                supports[j].update(series.terms)
-        rows_all, rows_raw = [], []
-        for j, support in enumerate(supports):
-            for e in sorted(support, key=monomial_key):
-                row = [img[j].coefficient(e) for img in self.images]
-                rows_all.append(row)
-                if sum(e) <= self.horizon:
-                    rows_raw.append(row)
+                for e, c in series.terms.items():
+                    rows.setdefault((j, e), {})[col] = c
         ncols = len(self.columns)
-        raw = linalg.echelon_basis(linalg.nullspace(rows_raw, ncols), ncols)
-        exact = linalg.echelon_basis(linalg.nullspace(rows_all, ncols), ncols)
-        current = [list(v) for v in exact]
+        system = linalg.Echelon(ncols)
+        kernels = []
+        for beyond in (False, True):
+            for (_, e), row in rows.items():
+                if (sum(e) > self.horizon) == beyond:
+                    system.insert(row)
+            kernels.append(linalg.Echelon(ncols, system.kernel()).basis())
+        raw, exact = kernels
+        span = linalg.Echelon(ncols, exact)
         tentative = []
         for v in raw:
-            if not linalg.in_span(current, v, ncols):
+            if not linalg.in_span(span, v):
                 tentative.append(v)
-                current.append(v)
+                span.insert(v)
         return exact, tentative
 
-    def leading_degree(self, vector) -> int:
-        for col_idx, value in enumerate(vector):
-            if not value.is_zero():
-                return self.column_degree(col_idx)
-        return 0
+    def certify(self):
+        """Certified jets, tentative jets, and certified count per leading degree."""
+        exact, tentative = self.solve()
+        dims: dict[int, int] = {}
+        for v in exact:
+            d = self.column_degree(min(v))
+            dims[d] = dims.get(d, 0) + 1
+
+        def jets(vectors, certified):
+            return tuple(CertifiedJet(self.value(v), self.horizon, certified) for v in vectors)
+
+        return jets(exact, True), jets(tentative, False), dims
 
     def column_degree(self, col_idx: int) -> int:
         raise NotImplementedError
@@ -159,17 +171,16 @@ class _FieldKernel(_JetKernelProblem):
             comps = [PolySeries.zero(dim) for _ in range(dim)]
             comps[i] = PolySeries.monomial(dim, e)
             images.append(lie_bracket(x, VectorFieldJet(comps)).comps)
-        horizon = max_degree + x.mu() - 1
-        super().__init__(dim, cols, images, horizon)
+        super().__init__(x, max_degree, cols, images)
 
     def column_degree(self, col_idx: int) -> int:
         return sum(self.columns[col_idx][0])
 
-    def to_field(self, vector) -> VectorFieldJet:
+    def value(self, vector) -> VectorFieldJet:
         comps_terms = [dict() for _ in range(self.dim)]
-        for (e, i), c in zip(self.columns, vector):
-            if not c.is_zero():
-                comps_terms[i][e] = c
+        for col, c in vector.items():
+            e, i = self.columns[col]
+            comps_terms[i][e] = c
         return VectorFieldJet([PolySeries(self.dim, t) for t in comps_terms])
 
 
@@ -178,15 +189,13 @@ class _IntegralKernel(_JetKernelProblem):
         dim = x.dim
         cols = monomials_up_to(dim, max_degree, min_deg=1)
         images = [[x.apply(PolySeries.monomial(dim, e))] for e in cols]
-        horizon = max_degree + x.mu() - 1
-        super().__init__(dim, cols, images, horizon)
+        super().__init__(x, max_degree, cols, images)
 
     def column_degree(self, col_idx: int) -> int:
         return sum(self.columns[col_idx])
 
-    def to_series(self, vector) -> PolySeries:
-        terms = {e: c for e, c in zip(self.columns, vector) if not c.is_zero()}
-        return PolySeries(self.dim, terms)
+    def value(self, vector) -> PolySeries:
+        return PolySeries(self.dim, {self.columns[col]: c for col, c in vector.items()})
 
 
 def ad_kernel(x: VectorFieldJet, max_degree: int) -> CentralizerReport:
@@ -195,19 +204,7 @@ def ad_kernel(x: VectorFieldJet, max_degree: int) -> CentralizerReport:
     if max_degree < 1:
         raise GermError("max_degree must be at least 1")
     problem = _FieldKernel(x, max_degree)
-    exact_vecs, tentative_vecs = problem.solve()
-    horizon = problem.horizon
-    basis = tuple(
-        CertifiedJet(problem.to_field(v), horizon, True) for v in exact_vecs
-    )
-    tentative = tuple(
-        CertifiedJet(problem.to_field(v), horizon, False) for v in tentative_vecs
-    )
-    dims: dict[int, int] = {}
-    for v in exact_vecs:
-        d = problem.leading_degree(v)
-        dims[d] = dims.get(d, 0) + 1
-
+    basis, tentative, dims = problem.certify()
     rank_estimate = None
     if x.dim == 2 and basis:
         rank_estimate = generic_rank([b.value for b in basis])
@@ -217,7 +214,7 @@ def ad_kernel(x: VectorFieldJet, max_degree: int) -> CentralizerReport:
         field=x,
         max_degree=max_degree,
         multiplicity=x.mu(),
-        certified_degree=horizon,
+        certified_degree=problem.horizon,
         basis=basis,
         tentative=tentative,
         dims=dims,
@@ -245,23 +242,12 @@ def first_integral_kernel(x: VectorFieldJet, max_degree: int) -> FirstIntegralRe
     if max_degree < 1:
         raise GermError("max_degree must be at least 1")
     problem = _IntegralKernel(x, max_degree)
-    exact_vecs, tentative_vecs = problem.solve()
-    horizon = problem.horizon
-    basis = tuple(
-        CertifiedJet(problem.to_series(v), horizon, True) for v in exact_vecs
-    )
-    tentative = tuple(
-        CertifiedJet(problem.to_series(v), horizon, False) for v in tentative_vecs
-    )
-    dims: dict[int, int] = {}
-    for v in exact_vecs:
-        d = problem.leading_degree(v)
-        dims[d] = dims.get(d, 0) + 1
+    basis, tentative, dims = problem.certify()
     return FirstIntegralReport(
         field=x,
         max_degree=max_degree,
         multiplicity=x.mu(),
-        certified_degree=horizon,
+        certified_degree=problem.horizon,
         basis=basis,
         tentative=tentative,
         dims=dims,
@@ -277,15 +263,11 @@ def extendable_jet_dimension(x: VectorFieldJet, max_degree: int, d: int) -> int:
     _require_polynomial_field(x)
     problem = _FieldKernel(x, max_degree)
     exact_vecs, tentative_vecs = problem.solve()
-    truncated = []
-    for v in exact_vecs + tentative_vecs:
-        truncated.append(
-            [
-                c if problem.column_degree(i) <= d else ZERO
-                for i, c in enumerate(v)
-            ]
-        )
-    return linalg.rank(truncated, len(problem.columns))
+    truncated = [
+        {i: c for i, c in v.items() if problem.column_degree(i) <= d}
+        for v in exact_vecs + tentative_vecs
+    ]
+    return len(linalg.Echelon(len(problem.columns), truncated).rows)
 
 
 def generic_rank(basis: list[VectorFieldJet]) -> int:

@@ -176,15 +176,21 @@ def _resolution_text(node, indent: str = "") -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # --json is accepted before and after the verb; SUPPRESS keeps a verb's
+    # parser from resetting a --json given before it
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS, help="structured output"
+    )
     parser = argparse.ArgumentParser(
         prog="germfield",
         description="Exact computer algebra for plane vector-field germs.",
+        parents=[common],
     )
-    parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name, *positional, **flags):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, parents=[common])
         for arg in positional:
             p.add_argument(arg)
         for flag, kwargs in flags.items():
@@ -192,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("bracket", "field1", "field2")
-    p = sub.add_parser("wedge")
+    p = add("wedge")
     p.add_argument("fields", nargs="+")
     p.add_argument("--weights", help="p,q to wedge against the weighted Euler field")
     add("centralizer", "field", max_degree={"type": int, "default": 6})
@@ -210,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("check-commute", "field1", "field2")
     add("verify-integral", "field", "ratio")
     add("dual-pair", "field1", "field2")
-    p = sub.add_parser("log-decomp")
+    p = add("log-decomp")
     p.add_argument("form")
     p.add_argument("--denominator", required=True)
     p.add_argument("--factor", action="append", required=True, help="poly:mult")
     p.add_argument("--phi-bound", type=int, default=None)
     add("cr-pair", "poly", max_degree={"type": int, "default": 6})
-    p = sub.add_parser("table")
+    p = add("table")
     p.add_argument("row", type=int)
     p.add_argument("--ratio")
     p.add_argument("--p", type=int)
@@ -228,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    as_json = args.json
+    as_json = getattr(args, "json", False)
     verb = args.verb
 
     if verb == "bracket":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gaussian import I, ONE, ZERO, GaussianRational
+from .gaussian import I, ONE, GaussianRational
 from .series import GermError, PolySeries, monomial_key, poly_divides
 from . import linalg
 from .centralizer import monomials_up_to
@@ -226,10 +226,10 @@ def log_decomposition(
         for e in sorted(support[i], key=monomial_key):
             rows.append([col[i].coefficient(e) for col in cols])
             rhs.append(omega.coeffs[i].coefficient(e))
-    solution, _residual_vec = linalg.solve(rows, rhs, ncols)
-    if solution is None:
+    solution, consistent = linalg.solve(rows, rhs, ncols)
+    if not consistent:
         # deterministic pseudo-solution so the residual is reproducible
-        candidate = _assemble(flist, mults, _pin(rows, rhs, ncols), phi_monomials, dim)
+        candidate = _assemble(flist, mults, solution, phi_monomials, dim)
         reconstructed = candidate.reconstruct_cleared(g, unit)
         residual_form = OneFormJet(
             [omega.coeffs[i] - reconstructed.coeffs[i] for i in range(dim)]
@@ -243,15 +243,6 @@ def log_decomposition(
     ):
         raise GermError("internal error: reconstruction failed after solve")
     return LogDecompositionResult(True, decomposition, None)
-
-
-def _pin(rows, rhs, ncols):
-    rref_rows, pivots = linalg.rref([list(r) + [t] for r, t in zip(rows, rhs)], ncols + 1)
-    v = [ZERO] * ncols
-    for row, pc in zip(rref_rows, pivots):
-        if pc < ncols:
-            v[pc] = row[ncols]
-    return v
 
 
 def _assemble(flist, mults, vector, phi_monomials, dim) -> LogDecomposition:

@@ -1,10 +1,14 @@
-"""Exact dense linear algebra over Q(i).
+"""Exact sparse linear algebra over Q(i).
 
-Row reduction is plain Gaussian elimination on GaussianRational entries with a
-deterministic pivot rule: columns are scanned left to right and the first row
-with a nonzero entry is the pivot.  Together with the graded-lex column order
-chosen by callers this makes every kernel basis reproducible bit for bit.
-Matrices here are small (a few hundred columns), so dense rows are fine.
+One routine does the work: ``Echelon.insert`` keeps the reduced row echelon
+form (RREF) of the rows inserted so far.  Rows are ``{column:
+GaussianRational}`` dicts holding only nonzeros.  An inserted row is reduced
+against the pivot rows; a nonzero remainder is normalized at its leftmost
+column, which is then cleared from the other pivot rows.  RREF is unique, so
+results do not depend on insertion order, and with the graded-lex column
+order chosen by callers every kernel basis is reproducible bit for bit.  The
+kernel constraint matrices are about 1 % dense, so pivot rows stay short.
+The module functions take and return dense rows (lists of GaussianRational).
 """
 
 from __future__ import annotations
@@ -13,89 +17,105 @@ from .gaussian import ONE, ZERO, GaussianRational
 
 Vector = list[GaussianRational]
 Matrix = list[Vector]
+SparseRow = dict[int, GaussianRational]
+
+
+def _subtract(row: SparseRow, f: GaussianRational, tail: SparseRow):
+    """row -= f * tail in place, dropping the entries that cancel."""
+    for c, a in tail.items():
+        v = row.get(c, ZERO) - f * a
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+class Echelon:
+    """RREF of the rows inserted so far: ``rows`` maps each pivot column to
+    the tail of its row (the row minus its leading 1), zero at every pivot."""
+
+    def __init__(self, ncols: int, rows=()):
+        self.ncols = ncols
+        self.rows: dict[int, SparseRow] = {}
+        for row in rows:
+            self.insert(row)
+
+    def reduce(self, row: SparseRow) -> SparseRow:
+        """The remainder of row modulo the pivot rows, as a new dict."""
+        out = dict(row)
+        # pivot rows are zero at the other pivots, so only row's own pivot
+        # columns need clearing
+        for p in [c for c in row if c in self.rows]:
+            _subtract(out, out.pop(p), self.rows[p])
+        return out
+
+    def insert(self, row: SparseRow):
+        """Add row to the span (a row already in it changes nothing)."""
+        tail = self.reduce(row)
+        if not tail:
+            return
+        p = min(tail)
+        inv = ONE / tail.pop(p)
+        tail = {c: v * inv for c, v in tail.items()}
+        for other in self.rows.values():
+            if p in other:
+                _subtract(other, other.pop(p), tail)
+        self.rows[p] = tail
+
+    def basis(self) -> list[SparseRow]:
+        """The reduced rows, ordered by pivot column."""
+        return [{p: ONE, **self.rows[p]} for p in sorted(self.rows)]
+
+    def kernel(self) -> list[SparseRow]:
+        """Basis of {v : M v = 0}, one vector per free column, in column order."""
+        free = {c: {c: ONE} for c in range(self.ncols) if c not in self.rows}
+        for p, tail in self.rows.items():
+            for c, a in tail.items():
+                free[c][p] = -a
+        return list(free.values())
+
+
+def _echelon(rows: Matrix, ncols: int) -> Echelon:
+    return Echelon(ncols, ({c: a for c, a in enumerate(r) if a} for r in rows))
+
+
+def _dense(row: SparseRow, ncols: int) -> Vector:
+    return [row.get(c, ZERO) for c in range(ncols)]
 
 
 def rref(rows: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+    ech = _echelon(rows, ncols)
+    return [_dense(r, ncols) for r in ech.basis()], sorted(ech.rows)
 
 
 def rank(rows: Matrix, ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    return len(_echelon(rows, ncols).rows)
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
     """Basis of {v : M v = 0}, one vector per free column, in column order."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[free]
-        basis.append(v)
-    return basis
+    return [_dense(v, ncols) for v in _echelon(rows, ncols).kernel()]
 
 
-def echelon_basis(vectors: list[Vector], ncols: int) -> list[Vector]:
-    """Canonical (RREF) basis of the span, rows ordered by pivot column."""
-    red, _ = rref(vectors, ncols)
-    return red
+def in_span(span: Echelon, v: SparseRow) -> bool:
+    return not span.reduce(v)
 
 
-def in_span(vectors: list[Vector], v: Vector, ncols: int) -> bool:
-    if all(x.is_zero() for x in v):
-        return True
-    base = rank(vectors, ncols) if vectors else 0
-    return rank(vectors + [v], ncols) == base
+def span_equal(a: Matrix, b: Matrix, ncols: int) -> bool:
+    return _echelon(a, ncols).rows == _echelon(b, ncols).rows
 
 
-def span_equal(a: list[Vector], b: list[Vector], ncols: int) -> bool:
-    return echelon_basis(a, ncols) == echelon_basis(b, ncols)
-
-
-def solve(rows: Matrix, rhs: Vector, ncols: int) -> tuple[Vector | None, Vector]:
+def solve(rows: Matrix, rhs: Vector, ncols: int) -> tuple[Vector, bool]:
     """Solve M v = rhs exactly, free variables pinned to zero.
 
-    Returns (solution, residual).  When the system is inconsistent the
-    solution is None and the residual is M v* - rhs for the deterministic
-    pseudo-solution v* read off the consistent rows.
+    Returns (v, consistent), v read off the RREF of [M | rhs].  When the
+    system is inconsistent, the pivot in the rhs column clears that column
+    from every other row, so the pseudo-solution v is zero.
     """
-    aug = [list(r) + [t] for r, t in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols + 1)
-    consistent = ncols not in pivots
+    ech = _echelon([list(r) + [t] for r, t in zip(rows, rhs)], ncols + 1)
     v = [ZERO] * ncols
-    for row, pc in zip(red, pivots):
-        if pc < ncols:
-            v[pc] = row[ncols]
-    residual = []
-    for r, t in zip(rows, rhs):
-        acc = ZERO
-        for a, x in zip(r, v):
-            if not a.is_zero() and not x.is_zero():
-                acc = acc + a * x
-        residual.append(acc - t)
-    return (v if consistent else None), residual
+    for p, tail in ech.rows.items():
+        if p < ncols:
+            v[p] = tail.get(ncols, ZERO)
+    return v, ncols not in ech.rows

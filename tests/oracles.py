@@ -9,8 +9,11 @@ agreement is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import sympy
+from sympy.polys.domains import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from germfield import PolySeries, VectorFieldJet
 
@@ -114,3 +117,38 @@ def brute_force_first_integral_dim(
         [[sympy.diff(eq, a) for a in unknowns] for eq in equations]
     )
     return len(unknowns) - matrix.rank()
+
+
+# -- exact elimination over Q(i) ------------------------------------------------
+# Matrices are lists of rows of (re, im) Fraction pairs, so nothing from the
+# package's scalar type or solver is involved.
+
+
+def _pair(z) -> tuple[Fraction, Fraction]:
+    return tuple(Fraction(int(q.numerator), int(q.denominator)) for q in (z.x, z.y))
+
+
+def sympy_rref(rows, ncols):
+    """sympy's DomainMatrix RREF over QQ_I: (nonzero rows, pivot columns)."""
+    matrix = DomainMatrix(
+        [[QQ_I(re, im) for re, im in row] for row in rows], (len(rows), ncols), QQ_I
+    )
+    red, pivots = matrix.rref()
+    return [[_pair(z) for z in row] for row in red.to_list()[: len(pivots)]], list(pivots)
+
+
+def sympy_nullspace(rows, ncols):
+    """Kernel basis read off sympy's RREF: one vector per free column, in
+    column order, 1 at the free column and minus the RREF entries at pivots."""
+    red, pivots = sympy_rref(rows, ncols)
+    zero = (Fraction(0), Fraction(0))
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [zero] * ncols
+        v[free] = (Fraction(1), Fraction(0))
+        for row, p in zip(red, pivots):
+            v[p] = (-row[free][0], -row[free][1])
+        basis.append(v)
+    return basis

@@ -30,6 +30,7 @@ from germfield import (
     resonances,
     span_matches,
 )
+from germfield import linalg
 from germfield.gaussian import gq
 
 F = parse_field
@@ -178,6 +179,42 @@ class TestReferenceTable:
         rep = ad_kernel(table.field, 6)
         assert rep.dimension() == 2
         assert span_matches(rep.basis_fields(), table.generator_jets(6), 6)
+
+
+class TestTentativeSplit:
+    """exact + tentative is a basis of the horizon kernel, exact is the full
+    kernel, and each tentative vector is new against the ones before it."""
+
+    CASES = [
+        (linear_centralizer_table(8, max_degree=6, **TABLE_PARAMS[8]).field, 6, 2),
+        (F("2*x + y^2, y, 3*z + y^3"), 3, 0),
+    ]
+
+    @staticmethod
+    def rank(fields):
+        keys = sorted({(i, e) for f in fields for i, c in enumerate(f.comps) for e in c.terms})
+        rows = [[f.comps[i].coefficient(e) for i, e in keys] for f in fields]
+        return linalg.rank(rows, len(keys))
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_split(self, case):
+        x, n, n_tentative = self.CASES[case]
+        rep = ad_kernel(x, n)
+        exact = rep.basis_fields()
+        tentative = [t.value for t in rep.tentative]
+        assert len(tentative) == n_tentative
+        # exact is the full kernel
+        assert all(lie_bracket(x, b).is_zero() for b in exact)
+        assert self.rank(exact) == len(exact) == brute_force_centralizer_dim(x, n)
+        # exact + tentative spans the horizon kernel
+        for t in tentative:
+            residue = lie_bracket(x, t)
+            assert not residue.is_zero() and residue.mu() > rep.certified_degree
+        horizon_dim = brute_force_centralizer_dim(x, n, exact_only=False)
+        assert self.rank(exact + tentative) == len(exact) + len(tentative) == horizon_dim
+        # no tentative vector is in the span of the exact and earlier tentative ones
+        for k in range(len(tentative)):
+            assert self.rank(exact + tentative[: k + 1]) == len(exact) + k + 1
 
 
 class TestEqualPowerDiagonal:

@@ -247,3 +247,14 @@ class TestCli:
             return True
 
         assert no_floats(json.loads(out1))
+
+    def test_json_after_the_verb(self, capsys):
+        # the README form: --json after the verb's arguments
+        argv = ("centralizer", "x, 2*y", "--max-degree", "4")
+        rc, after, _ = run_cli(capsys, *argv, "--json")
+        assert rc == 0
+        rc, before, _ = run_cli(capsys, "--json", *argv)
+        assert rc == 0 and after == before
+        assert json.loads(after)["dimension"] == 3
+        rc, text, _ = run_cli(capsys, *argv)
+        assert rc == 0 and text.startswith("multiplicity mu = 1")
