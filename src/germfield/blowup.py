@@ -186,14 +186,16 @@ class SingularPoint:
         )
 
 
-_T = sympy.Symbol("t")
+_X, _Y, _T = sympy.symbols("x y t")
 
 
-def _univariate_to_sympy(f: PolySeries):
-    expr = sympy.Integer(0)
-    for (k,), c in f.terms.items():
-        expr += (sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I) * _T**k
-    return expr
+def _to_sympy(f: PolySeries, syms):
+    """f as a sympy expression in syms (one symbol per variable)."""
+    return sympy.Add(*(
+        (sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I)
+        * sympy.Mul(*(s**k for s, k in zip(syms, e)))
+        for e, c in f.terms.items()
+    ))
 
 
 def _rational_of(expr) -> Fraction:
@@ -201,41 +203,43 @@ def _rational_of(expr) -> Fraction:
     return Fraction(int(r.p), int(r.q))
 
 
+def _from_sympy(poly) -> PolySeries:
+    """A univariate sympy Poly over QQ_I as a PolySeries."""
+    terms = {}
+    for e, c in poly.terms():
+        re_part, im_part = c.as_real_imag()
+        terms[e] = GaussianRational(_rational_of(re_part), _rational_of(im_part))
+    return PolySeries(1, terms)
+
+
+def _sympy_poly(f: PolySeries):
+    return sympy.Poly(_to_sympy(f, (_T,)), _T, domain="QQ_I")
+
+
 def gaussian_roots(f: PolySeries) -> tuple[list[tuple[GaussianRational, int]], list[tuple[PolySeries, int]]]:
     """Q(i) roots and irreducible residual factors of a univariate polynomial.
 
     Factors over the Gaussian rationals (square-free reduction included);
-    linear factors become roots with multiplicity, anything of higher degree
-    is returned verbatim as a marker factor.
+    linear factors c1 t + c0 become roots -c0/c1 with multiplicity, anything
+    of higher degree is returned verbatim as a marker factor.  A linear f is
+    its own factorization and is not handed to sympy.
     """
     if f.dim != 1:
         raise GermError("gaussian_roots expects a univariate polynomial")
     if f.is_zero():
         raise GermError("the zero polynomial has every root")
-    expr = _univariate_to_sympy(f)
-    _, factors = sympy.factor_list(sympy.Poly(expr, _T, domain="QQ_I"))
+    if f.total_degree() == 1:
+        factors = [(f, 1)]
+    else:
+        _, sympy_factors = sympy.factor_list(_sympy_poly(f))
+        factors = [(_from_sympy(poly), mult) for poly, mult in sympy_factors]
     roots: list[tuple[GaussianRational, int]] = []
     markers: list[tuple[PolySeries, int]] = []
-    for poly, mult in factors:
-        if poly.degree() == 0:
-            continue
-        if poly.degree() == 1:
-            c1, c0 = poly.all_coeffs()
-            root_expr = sympy.together(-sympy.sympify(c0) / sympy.sympify(c1))
-            re_part, im_part = sympy.simplify(root_expr).as_real_imag()
-            roots.append(
-                (GaussianRational(_rational_of(re_part), _rational_of(im_part)), mult)
-            )
-        else:
-            coeffs = poly.all_coeffs()
-            deg = len(coeffs) - 1
-            terms = {}
-            for k, c in enumerate(coeffs):
-                re_part, im_part = sympy.sympify(c).as_real_imag()
-                gc = GaussianRational(_rational_of(re_part), _rational_of(im_part))
-                if not gc.is_zero():
-                    terms[(deg - k,)] = gc
-            markers.append((PolySeries(1, terms), mult))
+    for factor, mult in factors:
+        if factor.total_degree() == 1:
+            roots.append((-factor.coefficient((0,)) / factor.coefficient((1,)), mult))
+        elif factor.total_degree() > 1:
+            markers.append((factor, mult))
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots, markers
 
@@ -253,16 +257,8 @@ def is_isolated_singularity(x: VectorFieldJet) -> bool:
     a, b = x.comps
     if a.is_zero() and b.is_zero():
         return False
-    xs, ys = sympy.symbols("x y")
-
-    def to_expr(f):
-        expr = sympy.Integer(0)
-        for (i, j), c in f.terms.items():
-            expr += (sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I) * xs**i * ys**j
-        return expr
-
-    g = sympy.gcd(to_expr(a), to_expr(b), gaussian=True)
-    return sympy.simplify(g.subs({xs: 0, ys: 0})) != 0
+    g = sympy.gcd(_to_sympy(a, (_X, _Y)), _to_sympy(b, (_X, _Y)), gaussian=True)
+    return sympy.simplify(g.subs({_X: 0, _Y: 0})) != 0
 
 
 def translate_to_point(x: VectorFieldJet, point: list[GaussianRational]) -> VectorFieldJet:
@@ -292,7 +288,12 @@ def classify_singularity(germ: VectorFieldJet) -> tuple[str, bool]:
         raise GermError("classification expects a singular germ")
     if germ.is_zero():
         return NON_REDUCED_OTHER, True
-    isolated = is_isolated_singularity(germ)
+    return _classify(germ, is_isolated_singularity(germ))
+
+
+def _classify(germ: VectorFieldJet, isolated: bool) -> tuple[str, bool]:
+    """classify_singularity of a nonzero singular plane germ whose isolation
+    is already known."""
     nu = germ.mu()
     m = germ.linear_part_matrix()
     lc = classify_linear(m)
@@ -323,83 +324,62 @@ def divisor_singularities(x: VectorFieldJet) -> list[SingularPoint]:
     the chart-2 origin; chart-2 points with nonzero slope are duplicates and
     are not listed again.
     """
+    blowups = (strict_transform(x, CHART_SLOPE_Y), strict_transform(x, CHART_SLOPE_X))
+    return _divisor_points(blowups, is_isolated_singularity(x))
+
+
+def _divisor_points(
+    blowups: tuple[BlownUpField, BlownUpField], isolated: bool
+) -> list[SingularPoint]:
+    """divisor_singularities from the two strict transforms of a germ.
+
+    When the germ is isolated, so is every point on the divisor (see
+    resolve), and the points are classified without a further isolation
+    test; otherwise each point is tested on its own.  The strict transform
+    never vanishes along the whole divisor: one of its components is not
+    divisible by the divisor coordinate.
+    """
     points: list[SingularPoint] = []
-    for chart in (CHART_SLOPE_Y, CHART_SLOPE_X):
-        blown = strict_transform(x, chart)
+    for blown in blowups:
+        chart = blown.chart
         p0 = _restrict_to_divisor(blown.strict.comps[0])
         q0 = _restrict_to_divisor(blown.strict.comps[1])
-        if p0.is_zero() and q0.is_zero():
-            # strict transform still vanishes along the divisor; report the
-            # whole divisor as one flagged point at the chart origin
-            points.append(
-                _point_at(blown, chart, ZERO, non_isolated_divisor=True)
-            )
-            continue
         if p0.is_zero():
             witness = q0
         elif q0.is_zero():
             witness = p0
         else:
             witness = _univariate_gcd(p0, q0)
-        if witness.total_degree() == 0 and not witness.is_zero():
+        if witness.total_degree() == 0:
             roots, markers = [], []
         else:
             roots, markers = gaussian_roots(witness)
         for value, _mult in roots:
             if chart == CHART_SLOPE_X and not value.is_zero():
                 continue  # seen in chart 1 at slope 1/value
-            points.append(_point_at(blown, chart, value))
+            germ = translate_to_point(blown.strict, [ZERO, value])
+            cls, caveat, would_be = _classified(germ, isolated)
+            points.append(SingularPoint(chart, value, None, cls, germ, germ.mu(), caveat, would_be))
         if chart == CHART_SLOPE_Y:
             for marker, _mult in markers:
-                points.append(
-                    SingularPoint(
-                        chart=chart,
-                        coordinate=None,
-                        marker=marker,
-                        classification=UNRESOLVABLE_IRRATIONAL,
-                        germ=None,
-                        multiplicity=None,
-                    )
-                )
+                points.append(SingularPoint(chart, None, marker, UNRESOLVABLE_IRRATIONAL, None, None))
     points.sort(key=SingularPoint.sort_token)
     return points
 
 
-def _univariate_gcd(a: PolySeries, b: PolySeries) -> PolySeries:
-    ea, eb = _univariate_to_sympy(a), _univariate_to_sympy(b)
-    g = sympy.gcd(sympy.Poly(ea, _T, domain="QQ_I"), sympy.Poly(eb, _T, domain="QQ_I"))
-    coeffs = g.all_coeffs()
-    deg = len(coeffs) - 1
-    terms = {}
-    for k, c in enumerate(coeffs):
-        re_part, im_part = sympy.sympify(c).as_real_imag()
-        gc = GaussianRational(_rational_of(re_part), _rational_of(im_part))
-        if not gc.is_zero():
-            terms[(deg - k,)] = gc
-    return PolySeries(1, terms)
-
-
-def _point_at(
-    blown: BlownUpField,
-    chart: int,
-    value: GaussianRational,
-    non_isolated_divisor: bool = False,
-) -> SingularPoint:
-    germ = translate_to_point(blown.strict, [ZERO, value])
-    classification, caveat = classify_singularity(germ)
+def _classified(germ: VectorFieldJet, isolated: bool) -> tuple[str, bool, bool | None]:
+    """Classification, non-isolated flag and, for purely radial and n.p.r.s
+    germs, whether their blow-up would be dicritical.  The germ is nonzero
+    and singular at 0; isolated=False means "not known" and runs the test."""
+    classification, caveat = _classify(germ, isolated or is_isolated_singularity(germ))
     would_be = None
     if classification in (PURELY_RADIAL, NPRS):
         would_be = dicritical_test(germ).dicritical
-    return SingularPoint(
-        chart=chart,
-        coordinate=value,
-        marker=None,
-        classification=classification,
-        germ=germ,
-        multiplicity=germ.mu(),
-        non_isolated=caveat or non_isolated_divisor,
-        would_be_dicritical=would_be,
-    )
+    return classification, caveat, would_be
+
+
+def _univariate_gcd(a: PolySeries, b: PolySeries) -> PolySeries:
+    return _from_sympy(sympy.gcd(_sympy_poly(a), _sympy_poly(b)))
 
 
 # -- iterated resolution -------------------------------------------------------
@@ -447,20 +427,31 @@ def resolve(
     depth budget runs out (leaving "unresolved_depth" leaves).  Purely radial
     and n.p.r.s points record whether their blow-up would be dicritical but
     are only blown up when force_radial is set.
+
+    Isolation is proved once, at the root, and every node inherits it.  Say
+    the strict-transform components P, Q in a chart shared an irreducible
+    factor h, other than the divisor coordinate x, vanishing at a point of
+    the divisor.  Then h divides A(x, tx) and (B - tA)(x, tx), hence
+    B(x, tx), so A and B both vanish on the image of the curve {h = 0}
+    under (x, t) -> (x, tx): a curve through 0, against the isolation of
+    (A, B) at 0.  The divisor coordinate itself is no common factor, since
+    the strict transform divides out its largest common power.  Swapping
+    the variables (chart 2) and translating to the point keep isolation, so
+    by induction every node of the tree is isolated and is classified
+    without a further gcd.
     """
     _require_blowup_input(x)
     if max_depth < 1:
         raise GermError("max_depth must be at least 1")
     if not is_isolated_singularity(x):
         raise GermError("resolve requires an isolated singularity at 0")
-    return _resolve_node(x, (), max_depth, force_radial)
+    classification, _caveat, would_be = _classified(x, True)
+    return _resolve_node(x, classification, would_be, (), max_depth, force_radial)
 
 
-def _resolve_node(germ, history, budget, force_radial) -> ResolutionNode:
-    classification, _caveat = classify_singularity(germ)
-    would_be = None
-    if classification in (PURELY_RADIAL, NPRS):
-        would_be = dicritical_test(germ).dicritical
+def _resolve_node(
+    germ, classification, would_be, history, budget, force_radial
+) -> ResolutionNode:
     stop_here = classification in (REDUCED_HYPERBOLIC, SADDLE_NODE) or (
         classification in (PURELY_RADIAL, NPRS) and not force_radial
     )
@@ -472,10 +463,9 @@ def _resolve_node(germ, history, budget, force_radial) -> ResolutionNode:
         return ResolutionNode(
             germ, history, classification, "unresolved_depth", None, (), would_be
         )
-    blow_1 = strict_transform(germ, CHART_SLOPE_Y)
-    blow_2 = strict_transform(germ, CHART_SLOPE_X)
+    blowups = (strict_transform(germ, CHART_SLOPE_Y), strict_transform(germ, CHART_SLOPE_X))
     children = []
-    for point in divisor_singularities(germ):
+    for point in _divisor_points(blowups, True):
         if point.marker is not None:
             children.append(
                 ResolutionNode(
@@ -490,15 +480,16 @@ def _resolve_node(germ, history, budget, force_radial) -> ResolutionNode:
             )
             continue
         child_history = history + ((point.chart, point.coordinate),)
-        children.append(
-            _resolve_node(point.germ, child_history, budget - 1, force_radial)
-        )
+        children.append(_resolve_node(
+            point.germ, point.classification, point.would_be_dicritical,
+            child_history, budget - 1, force_radial,
+        ))
     return ResolutionNode(
         germ,
         history,
         classification,
         "blown_up",
-        (blow_1, blow_2),
+        blowups,
         tuple(children),
         would_be,
     )

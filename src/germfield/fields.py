@@ -44,10 +44,6 @@ class VectorFieldJet:
     def zero(cls, dim: int, trunc: int | None = None) -> "VectorFieldJet":
         return cls([PolySeries.zero(dim, trunc)] * dim)
 
-    @classmethod
-    def from_components(cls, *comps: PolySeries) -> "VectorFieldJet":
-        return cls(comps)
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -174,13 +170,6 @@ class OneFormJet:
         for a, c in zip(self.coeffs, x.comps):
             out = out + a * c
         return out
-
-    def exterior_coefficient(self) -> PolySeries:
-        """For n=2: d(P dx + Q dy) = (Qx - Py) dx^dy; returns that scalar."""
-        if self.dim != 2:
-            raise DimensionMismatchError("exterior_coefficient is n=2 only")
-        p, q = self.coeffs
-        return q.partial(0) - p.partial(1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OneFormJet):

@@ -109,13 +109,20 @@ def span_equal(a: Matrix, b: Matrix, ncols: int) -> bool:
 def solve(rows: Matrix, rhs: Vector, ncols: int) -> tuple[Vector, bool]:
     """Solve M v = rhs exactly, free variables pinned to zero.
 
-    Returns (v, consistent), v read off the RREF of [M | rhs].  When the
-    system is inconsistent, the pivot in the rhs column clears that column
-    from every other row, so the pseudo-solution v is zero.
+    Returns (v, consistent).  The rows of [M | rhs] are inserted in order,
+    skipping any row whose remainder is only a rhs entry (it contradicts the
+    rows kept before it), so v solves a maximal consistent subsystem and
+    consistent is False exactly when a row was skipped.
     """
-    ech = _echelon([list(r) + [t] for r, t in zip(rows, rhs)], ncols + 1)
+    ech = Echelon(ncols + 1)
+    consistent = True
+    for r, t in zip(rows, rhs):
+        tail = ech.reduce({c: a for c, a in enumerate([*r, t]) if a})
+        if list(tail) == [ncols]:
+            consistent = False
+        else:
+            ech.insert(tail)
     v = [ZERO] * ncols
     for p, tail in ech.rows.items():
-        if p < ncols:
-            v[p] = tail.get(ncols, ZERO)
-    return v, ncols not in ech.rows
+        v[p] = tail.get(ncols, ZERO)
+    return v, consistent

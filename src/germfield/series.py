@@ -252,9 +252,15 @@ class PolySeries:
     # -- calculus and structure ----------------------------------------------
 
     def partial(self, var_index: int) -> "PolySeries":
-        """Formal partial derivative; truncation degree drops by one."""
+        """Formal partial derivative; truncation degree drops by one.
+
+        A degree-0 jet fixes no coefficient of its derivative, which is
+        refused with TruncationError.
+        """
         if not 0 <= var_index < self.dim:
             raise ValueError(f"variable index {var_index} out of range")
+        if self.trunc == 0:
+            raise TruncationError("the derivative of a degree-0 jet is unknown")
         out: dict[Exponent, GaussianRational] = {}
         for e, c in self.terms.items():
             k = e[var_index]
@@ -262,7 +268,7 @@ class PolySeries:
                 continue
             de = tuple(v - 1 if j == var_index else v for j, v in enumerate(e))
             out[de] = c * k
-        trunc = None if self.trunc is None else max(self.trunc - 1, 0)
+        trunc = None if self.trunc is None else self.trunc - 1
         return PolySeries(self.dim, out, trunc)
 
     def truncated(self, n: int) -> "PolySeries":

@@ -152,3 +152,39 @@ def sympy_nullspace(rows, ncols):
             v[p] = (-row[free][0], -row[free][1])
         basis.append(v)
     return basis
+
+
+# -- blow-up oracles -------------------------------------------------------------
+
+
+def sympy_isolated(x: VectorFieldJet) -> bool:
+    """Whether a plane field has no common factor of its components through 0.
+
+    Factors the first component over Q(i) and tests each irreducible factor
+    that vanishes at 0 for division of the second, instead of taking a gcd.
+    """
+    xs, ys = _SYMS[:2]
+    a, b = field_to_sympy(x)
+    if a == 0:
+        return b.subs({xs: 0, ys: 0}) != 0
+    if b == 0:
+        return a.subs({xs: 0, ys: 0}) != 0
+    _, factors = sympy.factor_list(a, xs, ys, extension=sympy.I)
+    for f, _mult in factors:
+        if f.subs({xs: 0, ys: 0}) == 0 and sympy.div(b, f, xs, ys)[1] == 0:
+            return False
+    return True
+
+
+def sympy_linear_root(c1, c0) -> tuple[Fraction, Fraction]:
+    """The root of c1 t + c0 read off sympy's factor_list over QQ_I; c0, c1
+    are (re, im) Fraction pairs."""
+    t = sympy.Symbol("t")
+    coeff = [sympy.Rational(re) + sympy.Rational(im) * sympy.I for re, im in (c1, c0)]
+    _, factors = sympy.factor_list(sympy.Poly(coeff[0] * t + coeff[1], t, domain="QQ_I"))
+    ((linear, mult),) = factors
+    assert mult == 1 and linear.degree() == 1
+    lead, const = linear.all_coeffs()
+    root = sympy.expand(-const / lead)
+    re_part, im_part = root.as_real_imag()
+    return tuple(Fraction(int(q.p), int(q.q)) for q in map(sympy.Rational, (re_part, im_part)))

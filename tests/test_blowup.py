@@ -1,6 +1,13 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import sympy_isolated, sympy_linear_root
 
 from germfield import (
     CHART_SLOPE_Y,
@@ -18,6 +25,7 @@ from germfield import (
     strict_transform,
     translate_to_point,
 )
+from germfield.blowup import gaussian_roots
 from germfield.gaussian import gq
 
 F = parse_field
@@ -156,6 +164,18 @@ class TestDivisorSingularities:
         assert markers[0].marker == PolySeries(1, {(2,): gq(1), (0,): gq(-2)})
 
 
+class TestGaussianRoots:
+    RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    PAIRS = st.tuples(RATIONALS, RATIONALS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(PAIRS.filter(any), PAIRS)
+    def test_linear_root_matches_sympy(self, c1, c0):
+        # the native -c0/c1 path against sympy's factorization over QQ_I
+        f = PolySeries(1, {(1,): gq(*c1), (0,): gq(*c0)})
+        assert gaussian_roots(f) == ([(gq(*sympy_linear_root(c1, c0)), 1)], [])
+
+
 class TestClassify:
     def test_reduced_saddle(self):
         assert classify_singularity(F("x, -y")) == ("reduced_hyperbolic", False)
@@ -241,6 +261,44 @@ class TestResolve:
     def test_non_isolated_refused(self):
         with pytest.raises(GermError):
             resolve(F("y, 0"))
+
+
+# the seven germs of the benchmark's resolution workload
+RESOLUTION_GERMS = [
+    "2*y, 3*x^2",
+    "x^2, y^2",
+    "y + x^3, x^2*y",
+    "x^2, y^2 + x*y - 2*x^2",
+    "y^2 + x^3, x^4*y",
+    "x^3 - 3*x*y^2, 3*x^2*y - y^3",
+    "y^3 + x^5, x^4*y",
+]
+
+
+def _nodes(node):
+    yield node
+    for child in node.children:
+        yield from _nodes(child)
+
+
+@pytest.mark.parametrize("text", RESOLUTION_GERMS)
+def test_every_node_inherits_isolation(text):
+    # resolve proves isolation at the root only; check every node against
+    # the sympy oracle and its classification against a fresh one
+    for node in _nodes(resolve(F(text), max_depth=16)):
+        if node.marker is not None:
+            continue  # irrational point: carries its parent's germ
+        assert sympy_isolated(node.germ)
+        assert (node.classification, False) == classify_singularity(node.germ)
+
+
+def test_divisor_points_of_an_isolated_germ_are_isolated():
+    # divisor_singularities tests an isolated germ once, not each point
+    for text in RESOLUTION_GERMS:
+        for pt in divisor_singularities(F(text)):
+            if pt.germ is not None:
+                assert sympy_isolated(pt.germ)
+                assert (pt.classification, pt.non_isolated) == classify_singularity(pt.germ)
 
 
 def test_multiplicity_monotonicity_at_generic_points():

@@ -7,6 +7,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import field_to_sympy, poly_to_sympy, sympy_bracket
 
 from germfield import (
+    TruncationError,
+    VectorFieldJet,
     Weight,
     divergence,
     dual_form,
@@ -32,6 +34,13 @@ class TestBracket:
         # [R, X_k] = (k-1) X_k; here k = 2
         x22 = F("0, x^2")
         assert lie_bracket(radial_field(2), x22) == x22
+
+    def test_degree_zero_jets_refused(self):
+        # two degree-0 jets determine no coefficient of their bracket
+        x = VectorFieldJet([c.truncated(0) for c in F("1 + x, y").comps])
+        y = VectorFieldJet([c.truncated(0) for c in F("2 + y, x").comps])
+        with pytest.raises(TruncationError):
+            lie_bracket(x, y)
 
     def test_rotationlike_pair_against_oracle(self):
         a, b = F("y, 0"), F("0, x")

@@ -157,6 +157,15 @@ class TestLogDecomposition:
         assert result.residual is not None
         assert any(not c.is_zero() for c in result.residual.coeffs)
 
+    def test_residual_of_a_maximal_consistent_subsystem(self):
+        # omega/g = -dx/x^2 + (1/x + 1/(x y)) dy is not closed; the dx rows,
+        # inserted first, are solved by d(1/x), and the dy rows that
+        # contradict them are left in the residual
+        omega = parse_one_form("x*y dy - y dx + x dy")
+        result = log_decomposition(omega, P("x^2*y"), [(P("x"), 2), (P("y"), 1)])
+        assert not result.success
+        assert result.residual == parse_one_form("(x + x*y) dy")
+
     def test_wrong_factorization_rejected(self):
         with pytest.raises(GermError):
             log_decomposition(

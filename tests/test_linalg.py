@@ -77,6 +77,15 @@ def test_solve_consistency_matches_rank(case, data):
     v, consistent = linalg.solve(_ours(rows), [gq(*t) for t in rhs], ncols)
     augmented = [row + [t] for row, t in zip(rows, rhs)]
     assert consistent == (len(sympy_rref(augmented, ncols + 1)[1]) == len(sympy_rref(rows, ncols)[1]))
-    if consistent:
-        for row, t in zip(_ours(rows), rhs):
-            assert sum((a * x for a, x in zip(row, v)), gq(0)) == gq(*t)
+    satisfied = [
+        sum((a * x for a, x in zip(row, v)), gq(0)) == gq(*t)
+        for row, t in zip(_ours(rows), rhs)
+    ]
+    assert consistent == all(satisfied)
+    # v solves a maximal consistent subsystem: every row it misses
+    # contradicts the rows it solves
+    kept = [row for row, ok in zip(augmented, satisfied) if ok]
+    for row, ok in zip(augmented, satisfied):
+        if not ok:
+            grown = kept + [row]
+            assert len(sympy_rref(grown, ncols + 1)[1]) > len(sympy_rref([r[:ncols] for r in grown], ncols)[1])

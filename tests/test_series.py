@@ -50,6 +50,15 @@ class TestPartial:
         f = P("x^3").truncated(3)
         assert f.partial(0).trunc == 2
 
+    def test_degree_zero_jet_refused(self):
+        # the degree-0 jet of 1 + 5x knows nothing of its x-derivative, 5
+        f = PolySeries(2, {(0, 0): gq(1), (1, 0): gq(5)}, trunc=0)
+        with pytest.raises(TruncationError):
+            f.partial(0)
+
+    def test_degree_one_jet_keeps_its_constant(self):
+        assert P("1 + 5*x + x^2").truncated(1).partial(0) == PolySeries.constant(2, 5, trunc=0)
+
 
 class TestOrder:
     def test_total_order(self):
