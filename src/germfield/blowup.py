@@ -388,7 +388,7 @@ def _univariate_gcd(a: PolySeries, b: PolySeries) -> PolySeries:
 @dataclass(frozen=True)
 class ResolutionNode:
     germ: VectorFieldJet
-    chart_history: tuple[tuple[int, GaussianRational], ...]
+    chart_history: tuple[tuple[int, GaussianRational | None], ...]  # None: a marker
     classification: str
     verdict: str  # leaf classification, "blown_up", or "unresolved_depth"
     blowups: tuple[BlownUpField, BlownUpField] | None
@@ -470,7 +470,7 @@ def _resolve_node(
             children.append(
                 ResolutionNode(
                     germ,
-                    history + ((point.chart, ZERO),),
+                    history + ((point.chart, None),),
                     UNRESOLVABLE_IRRATIONAL,
                     UNRESOLVABLE_IRRATIONAL,
                     None,

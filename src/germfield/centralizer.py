@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .gaussian import ONE, ZERO, GaussianRational, _fraction_sqrt
+from .gaussian import ONE, ZERO, GaussianRational
 from .series import GermError, PolySeries, TruncationError, monomial_key
 from .fields import (
     VectorFieldJet,
@@ -90,9 +90,6 @@ class FirstIntegralReport:
 
     def dimension(self) -> int:
         return len(self.basis)
-
-    def basis_series(self) -> list[PolySeries]:
-        return [b.value for b in self.basis]
 
 
 def _require_polynomial_field(x: VectorFieldJet):
@@ -340,9 +337,10 @@ def _rational_quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> list[Fra
     if a == 0:
         return [] if b == 0 else [Fraction(-c, b)]
     disc = b * b - 4 * a * c
-    s = _fraction_sqrt(disc)
-    if s is None:
+    s = GaussianRational(disc).sqrt()  # imaginary when disc < 0
+    if s is None or not s.is_rational():
         return []
+    s = s.re
     roots = {(-b + s) / (2 * a), (-b - s) / (2 * a)}
     return sorted(roots)
 

@@ -141,7 +141,8 @@ def _resolution_json(node) -> dict:
         "classification": node.classification,
         "verdict": node.verdict,
         "chart_history": [
-            [chart, gq_to_json(coord)] for chart, coord in node.chart_history
+            [chart, None if coord is None else gq_to_json(coord)]
+            for chart, coord in node.chart_history
         ],
         "children": [_resolution_json(c) for c in node.children],
     }
@@ -161,7 +162,8 @@ def _resolution_text(node, indent: str = "") -> list[str]:
     where = ""
     if node.chart_history:
         chart, coord = node.chart_history[-1]
-        where = f" at chart {chart}, slope {coord}"
+        slope = coord if coord is not None else f"t with {poly_to_text(node.marker, ('t',))} = 0"
+        where = f" at chart {chart}, slope {slope}"
     extra = ""
     if node.blowups is not None:
         b = node.blowups[0]
@@ -383,7 +385,7 @@ def run(args) -> int:
         for pt in points:
             if pt.marker is not None:
                 point_lines.append(
-                    f"  irrational locus in chart {pt.chart}: {poly_to_text(pt.marker)} = 0"
+                    f"  irrational locus in chart {pt.chart}: {poly_to_text(pt.marker, ('t',))} = 0"
                 )
             else:
                 point_lines.append(

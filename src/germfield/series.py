@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from operator import add
 
 from .gaussian import ONE, ZERO, GaussianRational
 
@@ -180,19 +181,15 @@ class PolySeries:
     def __add__(self, other) -> "PolySeries":
         other = self._coerce(other)
         self._check_dim(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return PolySeries(self.dim, out, self._join_trunc(other))
+        trunc = self._join_trunc(other)
+        out = dict(_within(self, trunc))
+        _accumulate(out, _within(other, trunc).items(), math.inf)
+        return _trusted(self.dim, out, trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolySeries":
-        return PolySeries(self.dim, {e: -c for e, c in self.terms.items()}, self.trunc)
+        return _trusted(self.dim, {e: -c for e, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other) -> "PolySeries":
         return self + (-self._coerce(other))
@@ -205,28 +202,11 @@ class PolySeries:
             c = _coerce_scalar(other)
             if c.is_zero():
                 return PolySeries.zero(self.dim, self.trunc)
-            return PolySeries(
-                self.dim, {e: v * c for e, v in self.terms.items()}, self.trunc
-            )
+            return _trusted(self.dim, {e: v * c for e, v in self.terms.items()}, self.trunc)
         if not isinstance(other, PolySeries):
             return NotImplemented
-        other = self._coerce(other)
         self._check_dim(other)
-        trunc = self._join_trunc(other)
-        out: dict[Exponent, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if trunc is not None and sum(e) > trunc:
-                    continue
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        if len(out) > _term_cap():
-            raise TermLimitError("product exceeds GERM_MAX_TERMS")
-        return PolySeries(self.dim, out, trunc)
+        return _product(self, other, self._join_trunc(other), _term_cap())
 
     __rmul__ = __mul__
 
@@ -269,7 +249,7 @@ class PolySeries:
             de = tuple(v - 1 if j == var_index else v for j, v in enumerate(e))
             out[de] = c * k
         trunc = None if self.trunc is None else self.trunc - 1
-        return PolySeries(self.dim, out, trunc)
+        return _trusted(self.dim, out, trunc)
 
     def truncated(self, n: int) -> "PolySeries":
         """The jet of degree n (keeps total inputs' terms up to degree n)."""
@@ -363,28 +343,25 @@ class PolySeries:
         finite = [n for n in truncs if n is not None]
         trunc = min(finite) if finite else None
 
-        result = PolySeries.zero(target, trunc)
-        # cache image powers; exponents are small in practice
-        powers: list[dict[int, PolySeries]] = [dict() for _ in images]
+        cap = _term_cap()
+        out: dict[Exponent, GaussianRational] = {}
+        # cache image powers (every use goes through _product, which cuts at
+        # trunc); exponents are small in practice
+        powers = [{1: g} for g in images]
 
         def power(i: int, k: int) -> PolySeries:
-            if k == 0:
-                return PolySeries.constant(target, 1, trunc)
-            got = powers[i].get(k)
-            if got is None:
-                got = power(i, k - 1) * images[i]
-                powers[i][k] = got
-            return got
+            if k not in powers[i]:
+                powers[i][k] = _product(power(i, k - 1), powers[i][1], trunc, cap)
+            return powers[i][k]
 
+        one = (0,) * target
         for e, c in self.terms.items():
-            term = PolySeries.constant(target, c, trunc)
+            term = _trusted(target, {one: c}, trunc)
             for i, k in enumerate(e):
                 if k:
-                    term = term * power(i, k)
-            result = result + term
-        if len(result.terms) > _term_cap():
-            raise TermLimitError("substitution exceeds GERM_MAX_TERMS")
-        return result
+                    term = _product(term, power(i, k), trunc, cap)
+            _accumulate(out, term.terms.items(), cap)
+        return _trusted(target, out, trunc)
 
     # -- comparison / display -------------------------------------------------
 
@@ -408,6 +385,50 @@ class PolySeries:
 
         tag = "" if self.is_total else f" (jet deg {self.trunc})"
         return f"<PolySeries {poly_to_text(self)}{tag}>"
+
+
+def _trusted(dim: int, terms: dict, trunc: int | None) -> PolySeries:
+    """A PolySeries from terms the engine built itself: exponents of length dim
+    with no negative entry, nonzero coefficients, none of degree above trunc."""
+    p = object.__new__(PolySeries)
+    object.__setattr__(p, "dim", dim)
+    object.__setattr__(p, "trunc", trunc)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
+def _within(p: PolySeries, trunc: int | None) -> dict[Exponent, GaussianRational]:
+    """p's terms of total degree <= trunc, where trunc is at most p.trunc."""
+    if p.trunc == trunc:
+        return p.terms
+    return {e: c for e, c in p.terms.items() if sum(e) <= trunc}
+
+
+def _accumulate(out: dict, terms, cap) -> None:
+    """Add terms into out, dropping sums that cancel; TermLimitError past cap terms."""
+    get = out.get
+    for e, c in terms:
+        s = get(e)
+        if s is None:
+            out[e] = c
+            if len(out) > cap:
+                raise TermLimitError("result exceeds GERM_MAX_TERMS")
+        elif s := s + c:
+            out[e] = s
+        else:
+            del out[e]
+
+
+def _product(f: PolySeries, g: PolySeries, trunc: int | None, cap: int) -> PolySeries:
+    """f * g mod degree trunc + 1 (trunc None: exact); TermLimitError as soon
+    as the partial product has more than cap terms."""
+    rhs = [(e, c, sum(e)) for e, c in g.terms.items()]
+    out: dict[Exponent, GaussianRational] = {}
+    for e1, c1 in f.terms.items():
+        room = math.inf if trunc is None else trunc - sum(e1)
+        pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e2, c2, n2 in rhs if n2 <= room)
+        _accumulate(out, pairs, cap)
+    return _trusted(f.dim, out, trunc)
 
 
 def poly_divides(d: PolySeries, f: PolySeries) -> tuple[bool, PolySeries | None]:

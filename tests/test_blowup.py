@@ -254,6 +254,13 @@ class TestResolve:
         tree = resolve(F("x^2, y^2 + x*y - 2*x^2"))
         assert "unresolvable_irrational" in tree.leaf_verdicts()
 
+    def test_marker_history_has_no_slope(self):
+        # the points lie at slopes +-sqrt(2); no Q(i) coordinate names them
+        tree = resolve(F("x^2, y^2 + x*y - 2*x^2"))
+        (leaf,) = [c for c in tree.children if c.marker is not None]
+        assert leaf.chart_history == ((1, None),)
+        assert [c.chart_history for c in tree.children if c.marker is None] == [((2, gq(0)),)]
+
     def test_force_radial_blows_the_radial_point(self):
         tree = resolve(F("x^2, y^2"), force_radial=True)
         assert tree.total_blowups() >= 2

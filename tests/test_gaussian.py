@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from germfield.gaussian import gq, I, ONE, ZERO
 
@@ -58,3 +61,151 @@ def test_hash_and_equality_with_ints():
     assert gq(3) == 3
     assert hash(gq(1, 0)) == hash(gq(Fraction(2, 2), 0))
     assert ZERO != ONE
+
+
+# -- properties against an independent (Fraction, Fraction) reference ---------
+
+RATIONALS = st.one_of(
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+PAIRS = st.tuples(RATIONALS, RATIONALS)
+
+
+def normalized(v):
+    a, b, d = v._a, v._b, v._d
+    return d > 0 and math.gcd(a, b, d) == 1
+
+
+def pair(v):
+    assert normalized(v)
+    return (v.re, v.im)
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    n = y[0] ** 2 + y[1] ** 2
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def ref_str(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def ref_sqrt(x):
+    def rsqrt(q):
+        if q < 0:
+            return None
+        n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        return Fraction(n, d) if Fraction(n * n, d * d) == q else None
+
+    re, im = x
+    if re == 0 and im == 0:
+        return (Fraction(0), Fraction(0))
+    s = rsqrt(re * re + im * im)
+    if s is None:
+        return None
+    c = rsqrt((re + s) / 2)
+    if c:
+        root = (c, im / (2 * c))
+    elif im == 0 and re < 0 and rsqrt(-re) is not None:
+        root = (Fraction(0), rsqrt(-re))
+    else:
+        return None
+    return root if ref_mul(root, root) == x else None
+
+
+@given(PAIRS, PAIRS)
+@settings(max_examples=300, deadline=None)
+def test_field_operations_match_reference(x, y):
+    gx, gy = gq(*x), gq(*y)
+    assert pair(gx) == x and pair(gy) == y
+    assert pair(gx + gy) == (x[0] + y[0], x[1] + y[1])
+    assert pair(gx - gy) == (x[0] - y[0], x[1] - y[1])
+    assert pair(gx * gy) == ref_mul(x, y)
+    assert pair(-gx) == (-x[0], -x[1])
+    assert pair(gx.conjugate()) == (x[0], -x[1])
+    assert gx.norm() == x[0] ** 2 + x[1] ** 2
+    if y != (0, 0):
+        assert pair(gx / gy) == ref_div(x, y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx / gy
+    assert (gx == gy) == (x == y)
+    assert gx.sort_key() == x
+    assert (gx.sort_key() < gy.sort_key()) == (x < y)
+    assert str(gx) == ref_str(x)
+    assert repr(gx) == f"GaussianRational({x[0]!r}, {x[1]!r})"
+    assert hash(gx) == hash(x)
+
+
+@given(PAIRS, st.integers(-12, 12), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+@settings(max_examples=200, deadline=None)
+def test_mixed_operands_and_powers(x, k, q):
+    gx = gq(*x)
+    assert pair(gx * k) == pair(k * gx) == (x[0] * k, x[1] * k)
+    assert pair(gx + q) == pair(q + gx) == (x[0] + q, x[1])
+    assert pair(q - gx) == (q - x[0], -x[1])
+    assert (gx == q) == (x == (q, 0))
+    if q:
+        assert pair(gx / q) == (x[0] / q, x[1] / q)
+    if x == (0, 0):
+        if k < 0:
+            with pytest.raises(ZeroDivisionError):
+                gx**k
+        return
+    assert pair(q / gx) == ref_div((q, Fraction(0)), x)
+    expected = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        expected = ref_mul(expected, x)
+    if k < 0:
+        expected = ref_div((Fraction(1), Fraction(0)), expected)
+    assert pair(gx**k) == expected
+
+
+@given(PAIRS, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_sqrt_matches_reference(x, square_it):
+    if square_it:
+        x = ref_mul(x, x)
+    root = gq(*x).sqrt()
+    expected = ref_sqrt(x)
+    assert (root is None) == (expected is None)
+    if square_it:
+        assert root is not None
+    if root is not None:
+        assert pair(root) == expected
+
+
+def test_equal_values_have_equal_fields():
+    v = gq(Fraction(2, 6), Fraction(-4, 6))
+    assert (v._a, v._b, v._d) == (1, -2, 3)
+    w = gq(Fraction(1, 2), Fraction(1, 3)) * 6
+    assert (w._a, w._b, w._d) == (3, 2, 1)
+    assert gq(0, 0)._d == 1 and (gq(1, 1) - gq(1, 1))._d == 1
+    assert isinstance(v.re, Fraction) and isinstance(gq(3).im, Fraction)
+
+
+def test_read_only():
+    v = gq(1, 2)
+    with pytest.raises(AttributeError):
+        v.re = Fraction(3)
+    with pytest.raises(AttributeError):
+        v.extra = 1
+
+
+def test_zero_division_everywhere():
+    with pytest.raises(ZeroDivisionError):
+        gq(1, 1) / 0
+    with pytest.raises(ZeroDivisionError):
+        1 / gq(0)
+    with pytest.raises(ZeroDivisionError):
+        gq(0) ** -1

@@ -232,6 +232,19 @@ class TestCli:
         verdicts = sorted(c["verdict"] for c in root["children"])
         assert verdicts == ["purely_radial", "reduced_hyperbolic", "reduced_hyperbolic"]
 
+    def test_resolve_marker_history(self, capsys):
+        germ = "x^2, y^2 + x*y - 2*x^2"
+        rc, out, _ = run_cli(capsys, "resolve", germ)
+        assert rc == 0
+        assert "unresolvable_irrational at chart 1, slope t with -2 + t^2 = 0" in out
+        assert "slope 0: unresolvable" not in out
+        rc, out, _ = run_cli(capsys, "--json", "resolve", germ)
+        children = json.loads(out)["tree"]["children"]
+        marker = [c for c in children if "marker" in c]
+        assert [c["chart_history"] for c in marker] == [[[1, None]]]
+        rc, out, _ = run_cli(capsys, "blowup", germ)
+        assert "irrational locus in chart 1: -2 + t^2 = 0" in out
+
     def test_json_determinism_and_no_floats(self, capsys):
         rc, out1, _ = run_cli(capsys, "--json", "centralizer", "x, -y")
         rc, out2, _ = run_cli(capsys, "--json", "centralizer", "x, -y")

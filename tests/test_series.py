@@ -151,6 +151,29 @@ def test_term_cap(monkeypatch):
         (P("1 + x + y") * P("1 + x + y"))
 
 
+def test_term_cap_counts_the_partial_product(monkeypatch):
+    # (1 + x)(1 - x + x^2 - x^3) = 1 - x^4 has 2 terms, but its first row
+    # of partial products has 4
+    monkeypatch.setenv("GERM_MAX_TERMS", "3")
+    from germfield.series import TermLimitError
+
+    with pytest.raises(TermLimitError):
+        P("1 + x") * P("1 - x + x^2 - x^3")
+    monkeypatch.setenv("GERM_MAX_TERMS", "4")
+    assert P("1 + x") * P("1 - x + x^2 - x^3") == P("1 - x^4")
+
+
+def test_term_cap_in_substitute(monkeypatch):
+    from germfield.series import TermLimitError
+
+    f, images = P("x^3 + y"), [P("x + y"), P("y")]
+    monkeypatch.setenv("GERM_MAX_TERMS", "5")
+    assert f.substitute(images) == P("x^3 + 3*x^2*y + 3*x*y^2 + y^3 + y")
+    monkeypatch.setenv("GERM_MAX_TERMS", "4")
+    with pytest.raises(TermLimitError):
+        f.substitute(images)
+
+
 def test_evaluate_exact():
     f = P("x^2 + i*y")
     assert f.evaluate([gq(Fraction(1, 2)), gq(2)]) == gq(Fraction(1, 4), 2)
