@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
+from itertools import zip_longest
 
 from .gaussian import ZERO, GaussianRational
 from .series import (
@@ -44,6 +43,23 @@ PURELY_RADIAL = "purely_radial"
 NPRS = "nprs"
 NON_REDUCED_OTHER = "non_reduced_other"
 UNRESOLVABLE_IRRATIONAL = "unresolvable_irrational"
+
+
+class _LazySympy:
+    """Stands in for the sympy module, imported on the first attribute lookup.
+
+    Only the cases the native paths below cannot decide reach sympy.  The
+    module global ``sympy`` is never rebound, so a stand-in put there from
+    outside (a tracer's proxy, say) is never evicted.
+    """
+
+    def __getattr__(self, name):
+        import sympy as real
+
+        return getattr(real, name)
+
+
+sympy = _LazySympy()
 
 
 def _require_blowup_input(x: VectorFieldJet):
@@ -186,16 +202,10 @@ class SingularPoint:
         )
 
 
-_X, _Y, _T = sympy.symbols("x y t")
-
-
-def _to_sympy(f: PolySeries, syms):
-    """f as a sympy expression in syms (one symbol per variable)."""
-    return sympy.Add(*(
-        (sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I)
-        * sympy.Mul(*(s**k for s, k in zip(syms, e)))
-        for e, c in f.terms.items()
-    ))
+def _sympy_poly(f: PolySeries):
+    """f as a sympy Poly over QQ_I, in t (one variable) or in x, y (two)."""
+    terms = {e: sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I for e, c in f.terms.items()}
+    return sympy.Poly.from_dict(terms, sympy.symbols("t," if f.dim == 1 else "x, y"), domain="QQ_I")
 
 
 def _rational_of(expr) -> Fraction:
@@ -203,43 +213,109 @@ def _rational_of(expr) -> Fraction:
     return Fraction(int(r.p), int(r.q))
 
 
-def _from_sympy(poly) -> PolySeries:
-    """A univariate sympy Poly over QQ_I as a PolySeries."""
-    terms = {}
-    for e, c in poly.terms():
-        re_part, im_part = c.as_real_imag()
-        terms[e] = GaussianRational(_rational_of(re_part), _rational_of(im_part))
-    return PolySeries(1, terms)
+def _from_sympy(poly) -> list[GaussianRational]:
+    """The dense coefficients of a univariate sympy Poly over QQ_I."""
+    return [GaussianRational(*map(_rational_of, c.as_real_imag())) for c in reversed(poly.all_coeffs())]
 
 
-def _sympy_poly(f: PolySeries):
-    return sympy.Poly(_to_sympy(f, (_T,)), _T, domain="QQ_I")
+# Univariate polynomials over Q(i) as dense coefficient lists, constant term
+# first, with a nonzero last entry; [] is the zero polynomial.
+
+
+def _dense(f: PolySeries) -> list[GaussianRational]:
+    coeffs = [ZERO] * (f.total_degree() + 1) if f.terms else []
+    for (k,), c in f.terms.items():
+        coeffs[k] = c
+    return coeffs
+
+
+def _sparse(coeffs: list[GaussianRational]) -> PolySeries:
+    return PolySeries(1, {(k,): c for k, c in enumerate(coeffs) if c})
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b."""
+    rem, n, lead = list(a), len(b) - 1, b[-1]
+    quot = [ZERO] * max(len(a) - n, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q = quot[k] = rem[k + n] / lead
+        if q:
+            for j, c in enumerate(b):
+                rem[k + j] -= q * c
+    return quot, _trim(rem[:n])
+
+
+def _gcd(a: list, b: list) -> list:
+    """The monic gcd of two polynomials, not both zero (Euclid)."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _derivative(a: list) -> list:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _square_free(a: list) -> list[tuple[list, int]]:
+    """Yun's square-free decomposition of a nonzero a: the monic, pairwise
+    coprime, square-free a_i of positive degree with a = lc(a) * prod a_i^i,
+    each paired with its i."""
+    da = _derivative(a)
+    g = _gcd(a, da)
+    w, y = _divmod(a, g)[0], _divmod(da, g)[0]
+    parts, i = [], 1
+    while len(w) > 1:
+        z = _trim([p - q for p, q in zip_longest(y, _derivative(w), fillvalue=ZERO)])
+        part = _gcd(w, z)
+        if len(part) > 1:
+            parts.append((part, i))
+        w, y = _divmod(w, part)[0], _divmod(z, part)[0]
+        i += 1
+    return parts
+
+
+def _univariate_gcd(a: PolySeries, b: PolySeries) -> PolySeries:
+    """The monic gcd over Q(i) of two univariate polynomials, not both zero."""
+    return _sparse(_gcd(_dense(a), _dense(b)))
 
 
 def gaussian_roots(f: PolySeries) -> tuple[list[tuple[GaussianRational, int]], list[tuple[PolySeries, int]]]:
     """Q(i) roots and irreducible residual factors of a univariate polynomial.
 
-    Factors over the Gaussian rationals (square-free reduction included);
-    linear factors c1 t + c0 become roots -c0/c1 with multiplicity, anything
-    of higher degree is returned verbatim as a marker factor.  A linear f is
-    its own factorization and is not handed to sympy.
+    Factors over the Gaussian rationals: roots come with their multiplicity,
+    anything irreducible of higher degree is returned, monic, as a marker
+    factor with its multiplicity.  The power of t is split off first and the
+    rest is split square-free (Yun); a part of degree 1 is a root, one of
+    degree 2 gives two roots when its discriminant is a square in Q(i) and is
+    irreducible otherwise.  Only a square-free part of degree 3 or more is
+    handed to sympy.
     """
     if f.dim != 1:
         raise GermError("gaussian_roots expects a univariate polynomial")
     if f.is_zero():
         raise GermError("the zero polynomial has every root")
-    if f.total_degree() == 1:
-        factors = [(f, 1)]
-    else:
-        _, sympy_factors = sympy.factor_list(_sympy_poly(f))
-        factors = [(_from_sympy(poly), mult) for poly, mult in sympy_factors]
-    roots: list[tuple[GaussianRational, int]] = []
+    coeffs = _dense(f)
+    n = next(k for k, c in enumerate(coeffs) if c)
+    roots: list[tuple[GaussianRational, int]] = [(ZERO, n)] if n else []
     markers: list[tuple[PolySeries, int]] = []
-    for factor, mult in factors:
-        if factor.total_degree() == 1:
-            roots.append((-factor.coefficient((0,)) / factor.coefficient((1,)), mult))
-        elif factor.total_degree() > 1:
-            markers.append((factor, mult))
+    for part, mult in _square_free(coeffs[n:]):
+        factors = [(part, mult)]
+        if len(part) > 3:
+            _, found = sympy.factor_list(_sympy_poly(_sparse(part)))
+            factors = [(_from_sympy(p), mult * m) for p, m in found]
+        for factor, m in factors:
+            if len(factor) == 2:
+                roots.append((-factor[0], m))
+            elif len(factor) == 3 and (r := (factor[1] ** 2 - 4 * factor[0]).sqrt()) is not None:
+                roots += [((r - factor[1]) / 2, m), ((-r - factor[1]) / 2, m)]
+            else:
+                markers.append((_sparse(factor), m))
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots, markers
 
@@ -251,14 +327,28 @@ def _restrict_to_divisor(f: PolySeries) -> PolySeries:
 
 
 def is_isolated_singularity(x: VectorFieldJet) -> bool:
-    """No common factor of the components vanishing at the origin."""
+    """No common factor of the components vanishing at the origin.
+
+    Decided natively when a component is zero or a monomial, or when the
+    tangent cones share no line; otherwise by the sympy gcd (see
+    notes/decisions.md, "sympy is a fallback").
+    """
     if x.dim != 2 or not x.is_total:
         raise GermError("isolation test needs an exact plane field")
     a, b = x.comps
-    if a.is_zero() and b.is_zero():
-        return False
-    g = sympy.gcd(_to_sympy(a, (_X, _Y)), _to_sympy(b, (_X, _Y)), gaussian=True)
-    return sympy.simplify(g.subs({_X: 0, _Y: 0})) != 0
+    if a.is_zero() or b.is_zero():
+        return not (a + b).constant_term().is_zero()  # gcd(0, f) = f
+    for f, g in ((a, b), (b, a)):
+        if len(g.terms) == 1:  # g = c x^p y^q: only x and y can divide both
+            (p, q), = g.terms
+            return not (p and variable_power_dividing(f, 0) or q and variable_power_dividing(f, 1))
+    a_cone, b_cone = (f.homogeneous_part(f.order()) for f in (a, b))
+    y_shared = variable_power_dividing(a_cone, 1) and variable_power_dividing(b_cone, 1)
+    slopes = [PolySeries(1, {(i,): c for (i, _), c in f.terms.items()}) for f in (a_cone, b_cone)]
+    if not y_shared and _univariate_gcd(*slopes).total_degree() == 0:
+        return True  # tangent cones share no line: I_0(A, B) = m(A) m(B) is finite
+    g = sympy.gcd(_sympy_poly(a), _sympy_poly(b))
+    return g.coeff_monomial(1) != 0
 
 
 def translate_to_point(x: VectorFieldJet, point: list[GaussianRational]) -> VectorFieldJet:
@@ -376,10 +466,6 @@ def _classified(germ: VectorFieldJet, isolated: bool) -> tuple[str, bool, bool |
     if classification in (PURELY_RADIAL, NPRS):
         would_be = dicritical_test(germ).dicritical
     return classification, caveat, would_be
-
-
-def _univariate_gcd(a: PolySeries, b: PolySeries) -> PolySeries:
-    return _from_sympy(sympy.gcd(_sympy_poly(a), _sympy_poly(b)))
 
 
 # -- iterated resolution -------------------------------------------------------

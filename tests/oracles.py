@@ -188,3 +188,54 @@ def sympy_linear_root(c1, c0) -> tuple[Fraction, Fraction]:
     root = sympy.expand(-const / lead)
     re_part, im_part = root.as_real_imag()
     return tuple(Fraction(int(q.p), int(q.q)) for q in map(sympy.Rational, (re_part, im_part)))
+
+
+# Univariate results are compared as plain data: a polynomial is the sorted
+# tuple of its (exponent, (re, im)) terms, a scalar its (re, im) pair.
+
+
+def _qi_pair(c) -> tuple[Fraction, Fraction]:
+    re_part, im_part = QQ_I.to_sympy(c).as_real_imag()
+    return tuple(Fraction(int(q.p), int(q.q)) for q in map(sympy.Rational, (re_part, im_part)))
+
+
+def _univariate(f: PolySeries):
+    t = sympy.Symbol("t")
+    coeffs = {e: sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I for e, c in f.terms.items()}
+    return sympy.Poly.from_dict(coeffs, t, domain=QQ_I)
+
+
+def _plain(p) -> tuple:
+    return tuple(sorted((k, _qi_pair(c)) for (k,), c in p.rep.to_dict().items()))
+
+
+def sympy_univariate_gcd(f: PolySeries, g: PolySeries) -> tuple:
+    """The gcd over QQ_I of two univariate polynomials, as sympy normalizes it."""
+    return _plain(sympy.gcd(_univariate(f), _univariate(g)))
+
+
+def sympy_square_free(f: PolySeries) -> list[tuple[tuple, int]]:
+    """sympy's square-free decomposition over QQ_I: sorted (part, multiplicity)."""
+    _, parts = sympy.sqf_list(_univariate(f))
+    return sorted((_plain(p), k) for p, k in parts)
+
+
+def sympy_gaussian_factors(f: PolySeries) -> tuple[list, list]:
+    """factor_list over QQ_I, split into sorted (root, multiplicity) for the
+    linear factors and sorted (factor, multiplicity) for the others."""
+    _, factors = sympy.factor_list(_univariate(f))
+    roots, others = [], []
+    for p, k in factors:
+        if p.degree() == 1:
+            lead, const = p.all_coeffs()
+            roots.append((_qi_pair(QQ_I.from_sympy(sympy.expand(-const / lead))), k))
+        else:
+            others.append((_plain(p), k))
+    return sorted(roots), sorted(others)
+
+
+def sympy_gcd_isolated(x: VectorFieldJet) -> bool:
+    """Whether sympy's gcd over Q(i) of the two components is nonzero at 0."""
+    xs, ys = _SYMS[:2]
+    a, b = (sympy.Poly(c, xs, ys, domain=QQ_I) for c in field_to_sympy(x))
+    return sympy.gcd(a, b).coeff_monomial(1) != 0

@@ -7,12 +7,20 @@ import pytest
 from hypothesis import given, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import sympy_isolated, sympy_linear_root
+from oracles import (
+    sympy_gaussian_factors,
+    sympy_gcd_isolated,
+    sympy_isolated,
+    sympy_linear_root,
+    sympy_square_free,
+    sympy_univariate_gcd,
+)
 
 from germfield import (
     CHART_SLOPE_Y,
     GermError,
     PolySeries,
+    VectorFieldJet,
     blowup_pullback,
     classify_singularity,
     dicritical_test,
@@ -25,7 +33,7 @@ from germfield import (
     strict_transform,
     translate_to_point,
 )
-from germfield.blowup import gaussian_roots
+from germfield.blowup import _dense, _square_free, _univariate_gcd, gaussian_roots
 from germfield.gaussian import gq
 
 F = parse_field
@@ -174,6 +182,74 @@ class TestGaussianRoots:
         # the native -c0/c1 path against sympy's factorization over QQ_I
         f = PolySeries(1, {(1,): gq(*c1), (0,): gq(*c0)})
         assert gaussian_roots(f) == ([(gq(*sympy_linear_root(c1, c0)), 1)], [])
+
+
+# Random univariate polynomials with known factors: a nonzero leading
+# constant times powers of linear factors t - r and of factors irreducible
+# over Q(i) (t^3 - 2 among them, which only sympy splits).
+QI = st.sampled_from([
+    gq(0), gq(1), gq(-1), gq(0, 1), gq(Fraction(1, 2)), gq(2, -1), gq(Fraction(-2, 3), Fraction(1, 3)),
+])
+T = PolySeries.variable(1, 0)
+IRREDUCIBLE = [T**2 - 2, T**2 - gq(0, 1), T**2 + T + 1, T**2 - gq(0, 3), T**2 + 2 * T + 3, T**3 - 2]
+FACTOR = st.one_of(QI.map(lambda r: T - r), st.sampled_from(IRREDUCIBLE))
+FACTORS = st.lists(st.tuples(FACTOR, st.integers(1, 3)), max_size=3)
+
+
+def _product(lead, factors):
+    f = PolySeries.constant(1, lead)
+    for factor, mult in factors:
+        f = f * factor**mult
+    return f
+
+
+def _plain(coeffs):
+    return tuple((k, (c.re, c.im)) for k, c in enumerate(coeffs) if c)
+
+
+class TestNativeAlgebra:
+    # the native gcd, square-free split, roots and isolation certificate
+    # against sympy (tests/oracles.py)
+    LEAD = QI.filter(bool)
+
+    @settings(max_examples=60, deadline=None)
+    @given(LEAD, LEAD, FACTORS, FACTORS, FACTORS)
+    def test_gcd_matches_sympy(self, lead_f, lead_g, common, only_f, only_g):
+        f, g = _product(lead_f, common + only_f), _product(lead_g, common + only_g)
+        assert _plain(_dense(_univariate_gcd(f, g))) == sympy_univariate_gcd(f, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(LEAD, FACTORS.filter(bool))
+    def test_square_free_matches_sympy(self, lead, factors):
+        f = _product(lead, factors)
+        ours = sorted((_plain(part), k) for part, k in _square_free(_dense(f)))
+        assert ours == sympy_square_free(f)
+
+    @settings(max_examples=40, deadline=None)  # sympy's factor_list dominates
+    @given(LEAD, FACTORS)
+    def test_gaussian_roots_match_factor_list(self, lead, factors):
+        f = _product(lead, factors)
+        roots, markers = gaussian_roots(f)
+        assert roots == sorted(roots, key=lambda rm: rm[0].sort_key())
+        assert (sorted(((r.re, r.im), k) for r, k in roots),
+                sorted((_plain(_dense(m)), k) for m, k in markers)) == sympy_gaussian_factors(f)
+
+    MONOMIALS = [(a, b) for a in range(4) for b in range(4 - a)]
+    POLY2 = st.dictionaries(st.sampled_from(MONOMIALS), QI.filter(bool), max_size=4).map(
+        lambda terms: PolySeries(2, terms)
+    )
+    # common factors, most of them through 0
+    SHARED = st.sampled_from(["1", "x", "y", "y - x^2", "x + y", "x*y + 1", "y^2 - x^3", "x - i*y"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(POLY2, POLY2, SHARED)
+    def test_isolation_certificate_agrees_with_sympy_gcd(self, a, b, shared):
+        h = P(shared, 2)
+        x = VectorFieldJet([h * a, h * b])
+        if x.is_zero():
+            return
+        # in particular never "isolated" when the sympy gcd vanishes at 0
+        assert is_isolated_singularity(x) == sympy_gcd_isolated(x)
 
 
 class TestClassify:

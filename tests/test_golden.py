@@ -1,13 +1,22 @@
-"""Golden CLI outputs: the kernel verbs must print the same JSON, byte for byte.
+"""Golden CLI outputs: every command below must print the same text, byte for byte.
 
 Kernel bases are canonical (RREF), so any change to the solver that keeps the
-mathematics must keep these files.  They were written by the dense solver
-that preceded the sparse one; regenerate them only for an intended change of
-answer, with ``PYTHONPATH=src python tests/test_golden.py --write``.
+mathematics must keep the kernel files (``golden/*.json``, written by the
+dense solver that preceded the sparse one).  ``golden/cli/`` holds the README
+commands with ``--json`` (one of them also in the README's spelling, with
+``--json`` after the arguments), three of them as text, and ``resolve`` on the
+seven germs of ``test_blowup.RESOLUTION_GERMS``.  A file holds the standard
+output, and for a nonzero exit also the exit code and standard error.
+Regenerate the files only for an intended change of answer, with
+``PYTHONPATH=src python tests/test_golden.py --write``.
+
+One test checks every file again in a fresh process where importing sympy
+fails: the default paths never reach blowup's sympy fallback.
 """
 
 import contextlib
 import io
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,17 +47,63 @@ CASES += [(f"row{row}", TABLE_FIELDS[row], 10) for row in (1, 2, 3)]
 CASES += [("pd3", "2*x + y^2, y, 3*z + y^3", 3)]
 VERBS = ("centralizer", "first-integrals")
 
+README_COMMANDS = {
+    "centralizer": ["centralizer", "x, 2*y", "--max-degree", "4"],
+    "first-integrals": ["first-integrals", "x, -y"],
+    "rank": ["rank", "3*y^2, -2*x"],
+    "check-commute": ["check-commute", "x, y", "y, -x"],
+    "bracket": ["bracket", "y, 0", "0, x"],
+    "wedge": ["wedge", "x, 2*y", "y, 0"],
+    "wedge-weights": ["wedge", "--weights", "1,2", "y, x^2"],
+    "resonances": ["resonances", "1,2", "--bound", "3"],
+    "classify": ["classify", "x + y, x"],
+    "blowup": ["blowup", "x^2, y^2"],
+    "resolve": ["resolve", "2*y, 3*x^2", "--depth", "6"],
+    "verify-integral": ["verify-integral", "2*x*y, 2*y^2 - x^3", "(y^2 + x^3) / (x^2)"],
+    "dual-pair": ["dual-pair", "x, 0", "0, y"],
+    "log-decomp": ["log-decomp", "x^2 dy - y dx", "--denominator", "x^2*y",
+                   "--factor", "x:2", "--factor", "y:1"],
+    "cr-pair": ["cr-pair", "z^2", "--max-degree", "6"],
+    "table": ["table", "5", "--n", "2"],
+}
+RESOLUTION_GERMS = {
+    "cusp": "2*y, 3*x^2",
+    "two_squares": "x^2, y^2",
+    "pencil": "y + x^3, x^2*y",
+    "irrational": "x^2, y^2 + x*y - 2*x^2",
+    "saddle_node_leaf": "y^2 + x^3, x^4*y",
+    "cubic": "x^3 - 3*x*y^2, 3*x^2*y - y^3",
+    "deep": "y^3 + x^5, x^4*y",
+}
 
-def _output(verb, field, n) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = cli.main(["--json", verb, field, "--max-degree", str(n)])
-    assert rc == 0
-    return out.getvalue()
+# golden file -> argv
+FILES = {
+    f"{verb}_{name}_N{n}.json": ["--json", verb, field, "--max-degree", str(n)]
+    for verb in VERBS for name, field, n in CASES
+}
+FILES.update({f"cli/{name}.json": ["--json", *argv] for name, argv in README_COMMANDS.items()})
+FILES["cli/centralizer-json-appended.txt"] = [*README_COMMANDS["centralizer"], "--json"]
+FILES.update({f"cli/{name}.txt": README_COMMANDS[name] for name in ("classify", "blowup", "resolve")})
+FILES.update({
+    f"cli/resolve_{name}.json": ["--json", "resolve", germ, "--depth", "16"]
+    for name, germ in RESOLUTION_GERMS.items()
+})
 
 
-def _path(verb, name, n) -> Path:
-    return GOLDEN / f"{verb}_{name}_N{n}.json"
+def _output(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    if code == 0:
+        return out.getvalue()
+    return f"{out.getvalue()}exit {code}\n{err.getvalue()}"
+
+
+def mismatches() -> list[str]:
+    return [name for name, argv in FILES.items() if _output(argv) != (GOLDEN / name).read_text()]
 
 
 @pytest.mark.parametrize("row", sorted(TABLE_FIELDS))
@@ -60,11 +115,48 @@ def test_fields_are_the_table_rows(row):
 @pytest.mark.parametrize("verb", VERBS)
 @pytest.mark.parametrize("name,field,n", CASES, ids=[f"{c[0]}_N{c[2]}" for c in CASES])
 def test_output_matches_golden(verb, name, field, n):
-    assert _output(verb, field, n) == _path(verb, name, n).read_text()
+    path = f"{verb}_{name}_N{n}.json"
+    assert _output(FILES[path]) == (GOLDEN / path).read_text()
+
+
+CLI_FILES = sorted(name for name in FILES if name.startswith("cli/"))
+
+
+@pytest.mark.parametrize("path", CLI_FILES, ids=[p[len("cli/"):] for p in CLI_FILES])
+def test_cli_output_matches_golden(path):
+    assert _output(FILES[path]) == (GOLDEN / path).read_text()
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path[:0] = [{src!r}]\n{code}"],
+        capture_output=True, text=True, cwd=Path(__file__).parent,
+    )
+
+
+def test_every_golden_command_runs_without_sympy():
+    run = _fresh_python(
+        "sys.modules['sympy'] = None\n"
+        "import germfield\n"
+        "import test_golden\n"
+        "print(test_golden.mismatches())\n"
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_import_and_centralizer_leave_sympy_unloaded():
+    run = _fresh_python(
+        "import germfield\n"
+        "from germfield import cli\n"
+        "cli.main(['centralizer', 'x, 2*y', '--max-degree', '4'])\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    assert run.returncode == 0, run.stderr
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    GOLDEN.mkdir(exist_ok=True)
-    for verb in VERBS:
-        for name, field, n in CASES:
-            _path(verb, name, n).write_text(_output(verb, field, n))
+    (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
+    for name, argv in FILES.items():
+        (GOLDEN / name).write_text(_output(argv))
