@@ -200,9 +200,7 @@ def _qi_pair(c) -> tuple[Fraction, Fraction]:
 
 
 def _univariate(f: PolySeries):
-    t = sympy.Symbol("t")
-    coeffs = {e: sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I for e, c in f.terms.items()}
-    return sympy.Poly.from_dict(coeffs, t, domain=QQ_I)
+    return sympy.Poly(poly_to_sympy(f), _SYMS[0], domain=QQ_I)
 
 
 def _plain(p) -> tuple:
