@@ -20,18 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
+from operator import add
 
 from . import linalg
 from .gaussian import ONE, ZERO, GaussianRational
 from .series import GermError, PolySeries, TruncationError, monomial_key
-from .fields import (
-    VectorFieldJet,
-    lie_bracket,
-    radial_field,
-    wedge,
-)
+from .fields import VectorFieldJet, radial_field, wedge
 
 Exponent = tuple[int, ...]
+
+# Kernel solves refuse more unknowns than this before listing a column; a
+# plane normal form near this size takes about 1.5 s, a dense field far more.
+MAX_UNKNOWNS = 10_000
 
 
 def monomials_up_to(dim: int, max_deg: int, min_deg: int = 0) -> list[Exponent]:
@@ -100,12 +101,15 @@ def _require_polynomial_field(x: VectorFieldJet):
 
 
 class _JetKernelProblem:
-    """Shared assembly/split logic for ad_X and first-integral kernels."""
+    """Shared assembly/split logic for ad_X and first-integral kernels.
 
-    def __init__(self, x: VectorFieldJet, max_degree: int, columns, images):
+    Columns are (e, i) labels: the field x^e d/dz_i, or the function x^e when
+    i is None."""
+
+    def __init__(self, x: VectorFieldJet, max_degree: int, columns):
         self.dim = x.dim
         self.columns = columns            # unknown labels, graded order
-        self.images = images              # PolySeries list per column, per target slot
+        self.rows = _constraint_rows(x, columns)
         self.horizon = max_degree + x.mu() - 1
 
     def solve(self) -> tuple[list[linalg.SparseRow], list[linalg.SparseRow]]:
@@ -115,16 +119,11 @@ class _JetKernelProblem:
         the horizon give the raw kernel; inserting the rows beyond it into the
         same pivots gives the exact kernel.  A raw vector is tentative when it
         is outside the span of the exact and earlier tentative ones."""
-        rows: dict[tuple[int, Exponent], linalg.SparseRow] = {}
-        for col, img in enumerate(self.images):
-            for j, series in enumerate(img):
-                for e, c in series.terms.items():
-                    rows.setdefault((j, e), {})[col] = c
         ncols = len(self.columns)
         system = linalg.Echelon(ncols)
         kernels = []
         for beyond in (False, True):
-            for (_, e), row in rows.items():
+            for (_, e), row in self.rows.items():
                 if (sum(e) > self.horizon) == beyond:
                     system.insert(row)
             kernels.append(linalg.Echelon(ncols, system.kernel()).basis())
@@ -151,27 +150,55 @@ class _JetKernelProblem:
         return jets(exact, True), jets(tentative, False), dims
 
     def column_degree(self, col_idx: int) -> int:
-        raise NotImplementedError
+        return sum(self.columns[col_idx][0])
+
+
+def _check_unknowns(count: int):
+    if count > MAX_UNKNOWNS:
+        raise GermError(f"{count} unknowns exceed the kernel budget of {MAX_UNKNOWNS}")
+
+
+def _field_columns(dim: int, max_degree: int) -> list[tuple[Exponent, int]]:
+    """The unknowns x^e d/dz_i of a field jet, graded-lex in e, then by i."""
+    return [(e, i) for e in monomials_up_to(dim, max_degree) for i in range(dim)]
+
+
+def _constraint_rows(x: VectorFieldJet, columns) -> dict[tuple[int, Exponent], linalg.SparseRow]:
+    """(slot, monomial) -> {column: coeff}: the images of the columns under X.
+
+    [X, x^e d_i] = X(x^e) d_i - x^e sum_k (dX_k/dx_i) d_k, and for a function
+    column X(x^e) = sum_j e_j X_j x^(e - u_j): both are X's terms (or its
+    partials' terms) shifted and scaled, so no product is formed.  Entries
+    that cancel within a column are dropped."""
+    dim = x.dim
+    terms = [list(c.terms.items()) for c in x.comps]
+    neg_partials = [[list((-c.partial(i)).terms.items()) for c in x.comps] for i in range(dim)]
+    rows: dict[tuple[int, Exponent], linalg.SparseRow] = {}
+    for col, (e, i) in enumerate(columns):
+        image: dict[tuple[int, Exponent], GaussianRational] = {}
+        slot = 0 if i is None else i
+        for j, ej in enumerate(e):
+            if ej:
+                shift = e[:j] + (ej - 1,) + e[j + 1:]
+                for a, c in terms[j]:
+                    key = (slot, tuple(map(add, a, shift)))
+                    v = c * ej
+                    image[key] = v + image[key] if key in image else v
+        if i is not None:
+            for k, dk in enumerate(neg_partials[i]):
+                for b, c in dk:
+                    key = (k, tuple(map(add, b, e)))
+                    image[key] = c + image[key] if key in image else c
+        for key, c in image.items():
+            if c:
+                rows.setdefault(key, {})[col] = c
+    return rows
 
 
 class _FieldKernel(_JetKernelProblem):
     def __init__(self, x: VectorFieldJet, max_degree: int):
-        dim = x.dim
-        cols = [
-            (e, i)
-            for e in monomials_up_to(dim, max_degree)
-            for i in range(dim)
-        ]
-        cols.sort(key=lambda ei: (monomial_key(ei[0]), ei[1]))
-        images = []
-        for e, i in cols:
-            comps = [PolySeries.zero(dim) for _ in range(dim)]
-            comps[i] = PolySeries.monomial(dim, e)
-            images.append(lie_bracket(x, VectorFieldJet(comps)).comps)
-        super().__init__(x, max_degree, cols, images)
-
-    def column_degree(self, col_idx: int) -> int:
-        return sum(self.columns[col_idx][0])
+        _check_unknowns(x.dim * comb(max_degree + x.dim, x.dim))
+        super().__init__(x, max_degree, _field_columns(x.dim, max_degree))
 
     def value(self, vector) -> VectorFieldJet:
         comps_terms = [dict() for _ in range(self.dim)]
@@ -183,16 +210,12 @@ class _FieldKernel(_JetKernelProblem):
 
 class _IntegralKernel(_JetKernelProblem):
     def __init__(self, x: VectorFieldJet, max_degree: int):
-        dim = x.dim
-        cols = monomials_up_to(dim, max_degree, min_deg=1)
-        images = [[x.apply(PolySeries.monomial(dim, e))] for e in cols]
-        super().__init__(x, max_degree, cols, images)
-
-    def column_degree(self, col_idx: int) -> int:
-        return sum(self.columns[col_idx])
+        _check_unknowns(comb(max_degree + x.dim, x.dim) - 1)
+        cols = [(e, None) for e in monomials_up_to(x.dim, max_degree, min_deg=1)]
+        super().__init__(x, max_degree, cols)
 
     def value(self, vector) -> PolySeries:
-        return PolySeries(self.dim, {self.columns[col]: c for col, c in vector.items()})
+        return PolySeries(self.dim, {self.columns[col][0]: c for col, c in vector.items()})
 
 
 def ad_kernel(x: VectorFieldJet, max_degree: int) -> CentralizerReport:
@@ -524,11 +547,7 @@ def span_matches(
     """Exact span equality of two families of degree-<=N field jets."""
     if not kernel and not generators:
         return True
-    dim = (kernel or generators)[0].dim
-    cols = [
-        (e, i) for e in monomials_up_to(dim, max_degree) for i in range(dim)
-    ]
-    cols.sort(key=lambda ei: (monomial_key(ei[0]), ei[1]))
+    cols = _field_columns((kernel or generators)[0].dim, max_degree)
     index = {label: k for k, label in enumerate(cols)}
 
     def vec(f: VectorFieldJet):

@@ -8,9 +8,12 @@ both paths side by side.
 
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import brute_force_centralizer_dim, brute_force_first_integral_dim
@@ -30,7 +33,13 @@ from germfield import (
     resonances,
     span_matches,
 )
-from germfield import linalg
+from germfield import PolySeries, VectorFieldJet, linalg, weighted_euler
+from germfield.centralizer import (
+    MAX_UNKNOWNS,
+    _constraint_rows,
+    _field_columns,
+    monomials_up_to,
+)
 from germfield.gaussian import gq
 
 F = parse_field
@@ -149,6 +158,83 @@ class TestAdKernel:
             assert rep.dimension() == brute_force_centralizer_dim(x, n)
             fik = first_integral_kernel(x, n)
             assert fik.dimension() == brute_force_first_integral_dim(x, n)
+
+
+COEFFS = st.sampled_from(
+    [gq(1), gq(-1), gq(2), gq(Fraction(-2, 3)), gq(0, 1), gq(1, -1),
+     gq(Fraction(3, 4), Fraction(1, 2))]
+)
+
+
+def exact_fields(dim, max_deg):
+    comp = st.dictionaries(st.sampled_from(monomials_up_to(dim, max_deg)), COEFFS, max_size=6)
+    return st.lists(comp, min_size=dim, max_size=dim).map(
+        lambda cs: VectorFieldJet([PolySeries(dim, t) for t in cs])
+    )
+
+
+class TestConstraintRows:
+    """Shift-and-scale assembly against the definitions it replaces:
+    column x^e d_i is [X, x^e d_i], column x^e (i = None) is X(x^e)."""
+
+    @staticmethod
+    def reference_rows(x, columns):
+        rows = {}
+        for col, (e, i) in enumerate(columns):
+            mono = PolySeries.monomial(x.dim, e)
+            if i is None:
+                images = [x.apply(mono)]
+            else:
+                comps = [PolySeries.zero(x.dim)] * x.dim
+                comps[i] = mono
+                images = lie_bracket(x, VectorFieldJet(comps)).comps
+            for slot, series in enumerate(images):
+                for m, c in series.terms.items():
+                    rows.setdefault((slot, m), {})[col] = c
+        return rows
+
+    def check(self, x, n):
+        functions = [(e, None) for e in monomials_up_to(x.dim, n, min_deg=1)]
+        for columns in (_field_columns(x.dim, n), functions):
+            assert _constraint_rows(x, columns) == self.reference_rows(x, columns)
+
+    @given(exact_fields(2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_plane_fields(self, x):
+        self.check(x, 3)
+
+    @given(exact_fields(3, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_space_fields(self, x):
+        self.check(x, 2)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_euler_fields_cancel(self, dim):
+        # [R, x^e d_i] = (|e| - 1) x^e d_i: the linear columns' images cancel
+        for x in (radial_field(dim), weighted_euler((1, 2, 3)[:dim])):
+            self.check(x, 3)
+        rows = _constraint_rows(radial_field(dim), _field_columns(dim, 3))
+        linear = {col for col, (e, _) in enumerate(_field_columns(dim, 3)) if sum(e) == 1}
+        assert rows and not any(linear & row.keys() for row in rows.values())
+
+
+class TestUnknownBudget:
+    def test_refused_before_assembly(self):
+        x = F("x, 2*y")
+        solves = (ad_kernel, first_integral_kernel, lambda x, n: extendable_jet_dimension(x, n, 2))
+        for solve in solves:
+            with pytest.raises(GermError, match="budget"):
+                solve(x, 100000)
+
+    def test_counts_at_the_edge(self):
+        # plane field jets have 2*C(N+2, 2) unknowns, function jets C(N+2, 2) - 1
+        x = F("x, 2*y")
+        n = next(n for n in range(200) if 2 * comb(n + 2, 2) > MAX_UNKNOWNS)
+        with pytest.raises(GermError, match=str(2 * comb(n + 2, 2))):
+            ad_kernel(x, n)
+        n = next(n for n in range(200) if comb(n + 2, 2) - 1 > MAX_UNKNOWNS)
+        with pytest.raises(GermError, match=str(comb(n + 2, 2) - 1)):
+            first_integral_kernel(x, n)
 
 
 class TestReferenceTable:

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,15 @@ class TestCli:
         rc, _, err = run_cli(capsys, "bracket", "x, $", "y, x")
         assert rc == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "verb, field", [("centralizer", "x, 2*y"), ("first-integrals", "x, -y")]
+    )
+    def test_kernel_budget_is_exit_2(self, capsys, verb, field):
+        start = time.perf_counter()
+        rc, _, err = run_cli(capsys, verb, field, "--max-degree", "100000")
+        assert rc == 2 and "budget" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_resolve_cusp(self, capsys):
         rc, out, _ = run_cli(capsys, "resolve", "2*y, 3*x^2", "--depth", "6")
