@@ -220,6 +220,27 @@ class _IntegralKernel(_JetKernelProblem):
 
 def ad_kernel(x: VectorFieldJet, max_degree: int) -> CentralizerReport:
     """Certified basis of the bracket kernel at coefficient degree <= N."""
+    horizon, basis, tentative, dims, rank_estimate = _certified_centralizer(x, max_degree)
+    return CentralizerReport(
+        field=x,
+        max_degree=max_degree,
+        multiplicity=x.mu(),
+        certified_degree=horizon,
+        basis=basis,
+        tentative=tentative,
+        dims=dims,
+        rank_estimate=rank_estimate,
+        stabilization=_stabilization_verdict(x, max_degree, dims),
+    )
+
+
+def centralizer_rank(x: VectorFieldJet, max_degree: int) -> int | None:
+    """ad_kernel(x, max_degree).rank_estimate, without the stabilization verdict."""
+    return _certified_centralizer(x, max_degree)[-1]
+
+
+def _certified_centralizer(x: VectorFieldJet, max_degree: int):
+    """(horizon, basis, tentative, dims, rank_estimate) of the bracket kernel."""
     _require_polynomial_field(x)
     if max_degree < 1:
         raise GermError("max_degree must be at least 1")
@@ -228,19 +249,7 @@ def ad_kernel(x: VectorFieldJet, max_degree: int) -> CentralizerReport:
     rank_estimate = None
     if x.dim == 2 and basis:
         rank_estimate = generic_rank([b.value for b in basis])
-
-    stabilization = _stabilization_verdict(x, max_degree, dims)
-    return CentralizerReport(
-        field=x,
-        max_degree=max_degree,
-        multiplicity=x.mu(),
-        certified_degree=problem.horizon,
-        basis=basis,
-        tentative=tentative,
-        dims=dims,
-        rank_estimate=rank_estimate,
-        stabilization=stabilization,
-    )
+    return problem.horizon, basis, tentative, dims, rank_estimate
 
 
 def _stabilization_verdict(x, max_degree, dims) -> str:

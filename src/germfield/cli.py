@@ -18,6 +18,7 @@ from .fields import VectorFieldJet, lie_bracket, wedge, weighted_euler
 from .centralizer import (
     CentralizerReport,
     ad_kernel,
+    centralizer_rank,
     classify_linear,
     first_integral_kernel,
     linear_centralizer_table,
@@ -274,16 +275,17 @@ def run(args) -> int:
             )
         return 0
 
-    if verb in ("centralizer", "rank"):
-        x = parse_field_text(args.field)
-        report = ad_kernel(x, args.max_degree)
-        if verb == "rank":
-            _emit(
-                {"version": SCHEMA_VERSION, "command": verb, "rank": report.rank_estimate},
-                f"rank = {report.rank_estimate}",
-                as_json,
-            )
-            return 0
+    if verb == "rank":
+        rank = centralizer_rank(parse_field_text(args.field), args.max_degree)
+        _emit(
+            {"version": SCHEMA_VERSION, "command": verb, "rank": rank},
+            f"rank = {rank}",
+            as_json,
+        )
+        return 0
+
+    if verb == "centralizer":
+        report = ad_kernel(parse_field_text(args.field), args.max_degree)
         _emit(
             {"version": SCHEMA_VERSION, "command": verb, **_report_json(report)},
             _report_text(report),

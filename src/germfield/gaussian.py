@@ -34,6 +34,13 @@ def _reduce(a: int, b: int, d: int) -> "GaussianRational":
     return _make(a, b, d)
 
 
+def over_common_denominator(values) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(a, b), ...]) writing each of the values as (a + b*i)/D, where D is
+    the lcm of their denominators: numerators for fraction-free loops."""
+    d = math.lcm(*(v._d for v in values))
+    return d, [(v._a * (m := d // v._d), v._b * m) for v in values]
+
+
 def _add(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> "GaussianRational":
     """(a1 + b1*i)/d1 + (a2 + b2*i)/d2 for normalized operands."""
     if d1 == d2:

@@ -201,16 +201,17 @@ def log_decomposition(
         for f, k in zip(flist, mults):
             reduced = reduced * f ** (k - 1)
         q = unit * _exact_quotient(prod, reduced)
+        # (k - 1) * (q / f) * df per repeated factor, the same for every phi
+        drifts = [
+            [_exact_quotient(q, f) * f.partial(i) * (k - 1) for i in range(dim)]
+            for f, k in zip(flist, mults)
+            if k > 1
+        ]
         for e in phi_monomials:
             phi = PolySeries.monomial(dim, e)
             col = [q * phi.partial(i) for i in range(dim)]
-            for f, k in zip(flist, mults):
-                if k > 1:
-                    rj = _exact_quotient(q, f)
-                    col = [
-                        ci - rj * f.partial(i) * phi * (k - 1)
-                        for i, ci in enumerate(col)
-                    ]
+            for drift in drifts:
+                col = [ci - di * phi for ci, di in zip(col, drift)]
             cols.append(col)
         return cols
 

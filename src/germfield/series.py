@@ -16,12 +16,13 @@ order everywhere downstream.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from fractions import Fraction
 from operator import add
 
-from .gaussian import ONE, ZERO, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
 
 Exponent = tuple[int, ...]
 
@@ -421,14 +422,50 @@ def _accumulate(out: dict, terms, cap) -> None:
 
 def _product(f: PolySeries, g: PolySeries, trunc: int | None, cap: int) -> PolySeries:
     """f * g mod degree trunc + 1 (trunc None: exact); TermLimitError as soon
-    as the partial product has more than cap terms."""
-    rhs = [(e, c, sum(e)) for e, c in g.terms.items()]
-    out: dict[Exponent, GaussianRational] = {}
-    for e1, c1 in f.terms.items():
+    as the partial product has more than cap terms.  Term pairs multiply as
+    Gaussian-integer numerators over the lcms D_f and D_g of the operands'
+    denominators; each result term is reduced once, over D_f * D_g."""
+    if len(f.terms) == 1 or len(g.terms) == 1:  # shift and scale, no lcm
+        out = {
+            tuple(map(add, e1, e2)): c1 * c2
+            for e1, c1 in f.terms.items()
+            for e2, c2 in g.terms.items()
+            if trunc is None or sum(e1) + sum(e2) <= trunc
+        }
+        if len(out) > cap:
+            raise TermLimitError("result exceeds GERM_MAX_TERMS")
+        return _trusted(f.dim, out, trunc)
+    df, fnum = over_common_denominator(f.terms.values())
+    dg, gnum = over_common_denominator(g.terms.values())
+    rhs = [(e, a, b, sum(e)) for e, (a, b) in zip(g.terms, gnum)]
+    acc: dict[Exponent, tuple[int, int]] = {}
+    get = acc.get
+    for e1, (a1, b1) in zip(f.terms, fnum):
         room = math.inf if trunc is None else trunc - sum(e1)
-        pairs = ((tuple(map(add, e1, e2)), c1 * c2) for e2, c2, n2 in rhs if n2 <= room)
-        _accumulate(out, pairs, cap)
-    return _trusted(f.dim, out, trunc)
+        for e2, a2, b2, n2 in rhs:
+            if n2 > room:
+                continue
+            e = tuple(map(add, e1, e2))
+            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            s = get(e)
+            if s is None:
+                acc[e] = re, im
+                if len(acc) > cap:
+                    raise TermLimitError("result exceeds GERM_MAX_TERMS")
+                continue
+            re += s[0]
+            im += s[1]
+            if re or im:
+                acc[e] = re, im
+            else:
+                del acc[e]
+    d = df * dg
+    return _trusted(f.dim, {e: _reduce(a, b, d) for e, (a, b) in acc.items()}, trunc)
+
+
+def _descending(e: Exponent) -> tuple[int, tuple[int, ...]]:
+    """Heap key: the graded-lex greatest monomial comes out first."""
+    return (-sum(e), tuple(-k for k in reversed(e)))
 
 
 def poly_divides(d: PolySeries, f: PolySeries) -> tuple[bool, PolySeries | None]:
@@ -444,17 +481,33 @@ def poly_divides(d: PolySeries, f: PolySeries) -> tuple[bool, PolySeries | None]
     if d.is_zero():
         raise ZeroDivisionError("zero divisor in poly_divides")
     le, lc = d.leading_term()
+    tail = [(e, -c) for e, c in d.terms.items() if e != le]
     quotient: dict[Exponent, GaussianRational] = {}
-    rem = f
-    while not rem.is_zero():
-        re_, rc = rem.leading_term()
+    # the remainder, updated in place; a popped monomial that cancelled is skipped
+    rem = dict(f.terms)
+    heap = [(_descending(e), e) for e in rem]
+    heapq.heapify(heap)
+    while heap:
+        re_ = heapq.heappop(heap)[1]
+        rc = rem.pop(re_, None)
+        if rc is None:
+            continue
         qe = tuple(a - b for a, b in zip(re_, le))
         if any(k < 0 for k in qe):
             return False, None
-        qc = rc / lc
-        quotient[qe] = qc
-        rem = rem - PolySeries.monomial(d.dim, qe, qc) * d
-    return True, PolySeries(d.dim, quotient)
+        qc = quotient[qe] = rc / lc
+        # every monomial of qe * tail lies below re_ in graded-lex order
+        for e, c in tail:
+            e = tuple(map(add, qe, e))
+            s = rem.get(e)
+            if s is None:
+                rem[e] = qc * c
+                heapq.heappush(heap, (_descending(e), e))
+            elif s := s + qc * c:
+                rem[e] = s
+            else:
+                del rem[e]
+    return True, _trusted(d.dim, quotient, None)
 
 
 def divide_by_variable_power(f: PolySeries, var_index: int, k: int) -> PolySeries:

@@ -135,6 +135,25 @@ class TestCli:
         assert rc == 2 and "budget" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_rank_skips_the_stabilization_verdict(self, capsys, monkeypatch):
+        # rank prints only the generic rank, so the first-integral solve that
+        # the centralizer's stabilization verdict runs must not happen
+        from germfield import centralizer
+
+        calls = []
+        solve = centralizer.first_integral_kernel
+        monkeypatch.setattr(
+            centralizer, "first_integral_kernel", lambda *a: calls.append(a) or solve(*a)
+        )
+        x = parse_field("x, 0", 2)
+        expected = centralizer.ad_kernel(x, 8).rank_estimate
+        assert len(calls) == 1
+        rc, out, _ = run_cli(capsys, "rank", "x, 0", "--max-degree", "8")
+        assert (rc, out) == (0, f"rank = {expected}\n")
+        rc, out, _ = run_cli(capsys, "--json", "rank", "x, 0", "--max-degree", "8")
+        assert rc == 0 and json.loads(out)["rank"] == expected
+        assert len(calls) == 1
+
     def test_resolve_cusp(self, capsys):
         rc, out, _ = run_cli(capsys, "resolve", "2*y, 3*x^2", "--depth", "6")
         assert rc == 0

@@ -1,6 +1,10 @@
+import itertools
+import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from germfield import (
     GermError,
@@ -11,7 +15,12 @@ from germfield import (
     poly_divides,
 )
 from germfield.gaussian import gq
-from germfield.series import divide_by_variable_power, variable_power_dividing
+from germfield.series import (
+    _product,
+    divide_by_variable_power,
+    monomial_key,
+    variable_power_dividing,
+)
 
 
 def P(text, dim=2):
@@ -177,3 +186,82 @@ def test_term_cap_in_substitute(monkeypatch):
 def test_evaluate_exact():
     f = P("x^2 + i*y")
     assert f.evaluate([gq(Fraction(1, 2)), gq(2)]) == gq(Fraction(1, 4), 2)
+
+
+# -- the fraction-free product and the in-place division, against schoolbook ---
+
+# denominators with shared and coprime factors, so that lcms, cross terms
+# and the final reduction all matter
+SCALARS = st.builds(
+    lambda a, b, da, db: gq(Fraction(a, da), Fraction(b, db)),
+    st.integers(-6, 6),
+    st.one_of(st.just(0), st.integers(-6, 6)),
+    st.sampled_from([1, 2, 3, 4, 6, 9]),
+    st.sampled_from([1, 2, 3, 4, 6, 9]),
+)
+
+
+@st.composite
+def series(draw, dim, max_deg=4, max_terms=8):
+    exps = st.tuples(*[st.integers(0, max_deg)] * dim).filter(lambda e: sum(e) <= max_deg)
+    return PolySeries(dim, draw(st.dictionaries(exps, SCALARS, max_size=max_terms)))
+
+
+@st.composite
+def operands(draw):
+    """(f, g, trunc); in half the draws f = p + q and g = p - q, whose
+    product p^2 - q^2 cancels every cross term p*q."""
+    dim = draw(st.integers(1, 3))
+    f, g = draw(series(dim)), draw(series(dim))
+    if draw(st.booleans()):
+        f, g = f + g, f - g
+    return f, g, draw(st.one_of(st.none(), st.integers(0, 8)))
+
+
+def schoolbook(f, g, trunc):
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if trunc is None or sum(e) <= trunc:
+                out[e] = out.get(e, gq(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_normalized(p):
+    for c in p.terms.values():
+        assert c and c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
+
+
+@given(operands())
+@settings(max_examples=300, deadline=None)
+def test_product_matches_schoolbook(case):
+    f, g, trunc = case
+    prod = _product(f, g, trunc, math.inf)
+    assert prod.terms == schoolbook(f, g, trunc)
+    assert prod.trunc == trunc
+    assert_normalized(prod)
+    jets = f.truncated(trunc) * g if trunc is not None else f * g
+    assert jets.terms == prod.terms
+
+
+@given(operands(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_divides_exact_and_off_by_a_lower_monomial(case, data):
+    # d = p + q, quotient p - q: the cross terms of d * (p - q) cancel, so the
+    # division meets monomials that the dividend does not hold
+    d, q, _ = case
+    if d.is_zero():
+        return
+    ok, quotient = poly_divides(d, d * q)
+    assert ok and quotient == q
+    assert_normalized(quotient)
+    le, _ = d.leading_term()
+    below = [
+        e for e in itertools.product(range(sum(le) + 1), repeat=d.dim)
+        if monomial_key(e) < monomial_key(le)
+    ]
+    if below:
+        e, c = data.draw(st.sampled_from(below)), data.draw(SCALARS.filter(bool))
+        r = PolySeries.monomial(d.dim, e, c)
+        assert poly_divides(d, d * q + r) == (False, None)
