@@ -4,8 +4,9 @@ Kernel bases are canonical (RREF), so any change to the solver that keeps the
 mathematics must keep the kernel files (``golden/*.json``, written by the
 dense solver that preceded the sparse one).  ``golden/cli/`` holds the README
 commands with ``--json`` (one of them also in the README's spelling, with
-``--json`` after the arguments), three of them as text, and ``resolve`` on the
-seven germs of ``test_blowup.RESOLUTION_GERMS``.  A file holds the standard
+``--json`` after the arguments), every README command as text, the cases of
+``MORE_COMMANDS`` (text, and ``--json`` for those in ``MORE_JSON``), and
+``resolve`` on the seven germs of ``test_blowup.RESOLUTION_GERMS``.  A file holds the standard
 output, and for a nonzero exit also the exit code and standard error.
 Regenerate the files only for an intended change of answer, with
 ``PYTHONPATH=src python tests/test_golden.py --write``.
@@ -66,6 +67,22 @@ README_COMMANDS = {
     "cr-pair": ["cr-pair", "z^2", "--max-degree", "6"],
     "table": ["table", "5", "--n", "2"],
 }
+# text-only variants, jets with tentative vectors, an eigenvalue line, an
+# input error (exit 2) and the exit-1 answers
+MORE_COMMANDS = {
+    "blowup-chart1": ["blowup", "x^2, y^2", "--chart", "1"],
+    "resolve-force-radial": ["resolve", "2*y, 3*x^2", "--depth", "6", "--force-radial"],
+    "centralizer-tentative": ["centralizer", "x^2, y + x*y", "--max-degree", "5"],
+    "first-integrals-tentative": ["first-integrals", "x, -y + x^3", "--max-degree", "5"],
+    "classify-eigenvalues": ["classify", "x, i*y"],
+    "table-no-row": ["table", "9"],
+    "check-commute-false": ["check-commute", "x, y^2", "y, -x"],
+    "verify-integral-false": ["verify-integral", "x, y", "(x) / (y^2)"],
+    "log-decomp-no-solution": ["log-decomp", "x dy", "--denominator", "x^2*y",
+                               "--factor", "x:2", "--factor", "y"],
+}
+MORE_JSON = ("centralizer-tentative", "first-integrals-tentative", "check-commute-false",
+             "verify-integral-false", "log-decomp-no-solution")
 RESOLUTION_GERMS = {
     "cusp": "2*y, 3*x^2",
     "two_squares": "x^2, y^2",
@@ -83,7 +100,9 @@ FILES = {
 }
 FILES.update({f"cli/{name}.json": ["--json", *argv] for name, argv in README_COMMANDS.items()})
 FILES["cli/centralizer-json-appended.txt"] = [*README_COMMANDS["centralizer"], "--json"]
-FILES.update({f"cli/{name}.txt": README_COMMANDS[name] for name in ("classify", "blowup", "resolve")})
+FILES.update({f"cli/{name}.txt": argv for name, argv in README_COMMANDS.items()})
+FILES.update({f"cli/{name}.txt": argv for name, argv in MORE_COMMANDS.items()})
+FILES.update({f"cli/{name}.json": ["--json", *MORE_COMMANDS[name]] for name in MORE_JSON})
 FILES.update({
     f"cli/resolve_{name}.json": ["--json", "resolve", germ, "--depth", "16"]
     for name, germ in RESOLUTION_GERMS.items()
