@@ -53,11 +53,10 @@ def monomials_up_to(dim: int, max_deg: int, min_deg: int = 0) -> list[Exponent]:
 
 @dataclass(frozen=True)
 class CertifiedJet:
-    """A kernel basis element with its certification bookkeeping."""
+    """A kernel basis element.  The report tuple it sits in says whether it
+    is certified, and the report's certified_degree says to which degree."""
 
     value: object  # VectorFieldJet or PolySeries
-    certified_to: int
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,10 @@ class _JetKernelProblem:
             d = self.column_degree(min(v))
             dims[d] = dims.get(d, 0) + 1
 
-        def jets(vectors, certified):
-            return tuple(CertifiedJet(self.value(v), self.horizon, certified) for v in vectors)
+        def jets(vectors):
+            return tuple(CertifiedJet(self.value(v)) for v in vectors)
 
-        return jets(exact, True), jets(tentative, False), dims
+        return jets(exact), jets(tentative), dims
 
     def column_degree(self, col_idx: int) -> int:
         return sum(self.columns[col_idx][0])

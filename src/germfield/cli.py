@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Every verb parses its payload with the shared text grammar, dispatches to the
-engine, and prints a deterministic report (text by default, a stable JSON
-schema with --json).  Exit codes: 0 success, 1 mathematical false / no
-solution, 2 input errors.
+Every verb in ``VERBS`` parses its payload with the shared text grammar, calls
+the engine and returns one result: a dict of engine values, its text report,
+and the exit code.  ``run`` prints the text, or with --json the dict as a
+stable, deterministic JSON schema.  ``_encode`` is the one place that knows
+the JSON form of each value type; the text stays with each verb, because the
+two forms differ.  Exit codes: 0 success, 1 mathematical false / no solution,
+2 input errors.
 """
 
 from __future__ import annotations
@@ -11,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .gaussian import GaussianRational
 from .series import GermError, PolySeries, Weight
-from .fields import VectorFieldJet, lie_bracket, wedge, weighted_euler
+from .fields import OneFormJet, VectorFieldJet, lie_bracket, wedge, weighted_euler
 from .centralizer import (
-    CentralizerReport,
     ad_kernel,
     centralizer_rank,
     classify_linear,
@@ -88,94 +91,20 @@ def parse_univariate(text: str) -> PolySeries:
     return PolySeries(1, {(e[axis],): c for e, c in p.terms.items()})
 
 
-def _emit(payload: dict, text: str, as_json: bool):
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(text)
-
-
-def _field_json(x: VectorFieldJet) -> dict:
-    return {"text": field_to_text(x), "terms": field_to_json(x)}
-
-
-def _poly_json(f: PolySeries) -> dict:
-    return {"text": poly_to_text(f), "terms": poly_to_json(f)}
-
-
-def _report_json(report: CentralizerReport) -> dict:
-    return {
-        "dimension_table": sorted(report.dims.items()),
-        "dimension": report.dimension(),
-        "certified_degree": report.certified_degree,
-        "multiplicity": report.multiplicity,
-        "basis": [_field_json(b.value) for b in report.basis],
-        "tentative": [_field_json(b.value) for b in report.tentative],
-        "rank": report.rank_estimate,
-        "verdict": report.stabilization,
-    }
-
-
-def _report_text(report: CentralizerReport) -> str:
-    lines = [
-        f"multiplicity mu = {report.multiplicity}",
-        f"certified bracket degree = {report.certified_degree}",
-        "dimension table: "
-        + (
-            ", ".join(f"{d}: {c}" for d, c in sorted(report.dims.items()))
-            or "(empty)"
-        ),
-        f"certified dimension = {report.dimension()}",
-    ]
-    for b in report.basis:
-        lines.append(f"  basis  {field_to_text(b.value)}")
-    for b in report.tentative:
-        lines.append(f"  tentative (to degree {b.certified_to})  {field_to_text(b.value)}")
-    if report.rank_estimate is not None:
-        lines.append(f"generic rank = {report.rank_estimate}")
-    lines.append(f"stabilization: {report.stabilization}")
-    return "\n".join(lines)
-
-
-def _resolution_json(node) -> dict:
-    out = {
-        "classification": node.classification,
-        "verdict": node.verdict,
-        "chart_history": [
-            [chart, None if coord is None else gq_to_json(coord)]
-            for chart, coord in node.chart_history
-        ],
-        "children": [_resolution_json(c) for c in node.children],
-    }
-    if node.blowups is not None:
-        out["dicritical"] = node.blowups[0].dicritical
-        out["nu"] = node.blowups[0].nu
-        out["divisor_multiplicity"] = node.blowups[0].divisor_multiplicity
-    if node.would_be_dicritical is not None:
-        out["would_be_dicritical"] = node.would_be_dicritical
-    if node.marker is not None:
-        out["marker"] = _poly_json(node.marker)
-    return out
-
-
-def _resolution_text(node, indent: str = "") -> list[str]:
-    label = node.verdict if node.verdict != "blown_up" else "blow up"
-    where = ""
-    if node.chart_history:
-        chart, coord = node.chart_history[-1]
-        slope = coord if coord is not None else f"t with {poly_to_text(node.marker, ('t',))} = 0"
-        where = f" at chart {chart}, slope {slope}"
-    extra = ""
-    if node.blowups is not None:
-        b = node.blowups[0]
-        kind = "dicritical" if b.dicritical else "non-dicritical"
-        extra = f" [nu={b.nu}, {kind}, divisor mult {b.divisor_multiplicity}]"
-    if node.would_be_dicritical is not None and node.verdict != "blown_up":
-        extra = f" [next blow-up would be {'dicritical' if node.would_be_dicritical else 'non-dicritical'}]"
-    lines = [f"{indent}{label}{where}: {node.classification}{extra}"]
-    for child in node.children:
-        lines.extend(_resolution_text(child, indent + "  "))
-    return lines
+def _encode(value):
+    """The JSON form of an engine value; json.dumps calls this for every value
+    it cannot write itself."""
+    if isinstance(value, VectorFieldJet):
+        return {"text": field_to_text(value), "terms": field_to_json(value)}
+    if isinstance(value, PolySeries):
+        return {"text": poly_to_text(value), "terms": poly_to_json(value)}
+    if isinstance(value, OneFormJet):
+        return one_form_to_json(value)
+    if isinstance(value, GaussianRational):
+        return gq_to_json(value)
+    if isinstance(value, Fraction):
+        return fraction_str(value)
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,344 +165,299 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(args) -> int:
-    as_json = getattr(args, "json", False)
-    verb = args.verb
+def _bracket(args):
+    b = lie_bracket(parse_field_text(args.field1), parse_field_text(args.field2))
+    return {"bracket": b}, field_to_text(b), 0
 
-    if verb == "bracket":
-        x = parse_field_text(args.field1)
-        y = parse_field_text(args.field2)
-        b = lie_bracket(x, y)
-        _emit(
-            {"version": SCHEMA_VERSION, "command": verb, "bracket": _field_json(b)},
-            field_to_text(b),
-            as_json,
-        )
-        return 0
 
-    if verb == "wedge":
-        fields = [parse_field_text(t) for t in args.fields]
-        if args.weights:
-            w = Weight(int(v) for v in args.weights.split(","))
-            fields.insert(0, weighted_euler(w))
-        result = wedge(fields)
-        if isinstance(result, PolySeries):
-            _emit(
-                {"version": SCHEMA_VERSION, "command": verb, "wedge": _poly_json(result)},
-                poly_to_text(result),
-                as_json,
+def _wedge(args):
+    fields = [parse_field_text(t) for t in args.fields]
+    if args.weights:
+        fields.insert(0, weighted_euler(Weight(int(v) for v in args.weights.split(","))))
+    w = wedge(fields)
+    text = poly_to_text(w) if isinstance(w, PolySeries) else "\n".join(poly_to_text(c) for c in w)
+    return {"wedge": w}, text, 0
+
+
+def _rank(args):
+    rank = centralizer_rank(parse_field_text(args.field), args.max_degree)
+    return {"rank": rank}, f"rank = {rank}", 0
+
+
+def _kernel_report(report, render):
+    """The keys and report lines that centralizer and first-integrals share."""
+    result = {
+        "dimension_table": sorted(report.dims.items()),
+        "dimension": report.dimension(),
+        "certified_degree": report.certified_degree,
+        "basis": [b.value for b in report.basis],
+        "tentative": [b.value for b in report.tentative],
+    }
+    lines = [f"certified dimension = {report.dimension()}"]
+    lines += [f"  basis  {render(b.value)}" for b in report.basis]
+    lines += [
+        f"  tentative (to degree {report.certified_degree})  {render(b.value)}"
+        for b in report.tentative
+    ]
+    return result, lines
+
+
+def _centralizer(args):
+    report = ad_kernel(parse_field_text(args.field), args.max_degree)
+    result, lines = _kernel_report(report, field_to_text)
+    table = ", ".join(f"{d}: {c}" for d, c in sorted(report.dims.items())) or "(empty)"
+    lines = [
+        f"multiplicity mu = {report.multiplicity}",
+        f"certified bracket degree = {report.certified_degree}",
+        f"dimension table: {table}",
+        *lines,
+    ]
+    if report.rank_estimate is not None:
+        lines.append(f"generic rank = {report.rank_estimate}")
+    lines.append(f"stabilization: {report.stabilization}")
+    result.update(
+        multiplicity=report.multiplicity, rank=report.rank_estimate, verdict=report.stabilization
+    )
+    return result, "\n".join(lines), 0
+
+
+def _first_integrals(args):
+    report = first_integral_kernel(parse_field_text(args.field), args.max_degree)
+    result, lines = _kernel_report(report, poly_to_text)
+    return result, "\n".join(lines), 0
+
+
+def _resonances(args):
+    found = resonances([parse_scalar(t) for t in args.eigenvalues.split(",")], args.bound)
+    lines = [
+        f"lambda_{r.target} = "
+        + " + ".join(f"{k}*lambda_{j + 1}" for j, k in enumerate(r.exponents) if k)
+        for r in found
+    ]
+    result = {"resonances": [{"target": r.target, "exponents": r.exponents} for r in found]}
+    return result, "\n".join(lines) or "no resonances", 0
+
+
+def _classify(args):
+    x = parse_field_text(args.field)
+    if x.dim != 2:
+        raise GermError("classify is n=2 only")
+    lc = classify_linear(x.linear_part_matrix())
+    sing, caveat = classify_singularity(x)
+    lines = [f"linear part: {lc.case} ({lc.ratio_rationality} ratio)"]
+    if lc.ratio is not None:
+        lines.append(f"ratio = {lc.ratio}")
+    if lc.eigenvalues:
+        lines.append("eigenvalues = " + ", ".join(str(e) for e in lc.eigenvalues))
+    lines.append(f"singularity: {sing}" + (" (non-isolated)" if caveat else ""))
+    result = {
+        "linear_case": lc.case,
+        "ratio_rationality": lc.ratio_rationality,
+        "ratio": lc.ratio,
+        "eigenvalues": lc.eigenvalues or None,
+        "singularity": sing,
+        "non_isolated": caveat,
+    }
+    return result, "\n".join(lines), 0
+
+
+def _blowup(args):
+    x = parse_field_text(args.field)
+    dic = dicritical_test(x)
+    charts = [
+        strict_transform(x, chart)
+        for chart in ((args.chart,) if args.chart else (CHART_SLOPE_Y, CHART_SLOPE_X))
+    ]
+    points = divisor_singularities(x)
+    kind = "dicritical" if dic.dicritical else "non-dicritical"
+    lines = [f"nu = {dic.nu}, {kind}, witness {poly_to_text(dic.witness, ('t',))}"]
+    for b in charts:
+        flag = ", flagged" if b.multiplicity_flagged else ""
+        lines += [
+            f"chart {b.chart}: pullback  {field_to_text(b.pullback, ('x', 't'))}",
+            f"chart {b.chart}: strict    {field_to_text(b.strict, ('x', 't'))}"
+            f"  [divisor mult {b.divisor_multiplicity}{flag}]",
+        ]
+    lines.append("singular points on the divisor:" + ("" if points else " none"))
+    for pt in points:
+        if pt.marker is not None:
+            lines.append(
+                f"  irrational locus in chart {pt.chart}: {poly_to_text(pt.marker, ('t',))} = 0"
             )
         else:
-            _emit(
-                {
-                    "version": SCHEMA_VERSION,
-                    "command": verb,
-                    "wedge": [_poly_json(c) for c in result],
-                },
-                "\n".join(poly_to_text(c) for c in result),
-                as_json,
+            lines.append(
+                f"  chart {pt.chart}, slope {pt.coordinate}: {pt.classification}"
+                f" (mu={pt.multiplicity})"
             )
-        return 0
+    result = {
+        "nu": dic.nu,
+        "dicritical": dic.dicritical,
+        "witness": dic.witness,
+        "charts": [
+            {
+                "chart": b.chart,
+                "pullback": b.pullback,
+                "strict": b.strict,
+                "divisor_multiplicity": b.divisor_multiplicity,
+                "multiplicity_flagged": b.multiplicity_flagged,
+            }
+            for b in charts
+        ],
+        "singular_points": [
+            {
+                "chart": pt.chart,
+                "slope": pt.coordinate,
+                "marker": pt.marker,
+                "classification": pt.classification,
+                "multiplicity": pt.multiplicity,
+                "non_isolated": pt.non_isolated,
+            }
+            for pt in points
+        ],
+    }
+    return result, "\n".join(lines), 0
 
-    if verb == "rank":
-        rank = centralizer_rank(parse_field_text(args.field), args.max_degree)
-        _emit(
-            {"version": SCHEMA_VERSION, "command": verb, "rank": rank},
-            f"rank = {rank}",
-            as_json,
+
+def _resolution(node, indent: str = ""):
+    """The JSON node and the text lines of a resolution tree, in one walk."""
+    out = {
+        "classification": node.classification,
+        "verdict": node.verdict,
+        "chart_history": node.chart_history,
+        "children": [],
+    }
+    where = extra = ""
+    if node.chart_history:
+        chart, coord = node.chart_history[-1]
+        slope = coord if coord is not None else f"t with {poly_to_text(node.marker, ('t',))} = 0"
+        where = f" at chart {chart}, slope {slope}"
+    if node.blowups is not None:
+        b = node.blowups[0]
+        out.update(dicritical=b.dicritical, nu=b.nu, divisor_multiplicity=b.divisor_multiplicity)
+        kind = "dicritical" if b.dicritical else "non-dicritical"
+        extra = f" [nu={b.nu}, {kind}, divisor mult {b.divisor_multiplicity}]"
+    if node.would_be_dicritical is not None:
+        out["would_be_dicritical"] = node.would_be_dicritical
+        if node.verdict != "blown_up":
+            kind = "dicritical" if node.would_be_dicritical else "non-dicritical"
+            extra = f" [next blow-up would be {kind}]"
+    if node.marker is not None:
+        out["marker"] = node.marker
+    label = "blow up" if node.verdict == "blown_up" else node.verdict
+    lines = [f"{indent}{label}{where}: {node.classification}{extra}"]
+    for child in node.children:
+        child_out, child_lines = _resolution(child, indent + "  ")
+        out["children"].append(child_out)
+        lines += child_lines
+    return out, lines
+
+
+def _resolve(args):
+    x = parse_field_text(args.field)
+    tree = resolve(x, max_depth=args.depth, force_radial=args.force_radial)
+    out, lines = _resolution(tree)
+    lines.append(f"total blow-ups: {tree.total_blowups()}")
+    return {"blowups": tree.total_blowups(), "tree": out}, "\n".join(lines), 0
+
+
+def _check_commute(args):
+    commute = lie_bracket(parse_field_text(args.field1), parse_field_text(args.field2)).is_zero()
+    return {"commute": commute}, "true" if commute else "false", 0 if commute else 1
+
+
+def _verify_integral(args):
+    x = parse_field_text(args.field)
+    ok = meromorphic_first_integral_check(x, parse_ratio(args.ratio, x.dim))
+    return {"first_integral": ok}, "true" if ok else "false", 0 if ok else 1
+
+
+def _dual_pair(args):
+    x = parse_field_text(args.field1)
+    y = parse_field_text(args.field2)
+    forms = dict(zip(("alpha", "beta"), dual_pair(x, y)))
+    result, lines = {"commuting": lie_bracket(x, y).is_zero()}, []
+    for name, form in forms.items():
+        closed, _ = closedness_check(form.form, form.denominator)
+        result[name] = {"form": form.form, "denominator": form.denominator, "closed": closed}
+        lines.append(
+            f"{name:5} = [{one_form_to_text(form.form)}] / ({poly_to_text(form.denominator)})"
+            f"  closed: {closed}"
         )
-        return 0
+    lines.append(f"commuting pair: {result['commuting']}")
+    return result, "\n".join(lines), 0
 
-    if verb == "centralizer":
-        report = ad_kernel(parse_field_text(args.field), args.max_degree)
-        _emit(
-            {"version": SCHEMA_VERSION, "command": verb, **_report_json(report)},
-            _report_text(report),
-            as_json,
-        )
-        return 0
 
-    if verb == "first-integrals":
-        x = parse_field_text(args.field)
-        report = first_integral_kernel(x, args.max_degree)
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": verb,
-            "dimension_table": sorted(report.dims.items()),
-            "dimension": report.dimension(),
-            "certified_degree": report.certified_degree,
-            "basis": [_poly_json(b.value) for b in report.basis],
-            "tentative": [_poly_json(b.value) for b in report.tentative],
-        }
-        lines = [f"certified dimension = {report.dimension()}"]
-        lines += [f"  basis  {poly_to_text(b.value)}" for b in report.basis]
-        lines += [
-            f"  tentative (to degree {b.certified_to})  {poly_to_text(b.value)}"
-            for b in report.tentative
-        ]
-        _emit(payload, "\n".join(lines), as_json)
-        return 0
+def _log_decomp(args):
+    omega = parse_one_form(args.form, 2)
+    g = parse_poly(args.denominator, 2)
+    factors = []
+    for spec in args.factor:
+        poly_text, mult = spec.rsplit(":", 1) if ":" in spec else (spec, "1")
+        factors.append((parse_poly(poly_text, 2), int(mult)))
+    found = log_decomposition(omega, g, factors, args.phi_bound)
+    if not found.success:
+        text = "no solution; residual " + one_form_to_text(found.residual)
+        return {"success": False, "residual": found.residual}, text, 1
+    d = found.decomposition
+    pairs = list(zip(d.factors, d.residues))
+    lines = [f"residue of {poly_to_text(f)}: {lam}" for f, lam in pairs]
+    lines.append(f"phi = {poly_to_text(d.phi)}")
+    result = {
+        "success": True,
+        "residues": [{"factor": f, "residue": lam} for f, lam in pairs],
+        "phi": d.phi,
+    }
+    return result, "\n".join(lines), 0
 
-    if verb == "resonances":
-        lams = [parse_scalar(t) for t in args.eigenvalues.split(",")]
-        found = resonances(lams, args.bound)
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": verb,
-            "resonances": [
-                {"target": r.target, "exponents": list(r.exponents)} for r in found
-            ],
-        }
-        lines = [
-            f"lambda_{r.target} = "
-            + " + ".join(
-                f"{k}*lambda_{j + 1}" for j, k in enumerate(r.exponents) if k
-            )
-            for r in found
-        ]
-        _emit(payload, "\n".join(lines) if lines else "no resonances", as_json)
-        return 0
 
-    if verb == "classify":
-        x = parse_field_text(args.field)
-        if x.dim != 2:
-            raise GermError("classify is n=2 only")
-        lc = classify_linear(x.linear_part_matrix())
-        sing, caveat = classify_singularity(x)
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": verb,
-            "linear_case": lc.case if lc else None,
-            "ratio_rationality": lc.ratio_rationality if lc else None,
-            "ratio": fraction_str(lc.ratio) if lc and lc.ratio is not None else None,
-            "eigenvalues": [gq_to_json(e) for e in lc.eigenvalues] if lc and lc.eigenvalues else None,
-            "singularity": sing,
-            "non_isolated": caveat,
-        }
-        lines = [f"linear part: {lc.case} ({lc.ratio_rationality} ratio)"]
-        if lc.ratio is not None:
-            lines.append(f"ratio = {lc.ratio}")
-        if lc.eigenvalues:
-            lines.append("eigenvalues = " + ", ".join(str(e) for e in lc.eigenvalues))
-        lines.append(f"singularity: {sing}" + (" (non-isolated)" if caveat else ""))
-        _emit(payload, "\n".join(lines), as_json)
-        return 0
+def _cr_pair(args):
+    x, y = cauchy_riemann_pair(parse_univariate(args.poly), args.max_degree)
+    return {"x": x, "y": y}, f"X = {field_to_text(x)}\nY = {field_to_text(y)}", 0
 
-    if verb == "blowup":
-        x = parse_field_text(args.field)
-        charts = (args.chart,) if args.chart else (CHART_SLOPE_Y, CHART_SLOPE_X)
-        dic = dicritical_test(x)
-        blocks, payload_charts = [], []
-        for chart in charts:
-            b = strict_transform(x, chart)
-            blocks.append(
-                f"chart {chart}: pullback  {field_to_text(b.pullback, ('x', 't'))}\n"
-                f"chart {chart}: strict    {field_to_text(b.strict, ('x', 't'))}"
-                f"  [divisor mult {b.divisor_multiplicity}"
-                + (", flagged" if b.multiplicity_flagged else "")
-                + "]"
-            )
-            payload_charts.append(
-                {
-                    "chart": chart,
-                    "pullback": _field_json(b.pullback),
-                    "strict": _field_json(b.strict),
-                    "divisor_multiplicity": b.divisor_multiplicity,
-                    "multiplicity_flagged": b.multiplicity_flagged,
-                }
-            )
-        points = divisor_singularities(x)
-        point_lines = []
-        for pt in points:
-            if pt.marker is not None:
-                point_lines.append(
-                    f"  irrational locus in chart {pt.chart}: {poly_to_text(pt.marker, ('t',))} = 0"
-                )
-            else:
-                point_lines.append(
-                    f"  chart {pt.chart}, slope {pt.coordinate}: {pt.classification}"
-                    f" (mu={pt.multiplicity})"
-                )
-        text = (
-            f"nu = {dic.nu}, {'dicritical' if dic.dicritical else 'non-dicritical'}"
-            f", witness {poly_to_text(dic.witness, ('t',))}\n"
-            + "\n".join(blocks)
-            + "\nsingular points on the divisor:"
-            + ("\n" + "\n".join(point_lines) if point_lines else " none")
-        )
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": verb,
-            "nu": dic.nu,
-            "dicritical": dic.dicritical,
-            "witness": _poly_json(dic.witness),
-            "charts": payload_charts,
-            "singular_points": [
-                {
-                    "chart": pt.chart,
-                    "slope": gq_to_json(pt.coordinate) if pt.coordinate is not None else None,
-                    "marker": _poly_json(pt.marker) if pt.marker is not None else None,
-                    "classification": pt.classification,
-                    "multiplicity": pt.multiplicity,
-                    "non_isolated": pt.non_isolated,
-                }
-                for pt in points
-            ],
-        }
-        _emit(payload, text, as_json)
-        return 0
 
-    if verb == "resolve":
-        x = parse_field_text(args.field)
-        tree = resolve(x, max_depth=args.depth, force_radial=args.force_radial)
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": verb,
-            "blowups": tree.total_blowups(),
-            "tree": _resolution_json(tree),
-        }
-        text = "\n".join(
-            _resolution_text(tree) + [f"total blow-ups: {tree.total_blowups()}"]
-        )
-        _emit(payload, text, as_json)
-        return 0
+def _table(args):
+    kwargs = {}
+    for name in ("ratio", "residue", "p", "q", "n"):
+        value = getattr(args, name)
+        if value is not None:
+            kwargs[name] = parse_scalar(value) if name in ("ratio", "residue") else value
+    row = linear_centralizer_table(args.row, max_degree=args.max_degree, **kwargs)
+    gens = row.generator_jets(args.max_degree)
+    dimension = "infinite" if row.dimension is None else row.dimension
+    lines = [f"X = {field_to_text(row.field)}"]
+    lines += [f"  generator  {field_to_text(g)}" for g in gens]
+    lines.append(f"rank = {row.rank}, dimension = {dimension}")
+    result = {"field": row.field, "generators": gens, "rank": row.rank, "dimension": row.dimension}
+    return result, "\n".join(lines), 0
 
-    if verb == "check-commute":
-        x = parse_field_text(args.field1)
-        y = parse_field_text(args.field2)
-        commute = lie_bracket(x, y).is_zero()
-        _emit(
-            {"version": SCHEMA_VERSION, "command": verb, "commute": commute},
-            "true" if commute else "false",
-            as_json,
-        )
-        return 0 if commute else 1
 
-    if verb == "verify-integral":
-        x = parse_field_text(args.field)
-        ratio = parse_ratio(args.ratio, x.dim)
-        ok = meromorphic_first_integral_check(x, ratio)
-        _emit(
-            {"version": SCHEMA_VERSION, "command": verb, "first_integral": ok},
-            "true" if ok else "false",
-            as_json,
-        )
-        return 0 if ok else 1
+VERBS = {
+    "bracket": _bracket,
+    "wedge": _wedge,
+    "centralizer": _centralizer,
+    "first-integrals": _first_integrals,
+    "rank": _rank,
+    "resonances": _resonances,
+    "classify": _classify,
+    "blowup": _blowup,
+    "resolve": _resolve,
+    "check-commute": _check_commute,
+    "verify-integral": _verify_integral,
+    "dual-pair": _dual_pair,
+    "log-decomp": _log_decomp,
+    "cr-pair": _cr_pair,
+    "table": _table,
+}
 
-    if verb == "dual-pair":
-        x = parse_field_text(args.field1)
-        y = parse_field_text(args.field2)
-        alpha, beta = dual_pair(x, y)
-        commuting = lie_bracket(x, y).is_zero()
-        closed_a, _ = closedness_check(alpha.form, alpha.denominator)
-        closed_b, _ = closedness_check(beta.form, beta.denominator)
-        text = (
-            f"alpha = [{one_form_to_text(alpha.form)}] / ({poly_to_text(alpha.denominator)})"
-            f"  closed: {closed_a}\n"
-            f"beta  = [{one_form_to_text(beta.form)}] / ({poly_to_text(beta.denominator)})"
-            f"  closed: {closed_b}\n"
-            f"commuting pair: {commuting}"
-        )
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": verb,
-            "alpha": {
-                "form": one_form_to_json(alpha.form),
-                "denominator": _poly_json(alpha.denominator),
-                "closed": closed_a,
-            },
-            "beta": {
-                "form": one_form_to_json(beta.form),
-                "denominator": _poly_json(beta.denominator),
-                "closed": closed_b,
-            },
-            "commuting": commuting,
-        }
-        _emit(payload, text, as_json)
-        return 0
 
-    if verb == "log-decomp":
-        omega = parse_one_form(args.form, 2)
-        g = parse_poly(args.denominator, 2)
-        factors = []
-        for spec_text in args.factor:
-            if ":" in spec_text:
-                poly_text, mult_text = spec_text.rsplit(":", 1)
-                factors.append((parse_poly(poly_text, 2), int(mult_text)))
-            else:
-                factors.append((parse_poly(spec_text, 2), 1))
-        result = log_decomposition(omega, g, factors, args.phi_bound)
-        if not result.success:
-            _emit(
-                {
-                    "version": SCHEMA_VERSION,
-                    "command": verb,
-                    "success": False,
-                    "residual": one_form_to_json(result.residual),
-                },
-                "no solution; residual " + one_form_to_text(result.residual),
-                as_json,
-            )
-            return 1
-        d = result.decomposition
-        lines = [
-            f"residue of {poly_to_text(f)}: {lam}"
-            for f, lam in zip(d.factors, d.residues)
-        ]
-        lines.append(f"phi = {poly_to_text(d.phi)}")
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": verb,
-            "success": True,
-            "residues": [
-                {"factor": _poly_json(f), "residue": gq_to_json(lam)}
-                for f, lam in zip(d.factors, d.residues)
-            ],
-            "phi": _poly_json(d.phi),
-        }
-        _emit(payload, "\n".join(lines), as_json)
-        return 0
-
-    if verb == "cr-pair":
-        f = parse_univariate(args.poly)
-        x, y = cauchy_riemann_pair(f, args.max_degree)
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": verb,
-            "x": _field_json(x),
-            "y": _field_json(y),
-        }
-        _emit(payload, f"X = {field_to_text(x)}\nY = {field_to_text(y)}", as_json)
-        return 0
-
-    if verb == "table":
-        kwargs = {}
-        if args.ratio is not None:
-            kwargs["ratio"] = parse_scalar(args.ratio)
-        if args.residue is not None:
-            kwargs["residue"] = parse_scalar(args.residue)
-        for name in ("p", "q", "n"):
-            value = getattr(args, name)
-            if value is not None:
-                kwargs[name] = value
-        row = linear_centralizer_table(args.row, max_degree=args.max_degree, **kwargs)
-        gens = row.generator_jets(args.max_degree)
-        dim_text = str(row.dimension) if row.dimension is not None else "infinite"
-        lines = [f"X = {field_to_text(row.field)}"]
-        lines += [f"  generator  {field_to_text(g)}" for g in gens]
-        lines.append(f"rank = {row.rank}, dimension = {dim_text}")
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": verb,
-            "field": _field_json(row.field),
-            "generators": [_field_json(g) for g in gens],
-            "rank": row.rank,
-            "dimension": row.dimension,
-        }
-        _emit(payload, "\n".join(lines), as_json)
-        return 0
-
-    raise GermError(f"unknown verb {verb!r}")
+def run(args) -> int:
+    result, text, code = VERBS[args.verb](args)
+    if getattr(args, "json", False):
+        result = {"version": SCHEMA_VERSION, "command": args.verb, **result}
+        print(json.dumps(result, sort_keys=True, indent=2, default=_encode))
+    else:
+        print(text)
+    return code
 
 
 def main(argv=None) -> int:

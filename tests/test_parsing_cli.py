@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 from fractions import Fraction
@@ -13,7 +14,7 @@ from germfield import (
     parse_ratio,
     poly_to_text,
 )
-from germfield.cli import main
+from germfield.cli import VERBS, build_parser, main
 from germfield.gaussian import gq
 
 
@@ -300,3 +301,8 @@ class TestCli:
         assert json.loads(after)["dimension"] == 3
         rc, text, _ = run_cli(capsys, *argv)
         assert rc == 0 and text.startswith("multiplicity mu = 1")
+
+    def test_every_verb_has_a_handler(self):
+        # a verb added to only one of the parser and the dispatch table
+        (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(VERBS) == set(verbs.choices)
