@@ -25,30 +25,15 @@ from operator import add
 
 from . import linalg
 from .gaussian import ONE, ZERO, GaussianRational
-from .series import GermError, PolySeries, TruncationError, monomial_key
+from .series import GermError, PolySeries, TruncationError, monomial_key, monomials_up_to
 from .fields import VectorFieldJet, radial_field, wedge
 
 Exponent = tuple[int, ...]
 
-# Kernel solves refuse more unknowns than this before listing a column; a
-# plane normal form near this size takes about 1.5 s, a dense field far more.
+# Kernel solves refuse more unknowns than this before listing a column, and
+# resonances more candidate exponents before listing one; a plane normal form
+# near this size takes about 1.5 s, a dense field far more.
 MAX_UNKNOWNS = 10_000
-
-
-def monomials_up_to(dim: int, max_deg: int, min_deg: int = 0) -> list[Exponent]:
-    """All exponent tuples with min_deg <= |e| <= max_deg in graded-lex order."""
-
-    def gen(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for k in range(remaining + 1):
-            yield from gen(prefix + (k,), remaining - k, slots - 1)
-
-    out = []
-    for d in range(min_deg, max_deg + 1):
-        out.extend(gen((), d, dim))
-    return sorted(out, key=monomial_key)
 
 
 @dataclass(frozen=True)
@@ -333,6 +318,9 @@ def resonances(lambdas: list[GaussianRational], bound: int) -> tuple[Resonance, 
         for l in lambdas
     ]
     n = len(lams)
+    count = comb(bound + n, n) - 1 - n
+    if count > MAX_UNKNOWNS:
+        raise GermError(f"{count} candidate exponents exceed the budget of {MAX_UNKNOWNS}")
     found = []
     for k in monomials_up_to(n, bound, min_deg=2):
         combo = ZERO

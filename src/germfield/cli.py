@@ -7,6 +7,11 @@ stable, deterministic JSON schema.  ``_encode`` is the one place that knows
 the JSON form of each value type; the text stays with each verb, because the
 two forms differ.  Exit codes: 0 success, 1 mathematical false / no solution,
 2 input errors.
+
+Only the modules that ``_encode`` and every verb need are imported here; each
+verb imports its engine functions from ``centralizer``, ``blowup`` or
+``integrability`` in its own body, so a cold process loads only what its verb
+runs.
 """
 
 from __future__ import annotations
@@ -19,30 +24,6 @@ from fractions import Fraction
 from .gaussian import GaussianRational
 from .series import GermError, PolySeries, Weight
 from .fields import OneFormJet, VectorFieldJet, lie_bracket, wedge, weighted_euler
-from .centralizer import (
-    ad_kernel,
-    centralizer_rank,
-    classify_linear,
-    first_integral_kernel,
-    linear_centralizer_table,
-    resonances,
-)
-from .blowup import (
-    CHART_SLOPE_X,
-    CHART_SLOPE_Y,
-    classify_singularity,
-    dicritical_test,
-    divisor_singularities,
-    resolve,
-    strict_transform,
-)
-from .integrability import (
-    cauchy_riemann_pair,
-    dual_pair,
-    closedness_check,
-    log_decomposition,
-    meromorphic_first_integral_check,
-)
 from .parsing import (
     ParseError,
     field_to_json,
@@ -180,6 +161,8 @@ def _wedge(args):
 
 
 def _rank(args):
+    from .centralizer import centralizer_rank
+
     rank = centralizer_rank(parse_field_text(args.field), args.max_degree)
     return {"rank": rank}, f"rank = {rank}", 0
 
@@ -203,6 +186,8 @@ def _kernel_report(report, render):
 
 
 def _centralizer(args):
+    from .centralizer import ad_kernel
+
     report = ad_kernel(parse_field_text(args.field), args.max_degree)
     result, lines = _kernel_report(report, field_to_text)
     table = ", ".join(f"{d}: {c}" for d, c in sorted(report.dims.items())) or "(empty)"
@@ -222,12 +207,16 @@ def _centralizer(args):
 
 
 def _first_integrals(args):
+    from .centralizer import first_integral_kernel
+
     report = first_integral_kernel(parse_field_text(args.field), args.max_degree)
     result, lines = _kernel_report(report, poly_to_text)
     return result, "\n".join(lines), 0
 
 
 def _resonances(args):
+    from .centralizer import resonances
+
     found = resonances([parse_scalar(t) for t in args.eigenvalues.split(",")], args.bound)
     lines = [
         f"lambda_{r.target} = "
@@ -239,6 +228,9 @@ def _resonances(args):
 
 
 def _classify(args):
+    from .blowup import classify_singularity
+    from .centralizer import classify_linear
+
     x = parse_field_text(args.field)
     if x.dim != 2:
         raise GermError("classify is n=2 only")
@@ -262,6 +254,14 @@ def _classify(args):
 
 
 def _blowup(args):
+    from .blowup import (
+        CHART_SLOPE_X,
+        CHART_SLOPE_Y,
+        dicritical_test,
+        divisor_singularities,
+        strict_transform,
+    )
+
     x = parse_field_text(args.field)
     dic = dicritical_test(x)
     charts = [
@@ -353,6 +353,8 @@ def _resolution(node, indent: str = ""):
 
 
 def _resolve(args):
+    from .blowup import resolve
+
     x = parse_field_text(args.field)
     tree = resolve(x, max_depth=args.depth, force_radial=args.force_radial)
     out, lines = _resolution(tree)
@@ -366,12 +368,16 @@ def _check_commute(args):
 
 
 def _verify_integral(args):
+    from .integrability import meromorphic_first_integral_check
+
     x = parse_field_text(args.field)
     ok = meromorphic_first_integral_check(x, parse_ratio(args.ratio, x.dim))
     return {"first_integral": ok}, "true" if ok else "false", 0 if ok else 1
 
 
 def _dual_pair(args):
+    from .integrability import closedness_check, dual_pair
+
     x = parse_field_text(args.field1)
     y = parse_field_text(args.field2)
     forms = dict(zip(("alpha", "beta"), dual_pair(x, y)))
@@ -388,6 +394,8 @@ def _dual_pair(args):
 
 
 def _log_decomp(args):
+    from .integrability import log_decomposition
+
     omega = parse_one_form(args.form, 2)
     g = parse_poly(args.denominator, 2)
     factors = []
@@ -411,11 +419,15 @@ def _log_decomp(args):
 
 
 def _cr_pair(args):
+    from .integrability import cauchy_riemann_pair
+
     x, y = cauchy_riemann_pair(parse_univariate(args.poly), args.max_degree)
     return {"x": x, "y": y}, f"X = {field_to_text(x)}\nY = {field_to_text(y)}", 0
 
 
 def _table(args):
+    from .centralizer import linear_centralizer_table
+
     kwargs = {}
     for name in ("ratio", "residue", "p", "q", "n"):
         value = getattr(args, name)

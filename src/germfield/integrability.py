@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gaussian import I, ONE, GaussianRational
-from .series import GermError, PolySeries, monomial_key, poly_divides
+from .series import GermError, PolySeries, monomial_key, monomials_up_to, poly_divides
 from . import linalg
-from .centralizer import monomials_up_to
 from .fields import OneFormJet, VectorFieldJet, divergence, wedge
 
 

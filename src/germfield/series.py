@@ -54,6 +54,22 @@ def monomial_key(e: Exponent) -> tuple[int, tuple[int, ...]]:
     return (sum(e), tuple(reversed(e)))
 
 
+def monomials_up_to(dim: int, max_deg: int, min_deg: int = 0) -> list[Exponent]:
+    """All exponent tuples with min_deg <= |e| <= max_deg in graded-lex order."""
+
+    def gen(prefix, remaining, slots):
+        if slots == 1:
+            yield prefix + (remaining,)
+            return
+        for k in range(remaining + 1):
+            yield from gen(prefix + (k,), remaining - k, slots - 1)
+
+    out = []
+    for d in range(min_deg, max_deg + 1):
+        out.extend(gen((), d, dim))
+    return sorted(out, key=monomial_key)
+
+
 def _coerce_scalar(c) -> GaussianRational:
     if isinstance(c, GaussianRational):
         return c

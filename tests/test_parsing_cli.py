@@ -1,10 +1,12 @@
 import argparse
+import importlib
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
+import germfield
 from germfield import (
     ParseError,
     field_to_text,
@@ -16,6 +18,7 @@ from germfield import (
 )
 from germfield.cli import VERBS, build_parser, main
 from germfield.gaussian import gq
+from test_golden import _fresh_python
 
 
 class TestGrammar:
@@ -133,6 +136,13 @@ class TestCli:
     def test_kernel_budget_is_exit_2(self, capsys, verb, field):
         start = time.perf_counter()
         rc, _, err = run_cli(capsys, verb, field, "--max-degree", "100000")
+        assert rc == 2 and "budget" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_resonance_budget_is_exit_2(self, capsys):
+        # about 5*10^9 candidate exponents: refused before any is listed
+        start = time.perf_counter()
+        rc, _, err = run_cli(capsys, "resonances", "1,2", "--bound", "100000")
         assert rc == 2 and "budget" in err
         assert time.perf_counter() - start < 1.0
 
@@ -306,3 +316,56 @@ class TestCli:
         # a verb added to only one of the parser and the dispatch table
         (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         assert set(VERBS) == set(verbs.choices)
+
+
+class TestLazyNamespace:
+    def test_every_export_is_its_submodule_attribute(self):
+        for name in germfield.__all__:
+            module = importlib.import_module(f"germfield.{germfield._SOURCE[name]}")
+            assert getattr(germfield, name) is getattr(module, name), name
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            germfield.no_such_name
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from germfield import *", namespace)
+        del namespace["__builtins__"]
+        assert namespace == {name: getattr(germfield, name) for name in germfield.__all__}
+
+
+ENGINE = ("centralizer", "blowup", "integrability", "linalg")
+
+
+def test_import_germfield_loads_no_submodule():
+    run = _fresh_python(
+        "import germfield\n"
+        "print(sorted(m for m in sys.modules if m.startswith('germfield.')))\n"
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+# a README command of each verb, and the engine modules its process must not load
+VERB_MODULES = [
+    (["bracket", "y, 0", "0, x"], ENGINE),
+    (["centralizer", "x, 2*y", "--max-degree", "4"], ("blowup", "integrability")),
+    (
+        ["log-decomp", "x^2 dy - y dx", "--denominator", "x^2*y", "--factor", "x:2", "--factor", "y:1"],
+        ("centralizer", "blowup"),
+    ),
+    (["resolve", "2*y, 3*x^2", "--depth", "6"], ("integrability",)),
+]
+
+
+@pytest.mark.parametrize("argv, unloaded", VERB_MODULES, ids=[a[0] for a, _ in VERB_MODULES])
+def test_verb_loads_only_its_modules(argv, unloaded):
+    run = _fresh_python(
+        "from germfield import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('germfield.')))\n"
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.splitlines()[-1].split()
+    assert not {f"germfield.{m}" for m in unloaded} & set(loaded), loaded
