@@ -22,16 +22,16 @@ _EXPORTS = {
         "lie_bracket", "quasi_decompose", "radial_field", "wedge", "weighted_euler",
     ),
     "centralizer": (
-        "CentralizerReport", "CertifiedJet", "FirstIntegralReport", "LinearClass", "Resonance",
-        "TableRow", "ad_kernel", "classify_linear", "extendable_jet_dimension",
+        "CentralizerReport", "CertifiedJet", "FirstIntegralReport", "Resonance",
+        "TableRow", "ad_kernel", "extendable_jet_dimension",
         "first_integral_kernel", "generic_rank", "linear_centralizer_table", "resonances",
         "span_matches",
     ),
     "blowup": (
-        "BlownUpField", "CHART_SLOPE_X", "CHART_SLOPE_Y", "DicriticalResult", "ResolutionNode",
-        "SingularPoint", "blowup_pullback", "classify_singularity", "dicritical_test",
-        "divisor_singularities", "is_isolated_singularity", "resolve", "strict_transform",
-        "translate_to_point",
+        "BlownUpField", "CHART_SLOPE_X", "CHART_SLOPE_Y", "DicriticalResult", "LinearClass",
+        "ResolutionNode", "SingularPoint", "blowup_pullback", "classify_linear",
+        "classify_singularity", "dicritical_test", "divisor_singularities",
+        "is_isolated_singularity", "resolve", "strict_transform", "translate_to_point",
     ),
     "integrability": (
         "LogDecomposition", "LogDecompositionResult", "MeromorphicRatio", "RationalOneForm",

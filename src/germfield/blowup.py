@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .gaussian import ZERO, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational
 from .series import (
     GermError,
     PolySeries,
@@ -30,7 +30,6 @@ from .series import (
     variable_power_dividing,
 )
 from .fields import VectorFieldJet, radial_field, wedge
-from .centralizer import classify_linear
 
 CHART_SLOPE_Y = 1  # (x, y) = (x, t x)
 CHART_SLOPE_X = 2  # (x, y) = (t x, x)
@@ -360,6 +359,97 @@ def translate_to_point(x: VectorFieldJet, point: list[GaussianRational]) -> Vect
         for i in range(x.dim)
     ]
     return x.substitute(images, allow_shift=True)
+
+
+# -- linear classification ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinearClass:
+    case: str  # semisimple | nilpotent_nonzero | zero | nondiagonal_resonant | one_zero_eigenvalue
+    ratio_rationality: str  # rational | irrational | undefined
+    ratio: Fraction | None = None
+    rational_ratios: tuple[Fraction, ...] = ()
+    eigenvalues: tuple[GaussianRational, GaussianRational] | None = None
+
+    def ratio_in_positive_rationals(self) -> bool:
+        return any(r > 0 for r in self.rational_ratios)
+
+
+def _rational_quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> list[Fraction] | None:
+    """Rational roots of a r^2 + b r + c; None when identically zero."""
+    if a == 0 and b == 0 and c == 0:
+        return None
+    if a == 0:
+        return [] if b == 0 else [Fraction(-c, b)]
+    disc = b * b - 4 * a * c
+    s = GaussianRational(disc).sqrt()  # imaginary when disc < 0
+    if s is None or not s.is_rational():
+        return []
+    s = s.re
+    roots = {(-b + s) / (2 * a), (-b - s) / (2 * a)}
+    return sorted(roots)
+
+
+def eigenvalue_ratio_roots(trace: GaussianRational, det: GaussianRational) -> list[Fraction]:
+    """Rational solutions r of (1+r)^2 det = r trace^2, i.e. rational ratios.
+
+    The two ratios of a 2x2 matrix with det != 0 are the roots r, 1/r of
+    det r^2 + (2 det - trace^2) r + det = 0; rationality is decided without
+    extracting eigenvalues.
+    """
+    a = det
+    b = det * 2 - trace * trace
+    c = det
+    candidates = _rational_quadratic_roots(a.re, b.re, c.re)
+    if candidates is None:
+        candidates = _rational_quadratic_roots(a.im, b.im, c.im)
+    if candidates is None:  # det == 0 excluded by callers, but stay safe
+        return []
+    roots = []
+    for r in candidates:
+        value = a * GaussianRational(r * r) + b * GaussianRational(r) + c
+        if value.is_zero():
+            roots.append(r)
+    return sorted(set(roots))
+
+
+def classify_linear(matrix: list[list[GaussianRational]]) -> LinearClass:
+    """Classify a 2x2 linear part over Q(i), with exact ratio rationality."""
+    if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
+        raise GermError("classify_linear expects a 2x2 matrix")
+    m = [[c if isinstance(c, GaussianRational) else GaussianRational(c) for c in row] for row in matrix]
+    trace = m[0][0] + m[1][1]
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if all(c.is_zero() for row in m for c in row):
+        return LinearClass("zero", "undefined")
+    if det.is_zero():
+        if trace.is_zero():
+            return LinearClass("nilpotent_nonzero", "undefined")
+        eigs = tuple(sorted((ZERO, trace), key=GaussianRational.sort_key))
+        return LinearClass("one_zero_eigenvalue", "undefined", eigenvalues=eigs)
+
+    roots = eigenvalue_ratio_roots(trace, det)
+    disc = trace * trace - det * 4
+    eigs = None
+    s = disc.sqrt()
+    if s is not None:
+        half = ONE / GaussianRational(2)
+        eigs = tuple(
+            sorted(((trace - s) * half, (trace + s) * half), key=GaussianRational.sort_key)
+        )
+    if roots:
+        rationality = "rational"
+        ratio = max(roots, key=lambda r: (abs(r), r))
+    else:
+        rationality = "irrational"
+        ratio = None
+    scalar = m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]
+    if disc.is_zero() and not scalar:
+        case = "nondiagonal_resonant"
+    else:
+        case = "semisimple"
+    return LinearClass(case, rationality, ratio, tuple(roots), eigs)
 
 
 def classify_singularity(germ: VectorFieldJet) -> tuple[str, bool]:

@@ -228,8 +228,7 @@ def _resonances(args):
 
 
 def _classify(args):
-    from .blowup import classify_singularity
-    from .centralizer import classify_linear
+    from .blowup import classify_linear, classify_singularity
 
     x = parse_field_text(args.field)
     if x.dim != 2:

@@ -2,15 +2,20 @@
 
 A VectorFieldJet is an n-tuple of PolySeries sharing one truncation degree;
 component i is the coefficient of d/dz_i.  All operations are pure and return
-new values.  Truncation bookkeeping rides on the PolySeries contract: the
-bracket of two jets is certified exactly as far as its four constituent
-products are, and no further.
+new values.  X(f), brackets, pairings, wedges and the divergence are each a
+sum of products k * f * g, computed in one pass on one common denominator
+(series._combination) with no intermediate series per product.  Such a sum
+is certified exactly as far as every operand is, and no further: a bracket
+component of jets known mod N and M (so partials mod N - 1 and M - 1) is
+known mod min(N, M) - 1.
 """
 
 from __future__ import annotations
 
 from .gaussian import GaussianRational
-from .series import DimensionMismatchError, GermError, PolySeries, Weight
+from .series import (
+    DimensionMismatchError, GermError, PolySeries, Weight, _combination, _term_cap,
+)
 
 
 class VectorFieldJet:
@@ -33,7 +38,7 @@ class VectorFieldJet:
         finite = [c.trunc for c in comps if c.trunc is not None]
         trunc = min(finite) if finite else None
         if trunc is not None:
-            comps = tuple(c.truncated(trunc) for c in comps)
+            comps = tuple(c if c.trunc == trunc else c.truncated(trunc) for c in comps)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "comps", comps)
 
@@ -115,12 +120,13 @@ class VectorFieldJet:
 
     def apply(self, f: PolySeries) -> PolySeries:
         """Directional derivative X(f) = sum_i X_i * df/dz_i."""
+        return _sum_of_products(self._apply_pairs(f), _term_cap())
+
+    def _apply_pairs(self, f: PolySeries, k: int = 1) -> list:
+        """The products (k, X_i, df/dz_i) that sum to k * X(f)."""
         if f.dim != self.dim:
             raise DimensionMismatchError("function and field dimensions differ")
-        out = PolySeries.zero(self.dim, None)
-        for i, c in enumerate(self.comps):
-            out = out + c * f.partial(i)
-        return out
+        return [(k, c, f.partial(i)) for i, c in enumerate(self.comps)]
 
     def substitute(self, images, allow_shift: bool = False) -> "VectorFieldJet":
         """Componentwise composition (no chain rule: coefficients only)."""
@@ -166,10 +172,7 @@ class OneFormJet:
         """Pairing omega(X)."""
         if x.dim != self.dim:
             raise DimensionMismatchError("form and field dimensions differ")
-        out = PolySeries.zero(self.dim, None)
-        for a, c in zip(self.coeffs, x.comps):
-            out = out + a * c
-        return out
+        return _sum_of_products([(1, a, c) for a, c in zip(self.coeffs, x.comps)], _term_cap())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OneFormJet):
@@ -185,10 +188,22 @@ class OneFormJet:
 # -- operations ------------------------------------------------------------
 
 
+def _sum_of_products(pairs, cap: int) -> PolySeries:
+    """The sum of k * f * g over pairs (k, f, g), g None meaning 1, known as
+    far as every operand is: the least truncation degree among them."""
+    ops = [p for _, f, g in pairs for p in (f, g) if p is not None]
+    trunc = min((p.trunc for p in ops if p.trunc is not None), default=None)
+    return _combination(ops[0].dim, pairs, trunc, cap)
+
+
 def lie_bracket(x: VectorFieldJet, y: VectorFieldJet) -> VectorFieldJet:
-    """[X, Y] with components X(Y_i) - Y(X_i)."""
+    """[X, Y] with components X(Y_i) - Y(X_i), each one sum of 2n products."""
     x._check(y)
-    return VectorFieldJet([x.apply(yc) - y.apply(xc) for xc, yc in zip(x.comps, y.comps)])
+    cap = _term_cap()
+    return VectorFieldJet([
+        _sum_of_products(x._apply_pairs(yc) + y._apply_pairs(xc, -1), cap)
+        for xc, yc in zip(x.comps, y.comps)
+    ])
 
 
 def wedge(fields: list[VectorFieldJet]):
@@ -207,39 +222,34 @@ def wedge(fields: list[VectorFieldJet]):
             raise DimensionMismatchError("wedge of fields in different dimensions")
     if m > n:
         raise GermError(f"cannot wedge {m} fields in dimension {n}")
+    cap = _term_cap()
     if m == n:
-        return _determinant([f.comps for f in fields])
+        trunc = min((f.trunc for f in fields if f.trunc is not None), default=None)
+        return _determinant([f.comps for f in fields], trunc, cap)
     if m == 1:
         return list(fields[0].comps)
-    # m = 2, n = 3
+    if n != 3:
+        raise GermError(f"wedge of {m} fields supported in dimension 3 only")
     a, b = fields[0].comps, fields[1].comps
     return [
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
+        _sum_of_products([(1, a[i], b[j]), (-1, a[j], b[i])], cap)
+        for i, j in ((1, 2), (2, 0), (0, 1))
     ]
 
 
-def _determinant(rows) -> PolySeries:
-    n = len(rows)
-    if n == 1:
+def _determinant(rows, trunc: int | None, cap: int) -> PolySeries:
+    """Cofactor expansion along the first row: one sum of products per minor,
+    each cut at the truncation degree of the whole determinant."""
+    if len(rows) == 1:
         return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        return (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-    raise GermError("determinant supported for n <= 3")
+    return _combination(rows[0][0].dim, [
+        ((-1) ** j, top, _determinant([r[:j] + r[j + 1:] for r in rows[1:]], trunc, cap))
+        for j, top in enumerate(rows[0])
+    ], trunc, cap)
 
 
 def divergence(x: VectorFieldJet) -> PolySeries:
-    out = PolySeries.zero(x.dim, None)
-    for i, c in enumerate(x.comps):
-        out = out + c.partial(i)
-    return out
+    return _sum_of_products([(1, c.partial(i), None) for i, c in enumerate(x.comps)], _term_cap())
 
 
 def dual_form(x: VectorFieldJet) -> OneFormJet:

@@ -178,7 +178,11 @@ class GaussianRational:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction it equals
+        a, b, d = self._a, self._b, self._d
+        if b:
+            return hash((a, b, d))
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gaussian import I, ONE, GaussianRational
-from .series import GermError, PolySeries, monomial_key, monomials_up_to, poly_divides
+from .series import GermError, PolySeries, _term_cap, monomial_key, monomials_up_to, poly_divides
 from . import linalg
-from .fields import OneFormJet, VectorFieldJet, divergence, wedge
+from .fields import OneFormJet, VectorFieldJet, _sum_of_products, wedge
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ def closedness_check(omega: OneFormJet, g: PolySeries) -> tuple[bool, PolySeries
     if g.is_zero():
         raise ZeroDivisionError("zero denominator in closedness_check")
     p, q = omega.coeffs
-    residual = g * (q.partial(0) - p.partial(1)) - (
-        g.partial(0) * q - g.partial(1) * p
-    )
+    residual = _sum_of_products([
+        (1, g, q.partial(0)), (-1, g, p.partial(1)), (-1, g.partial(0), q), (1, g.partial(1), p),
+    ], _term_cap())
     return residual.is_zero(), residual
 
 
@@ -68,13 +68,15 @@ def integrating_factor_check(x: VectorFieldJet, g: PolySeries) -> bool:
     """X(g) = (div X) g, the exact certificate that dual_form(X)/g is closed."""
     if g.is_zero():
         raise ZeroDivisionError("zero integrating factor candidate")
-    return (x.apply(g) - divergence(x) * g).is_zero()
+    div_g = [(-1, c.partial(i), g) for i, c in enumerate(x.comps)]
+    return _sum_of_products(x._apply_pairs(g) + div_g, _term_cap()).is_zero()
 
 
 def meromorphic_first_integral_check(x: VectorFieldJet, f: MeromorphicRatio) -> bool:
     """X(P/Q) = 0, tested as Q X(P) - P X(Q) = 0."""
-    lhs = f.denominator * x.apply(f.numerator) - f.numerator * x.apply(f.denominator)
-    return lhs.is_zero()
+    p, q, cap = f.numerator, f.denominator, _term_cap()
+    xp, xq = (_sum_of_products(x._apply_pairs(h), cap) for h in (p, q))
+    return _sum_of_products([(1, q, xp), (-1, p, xq)], cap).is_zero()
 
 
 def invariance_check(x: VectorFieldJet, f: PolySeries) -> bool:

@@ -231,11 +231,11 @@ class PolySeries:
         if k < 0:
             raise ValueError("negative power of a series")
         result = PolySeries.constant(self.dim, 1, self.trunc)
-        base = self
+        base, cap = self, _term_cap()
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = _product(result, base, self.trunc, cap)
+            base = _product(base, base, self.trunc, cap) if k > 1 else base
             k >>= 1
         return result
 
@@ -438,9 +438,7 @@ def _accumulate(out: dict, terms, cap) -> None:
 
 def _product(f: PolySeries, g: PolySeries, trunc: int | None, cap: int) -> PolySeries:
     """f * g mod degree trunc + 1 (trunc None: exact); TermLimitError as soon
-    as the partial product has more than cap terms.  Term pairs multiply as
-    Gaussian-integer numerators over the lcms D_f and D_g of the operands'
-    denominators; each result term is reduced once, over D_f * D_g."""
+    as the partial product has more than cap terms."""
     if len(f.terms) == 1 or len(g.terms) == 1:  # shift and scale, no lcm
         out = {
             tuple(map(add, e1, e2)): c1 * c2
@@ -451,32 +449,53 @@ def _product(f: PolySeries, g: PolySeries, trunc: int | None, cap: int) -> PolyS
         if len(out) > cap:
             raise TermLimitError("result exceeds GERM_MAX_TERMS")
         return _trusted(f.dim, out, trunc)
-    df, fnum = over_common_denominator(f.terms.values())
-    dg, gnum = over_common_denominator(g.terms.values())
-    rhs = [(e, a, b, sum(e)) for e, (a, b) in zip(g.terms, gnum)]
+    return _combination(f.dim, [(1, f, g)], trunc, cap)
+
+
+def _combination(dim: int, pairs, trunc: int | None, cap: int) -> PolySeries:
+    """The sum of k * f * g over pairs (k, f, g), with k an int and g None
+    meaning 1, mod degree trunc + 1 (trunc None: exact).  TermLimitError as
+    soon as the partial sum has more than cap terms.  Every pair writes
+    Gaussian-integer numerators into one dict over D, the lcm of the pairs'
+    D_f * D_g (D_f: the lcm of f's denominators); no term past trunc is
+    formed, and each result term is reduced once, over D."""
+    scaled = []
+    for k, f, g in pairs:
+        if f.dim != dim or (g is not None and g.dim != dim):
+            raise DimensionMismatchError(f"dimension {f.dim} vs {dim}")
+        if f.terms and (g is None or g.terms):
+            df, fnum = over_common_denominator(f.terms.values())
+            dg, gnum = (1, None) if g is None else over_common_denominator(g.terms.values())
+            scaled.append((k, df * dg, f, fnum, g, gnum))
+    d = math.lcm(*(dfg for _, dfg, *_ in scaled))
     acc: dict[Exponent, tuple[int, int]] = {}
     get = acc.get
-    for e1, (a1, b1) in zip(f.terms, fnum):
-        room = math.inf if trunc is None else trunc - sum(e1)
-        for e2, a2, b2, n2 in rhs:
-            if n2 > room:
-                continue
-            e = tuple(map(add, e1, e2))
-            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-            s = get(e)
-            if s is None:
-                acc[e] = re, im
-                if len(acc) > cap:
-                    raise TermLimitError("result exceeds GERM_MAX_TERMS")
-                continue
-            re += s[0]
-            im += s[1]
-            if re or im:
-                acc[e] = re, im
-            else:
-                del acc[e]
-    d = df * dg
-    return _trusted(f.dim, {e: _reduce(a, b, d) for e, (a, b) in acc.items()}, trunc)
+    for k, dfg, f, fnum, g, gnum in scaled:
+        m = k * (d // dfg)
+        if g is None:
+            rhs = [((0,) * dim, m, 0, 0)]
+        else:
+            rhs = [(e, a * m, b * m, sum(e)) for e, (a, b) in zip(g.terms, gnum)]
+        for e1, (a1, b1) in zip(f.terms, fnum):
+            room = math.inf if trunc is None else trunc - sum(e1)
+            for e2, a2, b2, n2 in rhs:
+                if n2 > room:
+                    continue
+                e = tuple(map(add, e1, e2))
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                s = get(e)
+                if s is None:
+                    acc[e] = re, im
+                    if len(acc) > cap:
+                        raise TermLimitError("result exceeds GERM_MAX_TERMS")
+                    continue
+                re += s[0]
+                im += s[1]
+                if re or im:
+                    acc[e] = re, im
+                else:
+                    del acc[e]
+    return _trusted(dim, {e: _reduce(a, b, d) for e, (a, b) in acc.items()}, trunc)
 
 
 def _descending(e: Exponent) -> tuple[int, tuple[int, ...]]:

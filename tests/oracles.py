@@ -47,6 +47,34 @@ def sympy_bracket(xs, ys, dim):
     return out
 
 
+def sympy_apply(xs, f, dim):
+    """X(f) = sum_j X_j df/dz_j."""
+    return sympy.expand(sum(x * sympy.diff(f, s) for x, s in zip(xs, _SYMS[:dim])))
+
+
+def sympy_wedge(fields):
+    """The wedge of m fields of dimension n as sympy computes it: the
+    determinant for m = n, and for two fields in 3D the (dy^dz, dz^dx, dx^dy)
+    coefficients."""
+    n = len(fields[0])
+    if len(fields) == n:  # the Leibniz formula
+        det = sympy.Integer(0)
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+            det += (-1) ** inversions * sympy.Mul(*(fields[i][perm[i]] for i in range(n)))
+        return sympy.expand(det)
+    a, b = fields
+    return [sympy.expand(a[i] * b[j] - a[j] * b[i]) for i, j in ((1, 2), (2, 0), (0, 1))]
+
+
+def sympy_closedness_residual(p, q, g):
+    """The dx^dy coefficient of g d(p dx + q dy) - dg ^ (p dx + q dy)."""
+    x, y = _SYMS[:2]
+    return sympy.expand(
+        g * (sympy.diff(q, x) - sympy.diff(p, y)) - (sympy.diff(g, x) * q - sympy.diff(g, y) * p)
+    )
+
+
 def _monomials(dim, max_deg, min_deg=0):
     syms = _SYMS[:dim]
     out = []

@@ -182,3 +182,25 @@ def test_linear_part_matrix_convention():
     from germfield.gaussian import gq
 
     assert m == [[gq(1), gq(2)], [gq(3), gq(0)]]
+
+
+def test_term_cap_counts_the_partial_bracket(monkeypatch):
+    # [X, X] = 0, but the first half of each component's sum, X(X_i), has
+    # 3 terms while no single product has more than 2
+    from germfield.series import TermLimitError
+
+    x = F("x + y^2, y + x^2")
+    monkeypatch.setenv("GERM_MAX_TERMS", "2")
+    with pytest.raises(TermLimitError):
+        lie_bracket(x, x)
+    monkeypatch.setenv("GERM_MAX_TERMS", "3")
+    assert lie_bracket(x, x).is_zero()
+
+
+def test_wedge_of_fewer_fields_outside_3d_is_refused():
+    from germfield import GermError, PolySeries
+
+    x = VectorFieldJet([PolySeries.variable(4, i) for i in range(4)])
+    with pytest.raises(GermError):
+        wedge([x, x])
+    assert wedge([x]) == list(x.comps)

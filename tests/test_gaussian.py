@@ -63,6 +63,24 @@ def test_hash_and_equality_with_ints():
     assert ZERO != ONE
 
 
+@pytest.mark.parametrize("value", [0, 1, -7, 10**30, Fraction(1, 2), Fraction(-5, 3),
+                                   Fraction(10**20 + 1, 10**20)])
+def test_hash_agrees_with_equality_on_real_values(value):
+    # equal values must hash equal, so sets and dict keys mix them freely
+    g = gq(value)
+    assert g == value and hash(g) == hash(value)
+    assert len({value, g}) == 1
+    assert {g: "a"}.get(value) == "a" and {value: "b"}.get(g) == "b"
+
+
+def test_hash_of_non_real_values():
+    values = [gq(0, 1), gq(1, 1), gq(Fraction(1, 2), -3), gq(Fraction(1, 2), 3), gq(1, 2)]
+    assert hash(gq(Fraction(2, 4), Fraction(6, 2))) == hash(gq(Fraction(1, 2), 3))
+    assert len(set(values)) == len(values)
+    assert {v: k for k, v in enumerate(values)}[gq(1) + gq(0, 2)] == 4
+    assert len({gq(0, 1), 1j}) == 2 and gq(0, 1) != 1j
+
+
 # -- properties against an independent (Fraction, Fraction) reference ---------
 
 RATIONALS = st.one_of(
@@ -144,7 +162,9 @@ def test_field_operations_match_reference(x, y):
     assert (gx.sort_key() < gy.sort_key()) == (x < y)
     assert str(gx) == ref_str(x)
     assert repr(gx) == f"GaussianRational({x[0]!r}, {x[1]!r})"
-    assert hash(gx) == hash(x)
+    assert hash(gx) == hash(gq(*x))
+    if x[1] == 0:
+        assert hash(gx) == hash(x[0])
 
 
 @given(PAIRS, st.integers(-12, 12), st.fractions(min_value=-5, max_value=5, max_denominator=7))

@@ -14,7 +14,9 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from germfield import PolySeries, VectorFieldJet, lie_bracket, wedge
+from germfield import (
+    OneFormJet, PolySeries, VectorFieldJet, closedness_check, divergence, lie_bracket, wedge,
+)
 from germfield.gaussian import gq
 
 PARTS = st.sampled_from([Fraction(k, d) for k in range(-4, 5) for d in (1, 2, 3, 6)])
@@ -112,3 +114,34 @@ def test_wedge_space(x, y, n, m):
     jets = wedge([x.truncated(n), y.truncated(m)])
     for jet, total in zip(jets, wedge([x, y])):
         sound(jet, total, min(n, m))
+
+
+@given(total_fields(3, 2), total_fields(3, 2), total_fields(3, 2), TRUNCS, TRUNCS, TRUNCS)
+@settings(max_examples=40, deadline=None)
+def test_wedge_space_determinant(x, y, z, n, m, k):
+    jet = wedge([cut(x, n), cut(y, m), cut(z, k)])
+    sound(jet, wedge([x, y, z]), meet(n, m, k))
+
+
+@given(totals(), totals(), total_fields(), TRUNCS, TRUNCS, TRUNCS)
+@settings(max_examples=100, deadline=None)
+def test_one_form_pairing(a, b, x, n1, n2, m):
+    # the coefficients of a form need not share a truncation degree
+    jet = OneFormJet([cut(a, n1), cut(b, n2)]).apply(cut(x, m))
+    sound(jet, OneFormJet([a, b]).apply(x), meet(n1, n2, m))
+
+
+@given(total_fields(), DEGREES)
+@settings(max_examples=100, deadline=None)
+def test_divergence(x, n):
+    sound(divergence(x.truncated(n)), divergence(x), n - 1)
+
+
+@given(totals(), totals(), totals(), TRUNCS, TRUNCS, DEGREES)
+@settings(max_examples=100, deadline=None)
+def test_closedness_residual(p, q, g, n1, n2, k):
+    g = g + (1 - g.constant_term())  # constant term 1: no jet of g is zero
+    _, jet = closedness_check(OneFormJet([cut(p, n1), cut(q, n2)]), g.truncated(k))
+    _, total = closedness_check(OneFormJet([p, q]), g)
+    # every product holds a first derivative of p, q or g
+    sound(jet, total, meet(n1, n2, k) - 1)

@@ -355,7 +355,7 @@ VERB_MODULES = [
         ["log-decomp", "x^2 dy - y dx", "--denominator", "x^2*y", "--factor", "x:2", "--factor", "y:1"],
         ("centralizer", "blowup"),
     ),
-    (["resolve", "2*y, 3*x^2", "--depth", "6"], ("integrability",)),
+    (["resolve", "2*y, 3*x^2", "--depth", "6"], ("centralizer", "integrability", "linalg")),
 ]
 
 
