@@ -71,6 +71,8 @@ README_COMMANDS = {
 # input error (exit 2) and the exit-1 answers
 MORE_COMMANDS = {
     "blowup-chart1": ["blowup", "x^2, y^2", "--chart", "1"],
+    "blowup-chart2": ["blowup", "x^2, y^2", "--chart", "2"],
+    "blowup-non-isolated": ["blowup", "y, 0"],
     "resolve-force-radial": ["resolve", "2*y, 3*x^2", "--depth", "6", "--force-radial"],
     "centralizer-tentative": ["centralizer", "x^2, y + x*y", "--max-degree", "5"],
     "first-integrals-tentative": ["first-integrals", "x, -y + x^3", "--max-degree", "5"],
@@ -81,7 +83,7 @@ MORE_COMMANDS = {
     "log-decomp-no-solution": ["log-decomp", "x dy", "--denominator", "x^2*y",
                                "--factor", "x:2", "--factor", "y"],
 }
-MORE_JSON = ("centralizer-tentative", "first-integrals-tentative", "check-commute-false",
+MORE_JSON = ("blowup-chart2", "blowup-non-isolated", "centralizer-tentative", "first-integrals-tentative", "check-commute-false",
              "verify-integral-false", "log-decomp-no-solution")
 RESOLUTION_GERMS = {
     "cusp": "2*y, 3*x^2",
