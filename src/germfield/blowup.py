@@ -81,11 +81,17 @@ def _swap_field(x: VectorFieldJet) -> VectorFieldJet:
     return VectorFieldJet([swap_vars(x.comps[1]), swap_vars(x.comps[0])])
 
 
+def _relabel(f: PolySeries, dx: int, dt: int) -> PolySeries:
+    """f(x, tx) / x^dx * t^dt, by moving exponents: x^i y^j -> x^(i+j-dx) t^(j+dt)."""
+    return PolySeries(2, {(i + j - dx, j + dt): c for (i, j), c in f.terms.items()})
+
+
 def blowup_pullback(x: VectorFieldJet, chart: int) -> VectorFieldJet:
     """Total transform in the chosen chart, in (divisor, slope) coordinates.
 
     Chart 1: A(x, tx) d/dx + [(B - tA)(x, tx) / x] d/dt, the division by x
-    being exact for any field vanishing at the origin.
+    being exact for any field vanishing at the origin.  The map is monomial,
+    so each component is built by relabelling exponents.
     """
     _require_blowup_input(x)
     if chart == CHART_SLOPE_X:
@@ -93,13 +99,7 @@ def blowup_pullback(x: VectorFieldJet, chart: int) -> VectorFieldJet:
     if chart != CHART_SLOPE_Y:
         raise GermError("chart must be 1 or 2")
     a, b = x.comps
-    xv = PolySeries.variable(2, 0)
-    tv = PolySeries.variable(2, 1)
-    sub = [xv, tv * xv]
-    a_up = a.substitute(sub)
-    b_up = b.substitute(sub)
-    t_comp = divide_by_variable_power(b_up - tv * a_up, 0, 1)
-    return VectorFieldJet([a_up, t_comp])
+    return VectorFieldJet([_relabel(a, 0, 0), _relabel(b, 1, 0) - _relabel(a, 1, 1)])
 
 
 @dataclass(frozen=True)
@@ -118,21 +118,8 @@ def dicritical_test(x: VectorFieldJet) -> DicriticalResult:
     """
     _require_blowup_input(x)
     nu = x.mu()
-    lead = x.jet_part(nu)
-    terms: dict[tuple[int], GaussianRational] = {}
-
-    def add(power: int, c: GaussianRational):
-        s = terms.get((power,), ZERO) + c
-        if s.is_zero():
-            terms.pop((power,), None)
-        else:
-            terms[(power,)] = s
-
-    for (a, b), c in lead.comps[1].terms.items():
-        add(b, c)
-    for (a, b), c in lead.comps[0].terms.items():
-        add(b + 1, -c)
-    witness = PolySeries(1, terms)
+    a, b = x.jet_part(nu).comps
+    witness = _restrict_to_divisor(_relabel(b, nu, 0) - _relabel(a, nu, 1))
     return DicriticalResult(witness.is_zero(), witness, nu)
 
 
@@ -148,32 +135,27 @@ class BlownUpField:
 
 
 def strict_transform(x: VectorFieldJet, chart: int) -> BlownUpField:
-    """Pullback divided by the maximal power of the divisor coordinate.
+    """Pullback divided by the largest power of the divisor coordinate.
 
-    For isolated singularities the exponent is nu - 1 (non-dicritical) or nu
-    (dicritical); when the actual maximal dividing power differs (non-isolated
-    inputs) the result is flagged rather than guessed.
+    That power is nu - 1 when the blow-up is non-dicritical and nu when it
+    is dicritical, for every field vanishing at 0 (notes/decisions.md, "The
+    divisor multiplicity is nu - 1 or nu"), so it also gives the verdict.
     """
     pullback = blowup_pullback(x, chart)
-    dic = dicritical_test(x)
+    nu = x.mu()
     power = min(
         variable_power_dividing(c, 0) for c in pullback.comps if not c.is_zero()
     )
-    strict = VectorFieldJet(
-        [
-            c if c.is_zero() else divide_by_variable_power(c, 0, power)
-            for c in pullback.comps
-        ]
-    )
-    expected = dic.nu if dic.dicritical else dic.nu - 1
+    assert power in (nu - 1, nu)
+    strict = VectorFieldJet([divide_by_variable_power(c, 0, power) for c in pullback.comps])
     return BlownUpField(
         chart=chart,
         pullback=pullback,
-        nu=dic.nu,
-        dicritical=dic.dicritical,
+        nu=nu,
+        dicritical=power == nu,
         divisor_multiplicity=power,
         strict=strict,
-        multiplicity_flagged=(power != expected),
+        multiplicity_flagged=False,
     )
 
 
@@ -468,56 +450,47 @@ def classify_singularity(germ: VectorFieldJet) -> tuple[str, bool]:
         raise GermError("classification expects a singular germ")
     if germ.is_zero():
         return NON_REDUCED_OTHER, True
-    return _classify(germ, is_isolated_singularity(germ))
+    return _classify(germ, False)[:2]
 
 
-def _classify(germ: VectorFieldJet, isolated: bool) -> tuple[str, bool]:
-    """classify_singularity of a nonzero singular plane germ whose isolation
-    is already known."""
+def _classify(germ: VectorFieldJet, isolated: bool) -> tuple[str, bool, bool | None]:
+    """Classification, non-isolated flag and, for purely radial and n.p.r.s
+    germs, whether their blow-up would be dicritical.  The germ is nonzero
+    and singular at 0; isolated=False means "not known" and runs the test."""
+    isolated = isolated or is_isolated_singularity(germ)
     nu = germ.mu()
     m = germ.linear_part_matrix()
     lc = classify_linear(m)
-    if nu == 1:
-        scalar = (
-            m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]
-            and not m[0][0].is_zero()
-        )
-        if scalar:
-            return PURELY_RADIAL, not isolated
-    if lc.case in ("semisimple", "nondiagonal_resonant"):
-        if lc.ratio_in_positive_rationals():
-            return NON_REDUCED_OTHER, not isolated
-        return REDUCED_HYPERBOLIC, not isolated
-    if lc.case == "one_zero_eigenvalue" and isolated:
-        return SADDLE_NODE, False
-    if nu is not None and nu > 1 and isolated:
-        lead = germ.jet_part(nu)
-        if wedge([lead, radial_field(2)]).is_zero():
-            return NPRS, False
-    return NON_REDUCED_OTHER, not isolated
+    if nu == 1 and m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]:
+        classification = PURELY_RADIAL  # m is nonzero, since nu == 1
+    elif lc.case in ("semisimple", "nondiagonal_resonant"):
+        positive = lc.ratio_in_positive_rationals()
+        classification = NON_REDUCED_OTHER if positive else REDUCED_HYPERBOLIC
+    elif lc.case == "one_zero_eigenvalue" and isolated:
+        classification = SADDLE_NODE
+    elif nu > 1 and isolated and wedge([germ.jet_part(nu), radial_field(2)]).is_zero():
+        classification = NPRS
+    else:
+        classification = NON_REDUCED_OTHER
+    would_be = None
+    if classification in (PURELY_RADIAL, NPRS):
+        would_be = dicritical_test(germ).dicritical
+    return classification, not isolated, would_be
 
 
-def divisor_singularities(x: VectorFieldJet) -> list[SingularPoint]:
-    """Singular points of the strict transform on the exceptional divisor.
+def divisor_singularities(
+    blowups: tuple[BlownUpField, BlownUpField], isolated: bool
+) -> list[SingularPoint]:
+    """Singular points on the exceptional divisor, from the strict transforms
+    of a germ in its two charts.
 
     Chart-1 slopes cover every direction except the vertical axis, which is
     the chart-2 origin; chart-2 points with nonzero slope are duplicates and
-    are not listed again.
-    """
-    blowups = (strict_transform(x, CHART_SLOPE_Y), strict_transform(x, CHART_SLOPE_X))
-    return _divisor_points(blowups, is_isolated_singularity(x))
-
-
-def _divisor_points(
-    blowups: tuple[BlownUpField, BlownUpField], isolated: bool
-) -> list[SingularPoint]:
-    """divisor_singularities from the two strict transforms of a germ.
-
-    When the germ is isolated, so is every point on the divisor (see
-    resolve), and the points are classified without a further isolation
-    test; otherwise each point is tested on its own.  The strict transform
-    never vanishes along the whole divisor: one of its components is not
-    divisible by the divisor coordinate.
+    are not listed again.  When the germ is isolated, so is every point on
+    the divisor (see resolve), and the points are classified without a
+    further isolation test; otherwise each point is tested on its own.  The
+    strict transform never vanishes along the whole divisor: one of its
+    components is not divisible by the divisor coordinate.
     """
     points: list[SingularPoint] = []
     for blown in blowups:
@@ -538,24 +511,13 @@ def _divisor_points(
             if chart == CHART_SLOPE_X and not value.is_zero():
                 continue  # seen in chart 1 at slope 1/value
             germ = translate_to_point(blown.strict, [ZERO, value])
-            cls, caveat, would_be = _classified(germ, isolated)
+            cls, caveat, would_be = _classify(germ, isolated)
             points.append(SingularPoint(chart, value, None, cls, germ, germ.mu(), caveat, would_be))
         if chart == CHART_SLOPE_Y:
             for marker, _mult in markers:
                 points.append(SingularPoint(chart, None, marker, UNRESOLVABLE_IRRATIONAL, None, None))
     points.sort(key=SingularPoint.sort_token)
     return points
-
-
-def _classified(germ: VectorFieldJet, isolated: bool) -> tuple[str, bool, bool | None]:
-    """Classification, non-isolated flag and, for purely radial and n.p.r.s
-    germs, whether their blow-up would be dicritical.  The germ is nonzero
-    and singular at 0; isolated=False means "not known" and runs the test."""
-    classification, caveat = _classify(germ, isolated or is_isolated_singularity(germ))
-    would_be = None
-    if classification in (PURELY_RADIAL, NPRS):
-        would_be = dicritical_test(germ).dicritical
-    return classification, caveat, would_be
 
 
 # -- iterated resolution -------------------------------------------------------
@@ -621,7 +583,7 @@ def resolve(
         raise GermError("max_depth must be at least 1")
     if not is_isolated_singularity(x):
         raise GermError("resolve requires an isolated singularity at 0")
-    classification, _caveat, would_be = _classified(x, True)
+    classification, _caveat, would_be = _classify(x, True)
     return _resolve_node(x, classification, would_be, (), max_depth, force_radial)
 
 
@@ -641,7 +603,7 @@ def _resolve_node(
         )
     blowups = (strict_transform(germ, CHART_SLOPE_Y), strict_transform(germ, CHART_SLOPE_X))
     children = []
-    for point in _divisor_points(blowups, True):
+    for point in divisor_singularities(blowups, True):
         if point.marker is not None:
             children.append(
                 ResolutionNode(

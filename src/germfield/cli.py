@@ -258,16 +258,15 @@ def _blowup(args):
         CHART_SLOPE_Y,
         dicritical_test,
         divisor_singularities,
+        is_isolated_singularity,
         strict_transform,
     )
 
     x = parse_field_text(args.field)
     dic = dicritical_test(x)
-    charts = [
-        strict_transform(x, chart)
-        for chart in ((args.chart,) if args.chart else (CHART_SLOPE_Y, CHART_SLOPE_X))
-    ]
-    points = divisor_singularities(x)
+    blowups = (strict_transform(x, CHART_SLOPE_Y), strict_transform(x, CHART_SLOPE_X))
+    points = divisor_singularities(blowups, is_isolated_singularity(x))
+    charts = [b for b in blowups if args.chart in (None, b.chart)]
     kind = "dicritical" if dic.dicritical else "non-dicritical"
     lines = [f"nu = {dic.nu}, {kind}, witness {poly_to_text(dic.witness, ('t',))}"]
     for b in charts:

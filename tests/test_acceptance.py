@@ -25,7 +25,6 @@ from germfield import (
     closedness_check,
     dicritical_test,
     divergence,
-    divisor_singularities,
     dual_pair,
     integrating_factor_check,
     lie_bracket,
@@ -44,6 +43,7 @@ from germfield import (
     dual_form,
 )
 from germfield.gaussian import gq
+from test_blowup import divisor_points
 
 F = parse_field
 P = parse_poly
@@ -181,7 +181,7 @@ def test_criterion_6_blowup_facts():
     t0 = time.monotonic()
     checks.append(dicritical_test(radial_field(2)).dicritical)
 
-    pts = divisor_singularities(F("y, 0"))
+    pts = divisor_points(F("y, 0"))
     checks.append(len(pts) == 1 and pts[0].coordinate == gq(0) and pts[0].multiplicity == 2)
 
     d = dicritical_test(F("2*x*y, 2*y^2 - x^3"))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (
@@ -17,6 +17,7 @@ from oracles import (
 )
 
 from germfield import (
+    CHART_SLOPE_X,
     CHART_SLOPE_Y,
     GermError,
     PolySeries,
@@ -43,6 +44,38 @@ P = parse_poly
 def chart_poly(text):
     # chart polynomials read with t written as y
     return parse_poly(text, 2)
+
+
+def divisor_points(x):
+    """The singular points on the divisor of x's blow-up, as the blowup verb
+    finds them: both strict transforms and one isolation test of x."""
+    blowups = (strict_transform(x, CHART_SLOPE_Y), strict_transform(x, CHART_SLOPE_X))
+    return divisor_singularities(blowups, is_isolated_singularity(x))
+
+
+# exact plane fields vanishing at 0: random ones, and dicritical ones h R +
+# (terms of higher degree) with h homogeneous of degree nu - 1
+COEFF = st.sampled_from([gq(1), gq(-1), gq(2), gq(0, 1), gq(Fraction(-1, 2), 1)])
+
+
+def _homogeneous_parts(lo, hi):
+    exps = [(a, d - a) for d in range(lo, hi + 1) for a in range(d + 1)]
+    return st.dictionaries(st.sampled_from(exps), COEFF, max_size=3).map(lambda t: PolySeries(2, t))
+
+
+def _dicritical(h, higher):
+    xv, yv = PolySeries.variable(2, 0), PolySeries.variable(2, 1)
+    return VectorFieldJet([h * xv + higher[0], h * yv + higher[1]])
+
+
+VANISHING_FIELDS = st.one_of(
+    st.tuples(_homogeneous_parts(1, 3), _homogeneous_parts(1, 3)).map(VectorFieldJet),
+    st.integers(1, 3).flatmap(lambda nu: st.builds(
+        _dicritical,
+        _homogeneous_parts(nu - 1, nu - 1).filter(lambda h: not h.is_zero()),
+        st.tuples(_homogeneous_parts(nu + 1, nu + 2), _homogeneous_parts(nu + 1, nu + 2)),
+    )),
+).filter(lambda x: not x.is_zero())
 
 
 class TestPullback:
@@ -93,14 +126,21 @@ class TestDicritical:
         d = dicritical_test(F("2*x*y, 2*y^2 - x^3"))
         assert d.dicritical and d.nu == 2
 
-    def test_multiplicity_dichotomy(self):
-        for text in ("x, -y", "y, 0", "x^2, y^2", "2*x*y, 2*y^2 - x^3", "x^2*y, x*y^2"):
-            x = F(text)
-            d = dicritical_test(x)
-            b = strict_transform(x, CHART_SLOPE_Y)
-            if not b.multiplicity_flagged:
-                assert b.divisor_multiplicity == (d.nu if d.dicritical else d.nu - 1)
-                assert (b.divisor_multiplicity == d.nu) == d.dicritical
+    @settings(max_examples=150, deadline=None)
+    @given(VANISHING_FIELDS)
+    @example(F("x, -y"))
+    @example(F("y, 0"))
+    @example(F("x^2, y^2"))
+    @example(F("2*x*y, 2*y^2 - x^3"))
+    @example(F("x^2*y, x*y^2"))
+    def test_multiplicity_dichotomy(self, x):
+        # the divided power is nu - 1 (non-dicritical) or nu (dicritical) in
+        # both charts, non-isolated fields such as x^2*y, x*y^2 included
+        d = dicritical_test(x)
+        for chart in (CHART_SLOPE_Y, CHART_SLOPE_X):
+            b = strict_transform(x, chart)
+            assert (b.nu, b.dicritical) == (d.nu, d.dicritical)
+            assert b.divisor_multiplicity == (d.nu if d.dicritical else d.nu - 1)
 
 
 class TestStrictTransform:
@@ -134,7 +174,7 @@ class TestStrictTransform:
 
 class TestDivisorSingularities:
     def test_shear_single_point(self):
-        pts = divisor_singularities(F("y, 0"))
+        pts = divisor_points(F("y, 0"))
         assert len(pts) == 1
         pt = pts[0]
         assert pt.chart == CHART_SLOPE_Y and pt.coordinate == gq(0)
@@ -142,7 +182,7 @@ class TestDivisorSingularities:
         assert pt.non_isolated
 
     def test_two_squares_three_points(self):
-        pts = divisor_singularities(F("x^2, y^2"))
+        pts = divisor_points(F("x^2, y^2"))
         coords = [(p.chart, p.coordinate) for p in pts]
         assert coords == [(1, gq(0)), (1, gq(1)), (2, gq(0))]
         assert [p.classification for p in pts] == [
@@ -152,19 +192,19 @@ class TestDivisorSingularities:
         ]
 
     def test_radial_has_none(self):
-        assert divisor_singularities(radial_field(2)) == []
+        assert divisor_points(radial_field(2)) == []
 
     def test_gaussian_root_detected(self):
         # witness B_2(1,t) - t A_2(1,t) = t^2 + 1 has roots +-i
         x = F("x^2, y^2 + x*y + x^2")
         d = dicritical_test(x)
         assert d.witness == PolySeries(1, {(2,): gq(1), (0,): gq(1)})
-        pts = divisor_singularities(x)
+        pts = divisor_points(x)
         coords = {str(p.coordinate) for p in pts if p.coordinate is not None}
         assert {"1i", "-1i"} <= coords
 
     def test_irrational_root_reported_as_marker(self):
-        pts = divisor_singularities(F("x^2, y^2 + x*y - 2*x^2"))
+        pts = divisor_points(F("x^2, y^2 + x*y - 2*x^2"))
         markers = [p for p in pts if p.marker is not None]
         assert len(markers) == 1
         assert markers[0].classification == "unresolvable_irrational"
@@ -376,9 +416,9 @@ def test_every_node_inherits_isolation(text):
 
 
 def test_divisor_points_of_an_isolated_germ_are_isolated():
-    # divisor_singularities tests an isolated germ once, not each point
+    # an isolated germ is tested once, not each point on its divisor
     for text in RESOLUTION_GERMS:
-        for pt in divisor_singularities(F(text)):
+        for pt in divisor_points(F(text)):
             if pt.germ is not None:
                 assert sympy_isolated(pt.germ)
                 assert (pt.classification, pt.non_isolated) == classify_singularity(pt.germ)
