@@ -131,7 +131,6 @@ class BlownUpField:
     dicritical: bool
     divisor_multiplicity: int  # maximal power of the divisor coordinate dividing
     strict: VectorFieldJet
-    multiplicity_flagged: bool  # True when it differs from nu-1 / nu
 
 
 def strict_transform(x: VectorFieldJet, chart: int) -> BlownUpField:
@@ -155,7 +154,6 @@ def strict_transform(x: VectorFieldJet, chart: int) -> BlownUpField:
         dicritical=power == nu,
         divisor_multiplicity=power,
         strict=strict,
-        multiplicity_flagged=False,
     )
 
 

@@ -40,7 +40,7 @@ from .parsing import (
     poly_to_text,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _auto_dim(text: str) -> int:
@@ -270,11 +270,10 @@ def _blowup(args):
     kind = "dicritical" if dic.dicritical else "non-dicritical"
     lines = [f"nu = {dic.nu}, {kind}, witness {poly_to_text(dic.witness, ('t',))}"]
     for b in charts:
-        flag = ", flagged" if b.multiplicity_flagged else ""
         lines += [
             f"chart {b.chart}: pullback  {field_to_text(b.pullback, ('x', 't'))}",
             f"chart {b.chart}: strict    {field_to_text(b.strict, ('x', 't'))}"
-            f"  [divisor mult {b.divisor_multiplicity}{flag}]",
+            f"  [divisor mult {b.divisor_multiplicity}]",
         ]
     lines.append("singular points on the divisor:" + ("" if points else " none"))
     for pt in points:
@@ -297,7 +296,6 @@ def _blowup(args):
                 "pullback": b.pullback,
                 "strict": b.strict,
                 "divisor_multiplicity": b.divisor_multiplicity,
-                "multiplicity_flagged": b.multiplicity_flagged,
             }
             for b in charts
         ],

@@ -252,7 +252,7 @@ class TestCli:
         rc, out, _ = run_cli(capsys, "--json", "blowup", "x^2, y^2")
         assert rc == 0
         doc = json.loads(out)
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["dicritical"] is False
         assert len(doc["singular_points"]) == 3
 
