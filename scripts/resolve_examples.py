@@ -8,7 +8,7 @@ and a germ whose tangent directions leave Q(i).
 """
 
 from germfield import dicritical_test, parse_field, resolve
-from germfield.cli import _resolution_text
+from germfield.cli import _resolution
 from germfield.parsing import field_to_text, poly_to_text
 
 EXAMPLES = [
@@ -27,7 +27,7 @@ def main():
         print(f"== {label}: X = {field_to_text(x)}")
         print(f"   nu = {d.nu}, first blow-up {kind}, witness {poly_to_text(d.witness, ('t',))}")
         tree = resolve(x)
-        for line in _resolution_text(tree, indent="   "):
+        for line in _resolution(tree, indent="   ")[1]:
             print(line)
         print(f"   blow-ups: {tree.total_blowups()}, leaves: {sorted(tree.leaf_verdicts())}")
         print()

@@ -470,9 +470,9 @@ def _classify(germ: VectorFieldJet, isolated: bool) -> tuple[str, bool, bool | N
         classification = NPRS
     else:
         classification = NON_REDUCED_OTHER
-    would_be = None
-    if classification in (PURELY_RADIAL, NPRS):
-        would_be = dicritical_test(germ).dicritical
+    # both classes have a first jet h.R, so B(1, t) - t A(1, t) = t h(1, t) -
+    # t h(1, t) vanishes identically: their blow-up is always dicritical
+    would_be = True if classification in (PURELY_RADIAL, NPRS) else None
     return classification, not isolated, would_be
 
 

@@ -3,18 +3,21 @@
 A VectorFieldJet is an n-tuple of PolySeries sharing one truncation degree;
 component i is the coefficient of d/dz_i.  All operations are pure and return
 new values.  X(f), brackets, pairings, wedges and the divergence are each a
-sum of products k * f * g, computed in one pass on one common denominator
-(series._combination) with no intermediate series per product.  Such a sum
-is certified exactly as far as every operand is, and no further: a bracket
-component of jets known mod N and M (so partials mod N - 1 and M - 1) is
-known mod min(N, M) - 1.
+sum of products k * f * g or k * f * dg/dz_i, computed in one pass on one
+common denominator (series._combination) with no intermediate series per
+product: the derivatives of brackets, X(f) and the integrability checks are
+taken inside that pass, with no call to partial.  Such a sum is certified
+exactly as far as every operand is, and no further: a bracket component of
+jets known mod N and M (so partials mod N - 1 and M - 1) is known mod
+min(N, M) - 1.
 """
 
 from __future__ import annotations
 
 from .gaussian import GaussianRational
 from .series import (
-    DimensionMismatchError, GermError, PolySeries, Weight, _combination, _term_cap,
+    DimensionMismatchError, GermError, PolySeries, TruncationError, Weight, _combination,
+    _term_cap,
 )
 
 
@@ -123,10 +126,11 @@ class VectorFieldJet:
         return _sum_of_products(self._apply_pairs(f), _term_cap())
 
     def _apply_pairs(self, f: PolySeries, k: int = 1) -> list:
-        """The products (k, X_i, df/dz_i) that sum to k * X(f)."""
+        """The products (k, X_i, f, i), meaning k * X_i * df/dz_i, that sum to
+        k * X(f)."""
         if f.dim != self.dim:
             raise DimensionMismatchError("function and field dimensions differ")
-        return [(k, c, f.partial(i)) for i, c in enumerate(self.comps)]
+        return [(k, c, f, i) for i, c in enumerate(self.comps)]
 
     def substitute(self, images, allow_shift: bool = False) -> "VectorFieldJet":
         """Componentwise composition (no chain rule: coefficients only)."""
@@ -189,11 +193,19 @@ class OneFormJet:
 
 
 def _sum_of_products(pairs, cap: int) -> PolySeries:
-    """The sum of k * f * g over pairs (k, f, g), g None meaning 1, known as
-    far as every operand is: the least truncation degree among them."""
-    ops = [p for _, f, g in pairs for p in (f, g) if p is not None]
-    trunc = min((p.trunc for p in ops if p.trunc is not None), default=None)
-    return _combination(ops[0].dim, pairs, trunc, cap)
+    """The sum of k * f * g over pairs (k, f, g), g None meaning 1, and of
+    k * f * dg/dz_i over pairs (k, f, g, i), known as far as every operand
+    is: the least truncation degree among them, where dg/dz_i counts as known
+    to g.trunc - 1.  A degree-0 jet fixes no coefficient of its derivative,
+    which is refused with TruncationError, as partial does."""
+    known = [f.trunc for _, f, *_ in pairs]
+    for _, f, g, *i in pairs:
+        if g is not None and g.trunc is not None:
+            if i and g.trunc == 0:
+                raise TruncationError("the derivative of a degree-0 jet is unknown")
+            known.append(g.trunc - len(i))
+    trunc = min((n for n in known if n is not None), default=None)
+    return _combination(pairs[0][1].dim, pairs, trunc, cap)
 
 
 def lie_bracket(x: VectorFieldJet, y: VectorFieldJet) -> VectorFieldJet:

@@ -59,7 +59,7 @@ def closedness_check(omega: OneFormJet, g: PolySeries) -> tuple[bool, PolySeries
         raise ZeroDivisionError("zero denominator in closedness_check")
     p, q = omega.coeffs
     residual = _sum_of_products([
-        (1, g, q.partial(0)), (-1, g, p.partial(1)), (-1, g.partial(0), q), (1, g.partial(1), p),
+        (1, g, q, 0), (-1, g, p, 1), (-1, q, g, 0), (1, p, g, 1),
     ], _term_cap())
     return residual.is_zero(), residual
 
@@ -68,7 +68,7 @@ def integrating_factor_check(x: VectorFieldJet, g: PolySeries) -> bool:
     """X(g) = (div X) g, the exact certificate that dual_form(X)/g is closed."""
     if g.is_zero():
         raise ZeroDivisionError("zero integrating factor candidate")
-    div_g = [(-1, c.partial(i), g) for i, c in enumerate(x.comps)]
+    div_g = [(-1, g, c, i) for i, c in enumerate(x.comps)]
     return _sum_of_products(x._apply_pairs(g) + div_g, _term_cap()).is_zero()
 
 

@@ -20,7 +20,7 @@ import heapq
 import math
 import os
 from fractions import Fraction
-from operator import add
+from operator import add, lshift
 
 from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
 
@@ -454,48 +454,71 @@ def _product(f: PolySeries, g: PolySeries, trunc: int | None, cap: int) -> PolyS
 
 def _combination(dim: int, pairs, trunc: int | None, cap: int) -> PolySeries:
     """The sum of k * f * g over pairs (k, f, g), with k an int and g None
-    meaning 1, mod degree trunc + 1 (trunc None: exact).  TermLimitError as
-    soon as the partial sum has more than cap terms.  Every pair writes
-    Gaussian-integer numerators into one dict over D, the lcm of the pairs'
-    D_f * D_g (D_f: the lcm of f's denominators); no term past trunc is
-    formed, and each result term is reduced once, over D."""
-    scaled = []
-    for k, f, g in pairs:
-        if f.dim != dim or (g is not None and g.dim != dim):
-            raise DimensionMismatchError(f"dimension {f.dim} vs {dim}")
-        if f.terms and (g is None or g.terms):
-            df, fnum = over_common_denominator(f.terms.values())
-            dg, gnum = (1, None) if g is None else over_common_denominator(g.terms.values())
-            scaled.append((k, df * dg, f, fnum, g, gnum))
-    d = math.lcm(*(dfg for _, dfg, *_ in scaled))
-    acc: dict[Exponent, tuple[int, int]] = {}
+    meaning 1, and of k * f * dg/dz_i over pairs (k, f, g, i), mod degree
+    trunc + 1 (trunc None: exact).  TermLimitError as soon as the partial sum
+    has more than cap terms.  Every pair writes Gaussian-integer numerators
+    into one dict over D, the lcm of the pairs' D_f * D_g (D_f: the lcm of
+    f's denominators); a derivative scales g's numerators by e_i and lowers
+    e_i, with no partial series.  Each operand is written over D_f once per
+    call.  Monomials are packed into ints with bits = top.bit_length() bits
+    per variable, top the largest deg f + deg g over the pairs, so a product's
+    key is the sum of its factors' keys with no carry between slots.  No term
+    past trunc is formed, and each result term is reduced once, over D."""
+    ops = {}  # id(operand) -> [D, [(e, (a, b), |e|)], max |e|], for this call only
+    for _, f, g, *_ in pairs:
+        for p in (f, g):
+            if p is not None and id(p) not in ops:
+                if p.dim != dim:
+                    raise DimensionMismatchError(f"dimension {p.dim} vs {dim}")
+                dp, num = over_common_denominator(p.terms.values())
+                ns = list(map(sum, p.terms))
+                ops[id(p)] = [dp, list(zip(p.terms, num, ns)), max(ns, default=0)]
+    top = max(ops[id(f)][2] + (0 if g is None else ops[id(g)][2]) for _, f, g, *_ in pairs)
+    bits = top.bit_length()
+    shifts = [bits * j for j in range(dim)]
+    for op in ops.values():
+        op[1] = [(sum(map(lshift, e, shifts)), e, a, b, n) for e, (a, b), n in op[1]]
+    scaled = [
+        (k, ops[id(f)], None if g is None else ops[id(g)], i[0] if i else None)
+        for k, f, g, *i in pairs if f.terms and (g is None or g.terms)
+    ]
+    d = math.lcm(*(f[0] * (1 if g is None else g[0]) for _, f, g, _ in scaled))
+    acc: dict[int, tuple[int, int]] = {}
+    exps: dict[int, Exponent] = {}
     get = acc.get
-    for k, dfg, f, fnum, g, gnum in scaled:
-        m = k * (d // dfg)
+    for k, (df, lhs, _), g, i in scaled:
         if g is None:
-            rhs = [((0,) * dim, m, 0, 0)]
+            rhs = [(0, (0,) * dim, k * (d // df), 0, 0)]
+        elif i is None:
+            m = k * (d // (df * g[0]))
+            rhs = [(k2, e2, a * m, b * m, n) for k2, e2, a, b, n in g[1]]
         else:
-            rhs = [(e, a * m, b * m, sum(e)) for e, (a, b) in zip(g.terms, gnum)]
-        for e1, (a1, b1) in zip(f.terms, fnum):
-            room = math.inf if trunc is None else trunc - sum(e1)
-            for e2, a2, b2, n2 in rhs:
+            m, unit = k * (d // (df * g[0])), 1 << bits * i
+            rhs = [
+                (k2 - unit, e2[:i] + (e2[i] - 1,) + e2[i + 1:], a * c, b * c, n - 1)
+                for k2, e2, a, b, n in g[1] if (c := m * e2[i])
+            ]
+        for k1, e1, a1, b1, n1 in lhs:
+            room = math.inf if trunc is None else trunc - n1
+            for k2, e2, a2, b2, n2 in rhs:
                 if n2 > room:
                     continue
-                e = tuple(map(add, e1, e2))
+                key = k1 + k2
                 re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                s = get(e)
+                s = get(key)
                 if s is None:
-                    acc[e] = re, im
+                    acc[key] = re, im
+                    exps[key] = tuple(map(add, e1, e2))
                     if len(acc) > cap:
                         raise TermLimitError("result exceeds GERM_MAX_TERMS")
                     continue
                 re += s[0]
                 im += s[1]
                 if re or im:
-                    acc[e] = re, im
+                    acc[key] = re, im
                 else:
-                    del acc[e]
-    return _trusted(dim, {e: _reduce(a, b, d) for e, (a, b) in acc.items()}, trunc)
+                    del acc[key]
+    return _trusted(dim, {exps[key]: _reduce(a, b, d) for key, (a, b) in acc.items()}, trunc)
 
 
 def _descending(e: Exponent) -> tuple[int, tuple[int, ...]]:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (
@@ -141,6 +141,14 @@ class TestDicritical:
             b = strict_transform(x, chart)
             assert (b.nu, b.dicritical) == (d.nu, d.dicritical)
             assert b.divisor_multiplicity == (d.nu if d.dicritical else d.nu - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(VANISHING_FIELDS)
+    def test_radial_and_nprs_germs_are_dicritical(self, x):
+        # both classes have a first jet h R, so resolve reports
+        # would_be_dicritical true for them without running the test
+        assume(classify_singularity(x)[0] in ("purely_radial", "nprs"))
+        assert dicritical_test(x).dicritical
 
 
 class TestStrictTransform:

@@ -177,6 +177,21 @@ def test_import_and_centralizer_leave_sympy_unloaded():
     assert run.returncode == 0, run.stderr
 
 
+# a script and one line of what it prints
+SCRIPTS = {
+    "resolve_examples.py": "     purely_radial at chart 1, slope 1: purely_radial [next blow-up would be dicritical]",
+    "centralizer_table.py": "  degree table {1: 2, 3: 2, 5: 2}",
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    run = _fresh_python(f"import runpy; runpy.run_path({str(path)!r}, run_name='__main__')")
+    assert run.returncode == 0, run.stderr
+    assert SCRIPTS[script] in run.stdout.splitlines()
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
     for name, argv in FILES.items():
