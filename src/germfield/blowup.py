@@ -17,6 +17,7 @@ up; they are returned as markers carrying their irreducible witness factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -26,6 +27,7 @@ from .series import (
     GermError,
     PolySeries,
     TruncationError,
+    _trusted,
     divide_by_variable_power,
     variable_power_dividing,
 )
@@ -35,6 +37,7 @@ CHART_SLOPE_Y = 1  # (x, y) = (x, t x)
 CHART_SLOPE_X = 2  # (x, y) = (t x, x)
 
 DEFAULT_MAX_DEPTH = 12
+MAX_DEPTH = 200  # resolve refuses deeper budgets: the tree code recurses per level
 
 REDUCED_HYPERBOLIC = "reduced_hyperbolic"
 SADDLE_NODE = "saddle_node"
@@ -76,14 +79,16 @@ def _swap_field(x: VectorFieldJet) -> VectorFieldJet:
     """Exchange the two variables and the two components."""
 
     def swap_vars(f: PolySeries) -> PolySeries:
-        return PolySeries(2, {(b, a): c for (a, b), c in f.terms.items()}, f.trunc)
+        # a permutation of f's exponents: same terms, same degrees
+        return _trusted(2, {(b, a): c for (a, b), c in f.terms.items()}, f.trunc)
 
     return VectorFieldJet([swap_vars(x.comps[1]), swap_vars(x.comps[0])])
 
 
 def _relabel(f: PolySeries, dx: int, dt: int) -> PolySeries:
     """f(x, tx) / x^dx * t^dt, by moving exponents: x^i y^j -> x^(i+j-dx) t^(j+dt)."""
-    return PolySeries(2, {(i + j - dx, j + dt): c for (i, j), c in f.terms.items()})
+    # injective, and i + j - dx >= 0: dx <= 1 on a field vanishing at 0, dx = nu on its nu-jet
+    return _trusted(2, {(i + j - dx, j + dt): c for (i, j), c in f.terms.items()}, None)
 
 
 def blowup_pullback(x: VectorFieldJet, chart: int) -> VectorFieldJet:
@@ -245,6 +250,8 @@ def _square_free(a: list) -> list[tuple[list, int]]:
     """Yun's square-free decomposition of a nonzero a: the monic, pairwise
     coprime, square-free a_i of positive degree with a = lc(a) * prod a_i^i,
     each paired with its i."""
+    if len(a) < 3:  # a constant has no part, a linear a is its own
+        return [([a[0] / a[1], ONE], 1)] if len(a) == 2 else []
     da = _derivative(a)
     g = _gcd(a, da)
     w, y = _divmod(a, g)[0], _divmod(da, g)[0]
@@ -301,8 +308,8 @@ def gaussian_roots(f: PolySeries) -> tuple[list[tuple[GaussianRational, int]], l
 
 def _restrict_to_divisor(f: PolySeries) -> PolySeries:
     """f(0, t) as a univariate polynomial in the slope coordinate."""
-    terms = {(b,): c for (a, b), c in f.terms.items() if a == 0}
-    return PolySeries(1, terms)
+    # distinct t-exponents of f's own nonzero terms
+    return _trusted(1, {(b,): c for (a, b), c in f.terms.items() if a == 0}, None)
 
 
 def is_isolated_singularity(x: VectorFieldJet) -> bool:
@@ -330,15 +337,29 @@ def is_isolated_singularity(x: VectorFieldJet) -> bool:
     return g.coeff_monomial(1) != 0
 
 
+def _taylor_shift(f: PolySeries, i: int, c: GaussianRational) -> PolySeries:
+    """f with z_i replaced by z_i + c: z_i^k = sum_j C(k, j) c^(k-j) z_i^j."""
+    powers, out = [ONE], {}
+    for e, coeff in f.terms.items():
+        k = e[i]
+        while len(powers) <= k:
+            powers.append(powers[-1] * c)
+        for j in range(k + 1):
+            key = e[:i] + (j,) + e[i + 1:]
+            out[key] = out.get(key, ZERO) + coeff * powers[k - j] * math.comb(k, j)
+    return _trusted(f.dim, {e: v for e, v in out.items() if v}, None)  # f is total
+
+
 def translate_to_point(x: VectorFieldJet, point: list[GaussianRational]) -> VectorFieldJet:
-    """Exact affine recentering: the germ of X at the point, seen from 0."""
+    """Exact affine recentering: the germ of X at the point, seen from 0, by
+    a Taylor shift in each nonzero coordinate (the origin returns X itself)."""
     if not x.is_total:
         raise TruncationError("translation needs an exact polynomial field")
-    images = [
-        PolySeries.variable(x.dim, i) + PolySeries.constant(x.dim, point[i])
-        for i in range(x.dim)
-    ]
-    return x.substitute(images, allow_shift=True)
+    comps = x.comps
+    for i, c in zip(range(x.dim), point, strict=True):
+        if c:
+            comps = [_taylor_shift(f, i, c) for f in comps]
+    return x if comps is x.comps else VectorFieldJet(comps)
 
 
 # -- linear classification ----------------------------------------------------
@@ -352,46 +373,36 @@ class LinearClass:
     rational_ratios: tuple[Fraction, ...] = ()
     eigenvalues: tuple[GaussianRational, GaussianRational] | None = None
 
-    def ratio_in_positive_rationals(self) -> bool:
-        return any(r > 0 for r in self.rational_ratios)
-
-
-def _rational_quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> list[Fraction] | None:
-    """Rational roots of a r^2 + b r + c; None when identically zero."""
-    if a == 0 and b == 0 and c == 0:
-        return None
-    if a == 0:
-        return [] if b == 0 else [Fraction(-c, b)]
-    disc = b * b - 4 * a * c
-    s = GaussianRational(disc).sqrt()  # imaginary when disc < 0
-    if s is None or not s.is_rational():
-        return []
-    s = s.re
-    roots = {(-b + s) / (2 * a), (-b - s) / (2 * a)}
-    return sorted(roots)
-
 
 def eigenvalue_ratio_roots(trace: GaussianRational, det: GaussianRational) -> list[Fraction]:
     """Rational solutions r of (1+r)^2 det = r trace^2, i.e. rational ratios.
 
-    The two ratios of a 2x2 matrix with det != 0 are the roots r, 1/r of
-    det r^2 + (2 det - trace^2) r + det = 0; rationality is decided without
-    extracting eigenvalues.
+    With det != 0 no root is 0, and dividing by r det gives r + 1/r = s with
+    s = trace^2/det - 2, so r = (s +- sqrt(s^2 - 4))/2.  A rational r needs a
+    real s (r + 1/r is real), and then r is rational iff s^2 - 4 is the square
+    of a rational.  Over s = a/d in lowest terms, s^2 - 4 = n/d^2 with
+    n = a^2 - 4d^2, so that holds iff the integer n is a perfect square, and
+    the roots are (a +- isqrt(n))/(2d); s = +-2 gives the double root +-1.
+    Rationality is decided without extracting eigenvalues.
     """
-    a = det
-    b = det * 2 - trace * trace
-    c = det
-    candidates = _rational_quadratic_roots(a.re, b.re, c.re)
-    if candidates is None:
-        candidates = _rational_quadratic_roots(a.im, b.im, c.im)
-    if candidates is None:  # det == 0 excluded by callers, but stay safe
+    if det.is_zero():  # r trace^2 = 0: only r = 0, or every r when trace = 0
+        return [Fraction(0)] if trace else []
+    s = trace * trace / det - 2
+    if not s.is_rational():
         return []
-    roots = []
-    for r in candidates:
-        value = a * GaussianRational(r * r) + b * GaussianRational(r) + c
-        if value.is_zero():
-            roots.append(r)
-    return sorted(set(roots))
+    a, d = (q := s.re).numerator, q.denominator
+    n = a * a - 4 * d * d
+    if n < 0 or (root := math.isqrt(n)) ** 2 != n:
+        return []
+    return sorted({Fraction(a - root, 2 * d), Fraction(a + root, 2 * d)})
+
+
+def _trace_det(m: list[list[GaussianRational]]) -> tuple[GaussianRational, GaussianRational]:
+    return m[0][0] + m[1][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _is_scalar(m: list[list[GaussianRational]]) -> bool:
+    return m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]
 
 
 def classify_linear(matrix: list[list[GaussianRational]]) -> LinearClass:
@@ -399,8 +410,7 @@ def classify_linear(matrix: list[list[GaussianRational]]) -> LinearClass:
     if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
         raise GermError("classify_linear expects a 2x2 matrix")
     m = [[c if isinstance(c, GaussianRational) else GaussianRational(c) for c in row] for row in matrix]
-    trace = m[0][0] + m[1][1]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    trace, det = _trace_det(m)
     if all(c.is_zero() for row in m for c in row):
         return LinearClass("zero", "undefined")
     if det.is_zero():
@@ -412,24 +422,11 @@ def classify_linear(matrix: list[list[GaussianRational]]) -> LinearClass:
     roots = eigenvalue_ratio_roots(trace, det)
     disc = trace * trace - det * 4
     eigs = None
-    s = disc.sqrt()
-    if s is not None:
-        half = ONE / GaussianRational(2)
-        eigs = tuple(
-            sorted(((trace - s) * half, (trace + s) * half), key=GaussianRational.sort_key)
-        )
-    if roots:
-        rationality = "rational"
-        ratio = max(roots, key=lambda r: (abs(r), r))
-    else:
-        rationality = "irrational"
-        ratio = None
-    scalar = m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]
-    if disc.is_zero() and not scalar:
-        case = "nondiagonal_resonant"
-    else:
-        case = "semisimple"
-    return LinearClass(case, rationality, ratio, tuple(roots), eigs)
+    if (s := disc.sqrt()) is not None:
+        eigs = tuple(sorted(((trace - s) / 2, (trace + s) / 2), key=GaussianRational.sort_key))
+    ratio = max(roots, key=lambda r: (abs(r), r)) if roots else None
+    case = "nondiagonal_resonant" if disc.is_zero() and not _is_scalar(m) else "semisimple"
+    return LinearClass(case, "rational" if roots else "irrational", ratio, tuple(roots), eigs)
 
 
 def classify_singularity(germ: VectorFieldJet) -> tuple[str, bool]:
@@ -458,13 +455,14 @@ def _classify(germ: VectorFieldJet, isolated: bool) -> tuple[str, bool, bool | N
     isolated = isolated or is_isolated_singularity(germ)
     nu = germ.mu()
     m = germ.linear_part_matrix()
-    lc = classify_linear(m)
-    if nu == 1 and m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]:
+    # the cases of classify_linear that decide the class, without its eigenvalues
+    trace, det = _trace_det(m)
+    if nu == 1 and _is_scalar(m):
         classification = PURELY_RADIAL  # m is nonzero, since nu == 1
-    elif lc.case in ("semisimple", "nondiagonal_resonant"):
-        positive = lc.ratio_in_positive_rationals()
+    elif det:  # semisimple or nondiagonal_resonant
+        positive = any(r > 0 for r in eigenvalue_ratio_roots(trace, det))
         classification = NON_REDUCED_OTHER if positive else REDUCED_HYPERBOLIC
-    elif lc.case == "one_zero_eigenvalue" and isolated:
+    elif trace and isolated:  # one_zero_eigenvalue
         classification = SADDLE_NODE
     elif nu > 1 and isolated and wedge([germ.jet_part(nu), radial_field(2)]).is_zero():
         classification = NPRS
@@ -577,8 +575,8 @@ def resolve(
     without a further gcd.
     """
     _require_blowup_input(x)
-    if max_depth < 1:
-        raise GermError("max_depth must be at least 1")
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise GermError(f"max_depth {max_depth} is outside 1..{MAX_DEPTH}, the depth budget")
     if not is_isolated_singularity(x):
         raise GermError("resolve requires an isolated singularity at 0")
     classification, _caveat, would_be = _classify(x, True)

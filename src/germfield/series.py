@@ -579,7 +579,7 @@ def divide_by_variable_power(f: PolySeries, var_index: int, k: int) -> PolySerie
         if e[var_index] < k:
             raise GermError(f"{VAR_NAMES[var_index]}^{k} does not divide the input")
         out[tuple(v - k if j == var_index else v for j, v in enumerate(e))] = c
-    return PolySeries(f.dim, out)
+    return _trusted(f.dim, out, None)  # shifts f's exponents, checked above
 
 
 def variable_power_dividing(f: PolySeries, var_index: int) -> int:

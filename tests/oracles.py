@@ -260,8 +260,61 @@ def sympy_gaussian_factors(f: PolySeries) -> tuple[list, list]:
     return sorted(roots), sorted(others)
 
 
+def sympy_translate(x: VectorFieldJet, point) -> list:
+    """The components of x at z + point, expanded; point holds (re, im) pairs."""
+    shift = {s: s + sympy.Rational(re) + sympy.Rational(im) * sympy.I for s, (re, im) in zip(_SYMS, point)}
+    return [sympy.expand(c.subs(shift, simultaneous=True)) for c in field_to_sympy(x)]
+
+
 def sympy_gcd_isolated(x: VectorFieldJet) -> bool:
     """Whether sympy's gcd over Q(i) of the two components is nonzero at 0."""
     xs, ys = _SYMS[:2]
     a, b = (sympy.Poly(c, xs, ys, domain=QQ_I) for c in field_to_sympy(x))
     return sympy.gcd(a, b).coeff_monomial(1) != 0
+
+
+
+def _qq_i_roots(expr, var) -> tuple[list, bool]:
+    """The roots of the linear factors of expr over QQ_I, repeated by
+    multiplicity, as sorted (re, im) pairs, and whether expr splits into them."""
+    _, factors = sympy.factor_list(sympy.Poly(expr, var, domain=QQ_I))
+    roots = []
+    for f, k in factors:
+        if f.degree() == 1:
+            lead, const = f.all_coeffs()
+            roots += [_qi_pair(QQ_I.from_sympy(sympy.expand(-const / lead)))] * k
+    return sorted(roots), all(f.degree() == 1 for f, _ in factors)
+
+
+def sympy_classify_linear(rows) -> tuple:
+    """classify_linear's answer for a 2x2 matrix of (re, im) Fraction pairs,
+    from sympy alone: (case, ratio_rationality, ratio, rational_ratios,
+    eigenvalues), the eigenvalues as sorted (re, im) pairs.
+
+    The eigenvalues are read off the linear factors of the characteristic
+    polynomial over QQ_I, and are None unless it splits.  The case is
+    nondiagonal_resonant exactly when M is not diagonalizable.  The ratios
+    r = l1/l2 and l2/l1 are the roots of (r l2 - l1)(r l1 - l2) =
+    det r^2 - (tr^2 - 2 det) r + det (Vieta), and the rational ones are the
+    real roots of its linear factors over QQ_I.
+    """
+    m = sympy.Matrix([[sympy.Rational(re) + sympy.Rational(im) * sympy.I for re, im in row] for row in rows])
+    if m.is_zero_matrix:
+        return ("zero", "undefined", None, (), None)
+    lam, r = sympy.symbols("lam r")
+    tr, det = sympy.expand(m.trace()), sympy.expand(m.det())
+    eigenvalues, split = _qq_i_roots(m.charpoly(lam).as_expr(), lam)
+    eigenvalues = tuple(eigenvalues) if split else None
+    if det == 0:
+        if tr == 0:
+            return ("nilpotent_nonzero", "undefined", None, (), None)
+        return ("one_zero_eigenvalue", "undefined", None, (), eigenvalues)
+    roots, _ = _qq_i_roots(det * r**2 - (tr**2 - 2 * det) * r + det, r)
+    ratios = tuple(sorted({re for re, im in roots if im == 0}))
+    ratio = max(ratios, key=lambda q: (abs(q), q)) if ratios else None
+    # not diagonalizable: a double eigenvalue l with M - l I of rank 1
+    jordan = split and eigenvalues[0] == eigenvalues[1] and (
+        m - (sympy.Rational(eigenvalues[0][0]) + sympy.Rational(eigenvalues[0][1]) * sympy.I) * sympy.eye(2)
+    ).rank() == 1
+    case = "nondiagonal_resonant" if jordan else "semisimple"
+    return (case, "rational" if ratios else "irrational", ratio, ratios, eigenvalues)

@@ -8,11 +8,13 @@ from hypothesis import assume, example, given, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (
+    field_to_sympy,
     sympy_gaussian_factors,
     sympy_gcd_isolated,
     sympy_isolated,
     sympy_linear_root,
     sympy_square_free,
+    sympy_translate,
     sympy_univariate_gcd,
 )
 
@@ -34,7 +36,8 @@ from germfield import (
     strict_transform,
     translate_to_point,
 )
-from germfield.blowup import _dense, _square_free, _univariate_gcd, gaussian_roots
+from germfield import blowup
+from germfield.blowup import MAX_DEPTH, _dense, _square_free, _univariate_gcd, gaussian_roots
 from germfield.gaussian import gq
 
 F = parse_field
@@ -333,6 +336,16 @@ class TestTranslate:
         moved = translate_to_point(x, [gq(0), gq(1)])
         assert moved == F("x, y + y^2")
 
+    @given(VANISHING_FIELDS)
+    def test_origin_is_the_identity(self, x):
+        assert translate_to_point(x, [gq(0), gq(0)]) == x
+
+    @settings(max_examples=30, deadline=None)
+    @given(VANISHING_FIELDS, st.one_of(st.just(gq(0)), COEFF), COEFF)
+    def test_nonzero_point_matches_a_sympy_shift(self, x, a, b):
+        moved = translate_to_point(x, [a, b])
+        assert field_to_sympy(moved) == sympy_translate(x, [(a.re, a.im), (b.re, b.im)])
+
 
 class TestResolve:
     def test_already_reduced(self):
@@ -373,6 +386,24 @@ class TestResolve:
     def test_depth_budget(self):
         tree = resolve(F("2*y, 3*x^2"), max_depth=1)
         assert "unresolved_depth" in tree.leaf_verdicts()
+
+    def test_depth_beyond_the_budget_refused_first(self, monkeypatch):
+        def ran(*_):
+            raise AssertionError("ran before the depth budget was checked")
+
+        monkeypatch.setattr(blowup, "is_isolated_singularity", ran)
+        monkeypatch.setattr(blowup, "strict_transform", ran)
+        with pytest.raises(GermError, match="depth budget"):
+            resolve(F("y, x^1100"), max_depth=5000)
+        with pytest.raises(GermError, match="depth budget"):
+            resolve(F("y, x^2"), max_depth=MAX_DEPTH + 1)
+
+    def test_deep_germ_at_the_budget(self):
+        # y d/dx + x^400 d/dy needs 400 blow-ups: the budget runs out first
+        tree = resolve(F("y, x^400"), max_depth=MAX_DEPTH)
+        assert tree.depth() == MAX_DEPTH + 1
+        assert tree.total_blowups() == MAX_DEPTH
+        assert tree.leaf_verdicts().count("unresolved_depth") == 1
 
     def test_irrational_leaf(self):
         tree = resolve(F("x^2, y^2 + x*y - 2*x^2"))

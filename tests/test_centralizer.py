@@ -13,10 +13,10 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_centralizer_dim, brute_force_first_integral_dim
+from oracles import brute_force_centralizer_dim, brute_force_first_integral_dim, sympy_classify_linear
 
 from germfield import (
     GermError,
@@ -414,7 +414,64 @@ class TestResonances:
             assert span_matches(rep.basis_fields(), expected, n)
 
 
+_PARTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+_ENTRY = st.builds(gq, _PARTS, _PARTS)
+_NONZERO = _ENTRY.filter(bool)
+_REAL = _PARTS.map(gq)
+_PAIR = st.tuples(_ENTRY, _ENTRY)
+
+
+def _mat_mul(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+
+
+def _conjugated(m, p):
+    det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
+    inverse = [[p[1][1] / det, -p[0][1] / det], [-p[1][0] / det, p[0][0] / det]]
+    return _mat_mul(_mat_mul(p, m), inverse)
+
+
+def _companion(trace, s):
+    """A matrix with this nonzero trace and s = trace^2/det - 2 (s != -2)."""
+    return [[gq(0), -(trace * trace / (s + 2))], [gq(1), trace]]
+
+
+# The ratios r, 1/r of a linear part solve r + 1/r = s.  The draws aim at each
+# branch of that test: companion matrices of a chosen s (2: a Jordan block;
+# 5/2, 10/3, -17/4: rational ratios 2, 3, -4; 1: s^2 - 4 < 0; 3: irrational;
+# 5/2 + i and 2i: not real), scalar matrices (s = 2), trace zero (s = -2),
+# diag(l, k l) (eigenvalues i, 2i among them), real rotations (s^2 - 4 < 0),
+# singular and arbitrary Q(i) matrices, each conjugated by an invertible one.
+_S = st.sampled_from([gq(2), gq(Fraction(5, 2)), gq(Fraction(10, 3)), gq(Fraction(-17, 4)), gq(1), gq(3),
+                      gq(Fraction(5, 2), 1), gq(0, 2)])
+_INVERTIBLE = st.tuples(_PAIR, _PAIR).filter(lambda p: p[0][0] * p[1][1] != p[0][1] * p[1][0])
+LINEAR_PARTS = st.builds(
+    _conjugated,
+    st.one_of(
+        st.builds(_companion, _NONZERO, _S),
+        st.builds(lambda c: [[c, gq(0)], [gq(0), c]], _NONZERO),
+        st.builds(lambda a, b, c: [[a, b], [c, -a]], _ENTRY, _ENTRY, _ENTRY),
+        st.builds(lambda l, k: [[l, gq(0)], [gq(0), k * l]], _NONZERO, st.sampled_from([2, -1, -3, Fraction(1, 3)])),
+        st.builds(lambda a, b: [[a, -b], [b, a]], _REAL, _REAL.filter(bool)),
+        st.builds(lambda u, v: [[u[0] * v[0], u[0] * v[1]], [u[1] * v[0], u[1] * v[1]]], _PAIR, _PAIR),
+        st.tuples(_PAIR, _PAIR),
+    ),
+    _INVERTIBLE,
+)
+
+
 class TestClassifyLinear:
+    @settings(max_examples=40, deadline=None)
+    @given(LINEAR_PARTS)
+    @example(_companion(gq(1), gq(Fraction(5, 2))))  # ratios 1/2 and 2
+    @example(_companion(gq(1), gq(Fraction(5, 2), 1)))  # Re s = 5/2, s not real
+    @example([[gq(0, 1), gq(0)], [gq(0), gq(0, 2)]])  # eigenvalues i, 2i
+    def test_against_sympy(self, m):
+        lc = classify_linear(m)
+        eigenvalues = None if lc.eigenvalues is None else tuple((e.re, e.im) for e in lc.eigenvalues)
+        got = (lc.case, lc.ratio_rationality, lc.ratio, lc.rational_ratios, eigenvalues)
+        assert got == sympy_classify_linear([[(c.re, c.im) for c in row] for row in m])
+
     def test_identity(self):
         lc = classify_linear([[gq(1), gq(0)], [gq(0), gq(1)]])
         assert lc.case == "semisimple"
@@ -437,7 +494,7 @@ class TestClassifyLinear:
         lc = classify_linear([[gq(0), gq(1)], [gq(2), gq(0)]])
         assert lc.ratio == Fraction(-1)
         assert lc.eigenvalues is None
-        assert not lc.ratio_in_positive_rationals()
+        assert lc.rational_ratios == (Fraction(-1),)
 
     def test_one_zero_eigenvalue(self):
         lc = classify_linear([[gq(0), gq(0)], [gq(0), gq(3)]])
@@ -452,4 +509,4 @@ class TestClassifyLinear:
     def test_ratio_two(self):
         lc = classify_linear(F("x, 2*y").linear_part_matrix())
         assert lc.ratio == Fraction(2)
-        assert lc.ratio_in_positive_rationals()
+        assert lc.rational_ratios == (Fraction(1, 2), Fraction(2))

@@ -146,6 +146,20 @@ class TestCli:
         assert rc == 2 and "budget" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_resolve_depth_budget_is_exit_2(self, capsys):
+        # deeper trees would exhaust the recursion limit in the tree code
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "resolve", "y, x^1100", "--depth", "5000")
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and "outside 1..200, the depth budget" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_resolve_at_the_depth_budget(self, capsys):
+        rc, out, _ = run_cli(capsys, "resolve", "y, x^400", "--depth", "200")
+        assert rc == 0
+        assert out.count("unresolved_depth") == 1
+        assert "total blow-ups: 200" in out
+
     def test_rank_skips_the_stabilization_verdict(self, capsys, monkeypatch):
         # rank prints only the generic rank, so the first-integral solve that
         # the centralizer's stabilization verdict runs must not happen
