@@ -10,9 +10,14 @@ the offending residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, prod
+from operator import add
 
-from .gaussian import I, ONE, GaussianRational
-from .series import GermError, PolySeries, _term_cap, monomial_key, monomials_up_to, poly_divides
+from .gaussian import GaussianRational, _reduce, over_common_denominator
+from .series import (
+    Exponent, GermError, PolySeries, TruncationError, _term_cap, _trusted, monomial_key,
+    monomials_up_to, poly_divides,
+)
 from . import linalg
 from .fields import OneFormJet, VectorFieldJet, _sum_of_products, wedge
 
@@ -118,28 +123,26 @@ class LogDecomposition:
     phi: PolySeries
 
     def reconstruct_cleared(self, g: PolySeries, unit: PolySeries) -> OneFormJet:
-        """g * (the decomposed form), organized to stay polynomial."""
-        dim = g.dim
-        prod = PolySeries.constant(dim, 1)
-        for f, k in zip(self.factors, self.multiplicities):
-            prod = prod * f**k
-        cleared = [PolySeries.zero(dim) for _ in range(dim)]
-        for j, (f, lam) in enumerate(zip(self.factors, self.residues)):
-            cofactor = unit * _exact_quotient(prod, f)
-            for i in range(dim):
-                cleared[i] = cleared[i] + cofactor * f.partial(i) * lam
-        reduced = PolySeries.constant(dim, 1)
-        for f, k in zip(self.factors, self.multiplicities):
-            reduced = reduced * f ** (k - 1)
-        q = unit * _exact_quotient(prod, reduced)  # = unit * prod(f_j)
-        for i in range(dim):
-            cleared[i] = cleared[i] + q * self.phi.partial(i)
-        for j, (f, k) in enumerate(zip(self.factors, self.multiplicities)):
-            if k > 1:
-                rj = _exact_quotient(q, f)
-                for i in range(dim):
-                    cleared[i] = cleared[i] - rj * f.partial(i) * self.phi * (k - 1)
-        return OneFormJet(cleared)
+        """g * (the decomposed form), organized to stay polynomial (g is
+        unit * prod_j factors[j]^multiplicities[j])."""
+        return self._cleared(_quotients(self.factors, self.multiplicities, unit))
+
+    def _cleared(self, quotients) -> OneFormJet:
+        """Component i is sum_j lam_j cof_j df_j/dz_i + q dphi/dz_i
+        - sum_j (k_j - 1) phi (q/f_j) df_j/dz_i, one sum of products."""
+        cofs, q, q_over = quotients
+        cap = _term_cap()
+        scaled = [cof * lam for cof, lam in zip(cofs, self.residues)]
+        drifts = [
+            (1 - k, self.phi * h, f)
+            for f, k, h in zip(self.factors, self.multiplicities, q_over) if k > 1
+        ]
+        return OneFormJet([
+            _sum_of_products(
+                [(1, s, f, i) for s, f in zip(scaled, self.factors)] + [(1, q, self.phi, i)]
+                + [(k, p, f, i) for k, p, f in drifts], cap)
+            for i in range(q.dim)
+        ])
 
 
 @dataclass(frozen=True)
@@ -149,11 +152,19 @@ class LogDecompositionResult:
     residual: OneFormJet | None
 
 
-def _exact_quotient(f: PolySeries, d: PolySeries) -> PolySeries:
-    ok, q = poly_divides(d, f)
-    if not ok:
-        raise GermError("expected an exact polynomial division")
-    return q
+def _quotients(flist, mults, unit: PolySeries):
+    """(cofactors, q, q_over) with cofactors[j] = unit * P / f_j, q = unit
+    * f_1 ... f_n and q_over[j] = q / f_j, where P = f_1^k_1 ... f_n^k_n.
+    Products only: q / f_j is a prefix of unit, f_1, ..., f_n times a suffix,
+    and unit * P / f_j is q / f_j times prod_l f_l^(k_l - 1)."""
+    one = PolySeries.constant(unit.dim, 1)
+    prefix, suffix = [unit], [one]
+    for f, h in zip(flist[:-1], reversed(flist[1:])):
+        prefix.append(prefix[-1] * f)
+        suffix.insert(0, suffix[0] * h)
+    q_over = [a * b for a, b in zip(prefix, suffix)]
+    reduced = prod((f ** (k - 1) for f, k in zip(flist, mults) if k > 1), start=one)
+    return [reduced * h for h in q_over], q_over[0] * flist[0], q_over
 
 
 def log_decomposition(
@@ -168,115 +179,103 @@ def log_decomposition(
     before solving; residues and phi come from one exact linear solve on the
     cleared-denominator identity, free parameters pinned to zero.  The search
     space for phi is every monomial of total degree <= phi_degree_bound
-    (default: the total degree of g).
+    (default: the total degree of g).  A truncated omega is refused with
+    TruncationError: the terms it does not know can refute any answer.
     """
     if omega.dim != 2:
         raise GermError("log_decomposition is n=2 only")
     if not factors:
         raise GermError("log_decomposition needs at least one factor")
+    if not all(c.is_total for c in omega.coeffs):
+        raise TruncationError("log_decomposition needs an exact form, not a jet")
+    if any(k < 1 for _, k in factors):
+        raise GermError("factor multiplicities must be >= 1")
+    if phi_degree_bound is not None and phi_degree_bound < 0:
+        raise GermError("the phi degree bound must be >= 0")
     dim = omega.dim
-    prod = PolySeries.constant(dim, 1)
-    for f, k in factors:
-        if k < 1:
-            raise GermError("factor multiplicities must be >= 1")
-        prod = prod * f**k
-    ok, unit = poly_divides(prod, g)
-    if not ok or unit is None or unit.constant_term().is_zero():
+    flist = [f for f, _ in factors]
+    mults = [k for _, k in factors]
+    one = PolySeries.constant(dim, 1)
+    cofs, q, q_over = _quotients(flist, mults, one)
+    ok, unit = poly_divides(cofs[0] * flist[0], g)
+    if not ok or unit.constant_term().is_zero():
         raise GermError("g is not a unit times the claimed factorization")
+    if unit != one:  # g = unit * prod: every quotient carries the unit
+        cofs, q, q_over = [unit * c for c in cofs], unit * q, [unit * h for h in q_over]
     if phi_degree_bound is None:
         phi_degree_bound = g.total_degree()
 
-    flist = [f for f, _ in factors]
-    mults = [k for _, k in factors]
-    # column blocks: one residue per factor, then phi coefficients
+    # (component, monomial) -> {column: coefficient} of the cleared identity,
+    # with omega at column ncols; columns are the residues, then phi's
+    # coefficients.  Residue column j is cof_j df_j; phi column x^m is
+    # m_i x^(m - u_i) q - x^m D_i with D_i = sum_j (k_j - 1) (q/f_j) df_j/dz_i,
+    # shifts and scales of q and D_i with no product.
     phi_monomials = monomials_up_to(dim, phi_degree_bound)
-    ncols = len(flist) + len(phi_monomials)
-
-    # columns of the cleared identity, evaluated generator by generator
-    def cleared_columns():
-        cols = []
-        for j, f in enumerate(flist):
-            cofactor = unit * _exact_quotient(prod, f)
-            cols.append([cofactor * f.partial(i) for i in range(dim)])
-        reduced = PolySeries.constant(dim, 1)
-        for f, k in zip(flist, mults):
-            reduced = reduced * f ** (k - 1)
-        q = unit * _exact_quotient(prod, reduced)
-        # (k - 1) * (q / f) * df per repeated factor, the same for every phi
-        drifts = [
-            [_exact_quotient(q, f) * f.partial(i) * (k - 1) for i in range(dim)]
-            for f, k in zip(flist, mults)
-            if k > 1
-        ]
-        for e in phi_monomials:
-            phi = PolySeries.monomial(dim, e)
-            col = [q * phi.partial(i) for i in range(dim)]
-            for drift in drifts:
-                col = [ci - di * phi for ci, di in zip(col, drift)]
-            cols.append(col)
-        return cols
-
-    cols = cleared_columns()
-    support = [set() for _ in range(dim)]
-    for col in cols:
+    n, ncols, cap = len(flist), len(flist) + len(phi_monomials), _term_cap()
+    rows: dict[tuple[int, Exponent], linalg.SparseRow] = {}
+    for j, (cof, f) in enumerate(zip(cofs, flist)):
         for i in range(dim):
-            support[i].update(col[i].terms)
-    for i in range(dim):
-        support[i].update(omega.coeffs[i].terms)
-    rows, rhs = [], []
-    for i in range(dim):
-        for e in sorted(support[i], key=monomial_key):
-            rows.append([col[i].coefficient(e) for col in cols])
-            rhs.append(omega.coeffs[i].coefficient(e))
-    solution, consistent = linalg.solve(rows, rhs, ncols)
+            for e, c in _sum_of_products([(1, cof, f, i)], cap).terms.items():
+                rows.setdefault((i, e), {})[j] = c
+    drifts = [(1 - k, h, f) for f, k, h in zip(flist, mults, q_over) if k > 1]
+    minus_d = [_sum_of_products([(*t, i) for t in drifts], cap).terms if drifts else {}
+               for i in range(dim)]
+    for col, m in enumerate(phi_monomials, n):
+        for i in range(dim):
+            image = {}
+            if mi := m[i]:
+                shift = m[:i] + (mi - 1,) + m[i + 1:]
+                image = {tuple(map(add, e, shift)): c * mi for e, c in q.terms.items()}
+            for e, c in minus_d[i].items():
+                key = tuple(map(add, e, m))
+                image[key] = image[key] + c if key in image else c
+            for key, c in image.items():
+                if c:
+                    rows.setdefault((i, key), {})[col] = c
+    for i, comp in enumerate(omega.coeffs):
+        for e, c in comp.terms.items():
+            rows.setdefault((i, e), {})[ncols] = c
+    # the pseudo-solution of an inconsistent system depends on the row order
+    order = sorted(rows, key=lambda r: (r[0], monomial_key(r[1])))
+    solution, consistent = linalg.solve([rows[r] for r in order], ncols)
+    phi = PolySeries(dim, {e: c for e, c in zip(phi_monomials, solution[n:]) if c})
+    decomposition = LogDecomposition(tuple(flist), tuple(mults), tuple(solution[:n]), phi)
+    # the check rebuilds the form from the decomposition, not from the columns
+    cleared = decomposition._cleared((cofs, q, q_over))
     if not consistent:
         # deterministic pseudo-solution so the residual is reproducible
-        candidate = _assemble(flist, mults, solution, phi_monomials, dim)
-        reconstructed = candidate.reconstruct_cleared(g, unit)
-        residual_form = OneFormJet(
-            [omega.coeffs[i] - reconstructed.coeffs[i] for i in range(dim)]
-        )
-        return LogDecompositionResult(False, None, residual_form)
-    decomposition = _assemble(flist, mults, solution, phi_monomials, dim)
-    reconstructed = decomposition.reconstruct_cleared(g, unit)
-    if any(
-        not (reconstructed.coeffs[i] - omega.coeffs[i]).is_zero()
-        for i in range(dim)
-    ):
+        residual = OneFormJet([a - b for a, b in zip(omega.coeffs, cleared.coeffs)])
+        return LogDecompositionResult(False, None, residual)
+    if cleared.coeffs != omega.coeffs:
         raise GermError("internal error: reconstruction failed after solve")
     return LogDecompositionResult(True, decomposition, None)
-
-
-def _assemble(flist, mults, vector, phi_monomials, dim) -> LogDecomposition:
-    residues = tuple(vector[: len(flist)])
-    phi_terms = {
-        e: c for e, c in zip(phi_monomials, vector[len(flist):]) if not c.is_zero()
-    }
-    return LogDecomposition(
-        tuple(flist), tuple(mults), residues, PolySeries(dim, phi_terms)
-    )
 
 
 def cauchy_riemann_pair(f: PolySeries, max_degree: int) -> tuple[VectorFieldJet, VectorFieldJet]:
     """Split f(x + i y) = u + i v and return the commuting pair
     X = u d/dx + v d/dy, Y = v d/dx - u d/dy, truncated at max_degree.
 
-    For real points the imaginary split is u = (F + conj(F))/2 with
-    conj(F)(x, y) = fbar(x - i y), fbar conjugating the coefficients; both u
-    and v come out with rational coefficients and the Cauchy-Riemann
+    Written in closed form: c (x + i y)^k = sum_j C(k, j) c i^j x^(k-j) y^j,
+    so the x^(k-j) y^j coefficient of u is C(k, j) Re(c i^j) and that of v is
+    C(k, j) Im(c i^j).  Both come out rational, and the Cauchy-Riemann
     equations make [X, Y] vanish identically.
     """
     if f.dim != 1:
         raise GermError("cauchy_riemann_pair expects a one-variable series")
-    xv = PolySeries.variable(2, 0)
-    yv = PolySeries.variable(2, 1)
-    forward = f.substitute([xv + yv * I])
-    backward = f.conjugate_coefficients().substitute([xv - yv * I])
-    half = ONE / GaussianRational(2)
-    u = (forward + backward) * half
-    v = (forward - backward) * (ONE / GaussianRational(0, 2))
-    u = u.truncated(max_degree)
-    v = v.truncated(max_degree)
-    x = VectorFieldJet([u, v])
-    y = VectorFieldJet([v, -u])
-    return x, y
+    if max_degree < 0:
+        raise ValueError("truncation degree must be >= 0")
+    n = max_degree if f.trunc is None else min(f.trunc, max_degree)
+    d, nums = over_common_denominator(f.terms.values())
+    u, v = {}, {}
+    for ((k,), (a, b)) in zip(f.terms, nums):
+        if k > n:
+            continue
+        for j in range(k + 1):
+            # c i^j with c = (a + b i)/d
+            re, im = ((a, b), (-b, a), (-a, -b), (b, -a))[j % 4]
+            if re:
+                u[(k - j, j)] = _reduce(comb(k, j) * re, 0, d)
+            if im:
+                v[(k - j, j)] = _reduce(comb(k, j) * im, 0, d)
+    u, v = _trusted(2, u, n), _trusted(2, v, n)
+    return VectorFieldJet([u, v]), VectorFieldJet([v, -u])

@@ -8,7 +8,8 @@ column, which is then cleared from the other pivot rows.  RREF is unique, so
 results do not depend on insertion order, and with the graded-lex column
 order chosen by callers every kernel basis is reproducible bit for bit.  The
 kernel constraint matrices are about 1 % dense, so pivot rows stay short.
-The module functions take and return dense rows (lists of GaussianRational).
+The module functions take and return dense rows (lists of GaussianRational),
+except solve, which takes sparse rows.
 """
 
 from __future__ import annotations
@@ -106,18 +107,19 @@ def span_equal(a: Matrix, b: Matrix, ncols: int) -> bool:
     return _echelon(a, ncols).rows == _echelon(b, ncols).rows
 
 
-def solve(rows: Matrix, rhs: Vector, ncols: int) -> tuple[Vector, bool]:
-    """Solve M v = rhs exactly, free variables pinned to zero.
+def solve(rows: list[SparseRow], ncols: int) -> tuple[Vector, bool]:
+    """Solve M v = b exactly, free variables pinned to zero.  Each sparse row
+    holds its entries of M and, at column ncols, its entry of b.
 
-    Returns (v, consistent).  The rows of [M | rhs] are inserted in order,
-    skipping any row whose remainder is only a rhs entry (it contradicts the
-    rows kept before it), so v solves a maximal consistent subsystem and
-    consistent is False exactly when a row was skipped.
+    Returns (v, consistent).  The rows are inserted in order, skipping any
+    row whose remainder is only a b entry (it contradicts the rows kept
+    before it), so v solves a maximal consistent subsystem and consistent is
+    False exactly when a row was skipped.
     """
     ech = Echelon(ncols + 1)
     consistent = True
-    for r, t in zip(rows, rhs):
-        tail = ech.reduce({c: a for c, a in enumerate([*r, t]) if a})
+    for row in rows:
+        tail = ech.reduce(row)
         if list(tail) == [ncols]:
             consistent = False
         else:

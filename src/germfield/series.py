@@ -322,11 +322,6 @@ class PolySeries:
             total = total + v
         return total
 
-    def conjugate_coefficients(self) -> "PolySeries":
-        return PolySeries(
-            self.dim, {e: c.conjugate() for e, c in self.terms.items()}, self.trunc
-        )
-
     def substitute(self, images: list["PolySeries"], allow_shift: bool = False) -> "PolySeries":
         """Exact truncated composition self(images[0], ..., images[n-1]).
 
@@ -361,9 +356,8 @@ class PolySeries:
         trunc = min(finite) if finite else None
 
         cap = _term_cap()
-        out: dict[Exponent, GaussianRational] = {}
-        # cache image powers (every use goes through _product, which cuts at
-        # trunc); exponents are small in practice
+        # cache image powers (every use goes through _product or _combination,
+        # which cut at trunc); exponents are small in practice
         powers = [{1: g} for g in images]
 
         def power(i: int, k: int) -> PolySeries:
@@ -371,14 +365,17 @@ class PolySeries:
                 powers[i][k] = _product(power(i, k - 1), powers[i][1], trunc, cap)
             return powers[i][k]
 
+        # one sum of products: each term's last image power is multiplied,
+        # and the terms summed, in the same pass
         one = (0,) * target
+        pairs = []
         for e, c in self.terms.items():
             term = _trusted(target, {one: c}, trunc)
-            for i, k in enumerate(e):
-                if k:
-                    term = _product(term, power(i, k), trunc, cap)
-            _accumulate(out, term.terms.items(), cap)
-        return _trusted(target, out, trunc)
+            factors = [power(i, k) for i, k in enumerate(e) if k]
+            for p in factors[:-1]:
+                term = _product(term, p, trunc, cap)
+            pairs.append((1, term, factors[-1] if factors else None))
+        return _combination(target, pairs, trunc, cap) if pairs else _trusted(target, {}, trunc)
 
     # -- comparison / display -------------------------------------------------
 

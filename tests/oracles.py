@@ -16,6 +16,7 @@ from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from germfield import PolySeries, VectorFieldJet
+from germfield.gaussian import gq
 
 _SYMS = sympy.symbols("x y z")
 
@@ -32,6 +33,15 @@ def poly_to_sympy(f: PolySeries):
 
 def field_to_sympy(x: VectorFieldJet):
     return [poly_to_sympy(c) for c in x.comps]
+
+
+def poly_from_sympy(expr, dim: int) -> PolySeries:
+    """The exact polynomial of a sympy expression in the first dim symbols."""
+    terms = {}
+    for e, c in sympy.Poly(expr, *_SYMS[:dim]).terms():
+        re_part, im_part = (sympy.Rational(q) for q in c.as_real_imag())
+        terms[e] = gq(Fraction(int(re_part.p), int(re_part.q)), Fraction(int(im_part.p), int(im_part.q)))
+    return PolySeries(dim, terms)
 
 
 def sympy_bracket(xs, ys, dim):
@@ -318,3 +328,46 @@ def sympy_classify_linear(rows) -> tuple:
     ).rank() == 1
     case = "nondiagonal_resonant" if jordan else "semisimple"
     return (case, "rational" if ratios else "irrational", ratio, ratios, eigenvalues)
+
+
+# -- integrability oracles ---------------------------------------------------------
+
+
+def sympy_cauchy_riemann(f: PolySeries, max_degree: int):
+    """(u, v, n) with u + i v = f(x + i y) as sympy expands it, cut at degree
+    n = min(f's truncation degree, max_degree), for a one-variable f."""
+    xs, ys = _SYMS[:2]
+    n = max_degree if f.trunc is None else min(f.trunc, max_degree)
+    whole = sympy.Poly(sympy.expand(poly_to_sympy(f).subs(xs, xs + sympy.I * ys)), xs, ys)
+    u = v = sympy.Integer(0)
+    for (a, b), c in whole.terms():
+        if a + b <= n:
+            re_part, im_part = c.as_real_imag()
+            u += re_part * xs**a * ys**b
+            v += im_part * xs**a * ys**b
+    return u, v, n
+
+
+def sympy_log_form(factors, residues, phi):
+    """(g, [omega_x, omega_y]) with g = prod_j f_j^k_j and omega = g (sum_j
+    lam_j df_j/f_j + d(phi / D)), D = prod_j f_j^(k_j - 1), on sympy
+    polynomials over QQ_I: d(phi / D) by the quotient rule, and every
+    division by f_j or D^2 exact; factors are (PolySeries, k) pairs."""
+    gens = _SYMS[:2]
+
+    def poly(f):
+        return sympy.Poly(poly_to_sympy(f), *gens, domain=QQ_I)
+
+    fs = [(poly(f), k) for f, k in factors]
+    g = d = sympy.Poly(1, *gens, domain=QQ_I)
+    for f, k in fs:
+        g, d = g * f**k, d * f ** (k - 1)
+    lams = [QQ_I(c.re, c.im) for c in residues]
+    phi = poly(phi)
+    omega = []
+    for s in gens:
+        total = (g * (d * phi.diff(s) - phi * d.diff(s))).exquo(d**2)
+        for (f, _), lam in zip(fs, lams):
+            total += (g * f.diff(s)).exquo(f).mul_ground(lam)
+        omega.append(total.as_expr())
+    return g.as_expr(), omega

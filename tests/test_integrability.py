@@ -1,12 +1,21 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+import sympy
+from hypothesis import example, given, settings
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import field_to_sympy, poly_from_sympy, poly_to_sympy, sympy_cauchy_riemann, sympy_log_form
 
 from germfield import (
     GermError,
     MeromorphicRatio,
     OneFormJet,
     PolySeries,
+    TruncationError,
     poly_divides,
     cauchy_riemann_pair,
     closedness_check,
@@ -166,6 +175,38 @@ class TestLogDecomposition:
         assert not result.success
         assert result.residual == parse_one_form("(x + x*y) dy")
 
+    def test_truncated_form_refused(self):
+        # the degree-2 jet is x^2 dy - y dx, which decomposes with residues
+        # (0, 1) and phi = 1, but the exact form leaves (x^3*y) dy over
+        omega = parse_one_form("x^2 dy - y dx + x^3*y dy")
+        factors = [(P("x"), 2), (P("y"), 1)]
+        exact = log_decomposition(omega, P("x^2*y"), factors)
+        assert not exact.success and exact.residual == parse_one_form("(x^3*y) dy")
+        jet = OneFormJet([c.truncated(2) for c in omega.coeffs])
+        with pytest.raises(TruncationError):
+            log_decomposition(jet, P("x^2*y"), factors)
+
+    def test_negative_phi_bound_refused_before_any_product(self, monkeypatch):
+        omega, g, factors = parse_one_form("x^2 dy - y dx"), P("x^2*y"), [(P("x"), 2), (P("y"), 1)]
+
+        def no_product(*args):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(PolySeries, "__mul__", no_product)
+        with pytest.raises(GermError, match="phi degree bound"):
+            log_decomposition(omega, g, factors, -1)
+
+    @pytest.mark.parametrize("unit", ["2", "1 + y", "3 - i*x + x*y"])
+    def test_unit_times_the_factorization(self, unit):
+        # omega/g is unchanged when both are multiplied by a unit
+        omega, g = dual_form(saddle_node(gq(0, 1))), P("x^2*y")
+        factors = [(P("x"), 2), (P("y"), 1)]
+        u = P(unit)
+        scaled = log_decomposition(OneFormJet([c * u for c in omega.coeffs]), g * u, factors)
+        assert scaled.decomposition == log_decomposition(omega, g, factors).decomposition
+        cleared = scaled.decomposition.reconstruct_cleared(g * u, u)
+        assert cleared == OneFormJet([c * u for c in omega.coeffs])
+
     def test_wrong_factorization_rejected(self):
         with pytest.raises(GermError):
             log_decomposition(
@@ -256,3 +297,75 @@ class TestCauchyRiemann:
         x, y = cauchy_riemann_pair(f, 3)
         assert x.trunc == 3 and y.trunc == 3
         assert lie_bracket(x, y).is_zero()  # zero through the certified degree
+
+
+# -- against sympy ---------------------------------------------------------------
+
+GAUSSIANS = st.builds(
+    lambda a, b, d: gq(Fraction(a, d), Fraction(b, d)),
+    st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([1, 2, 3]),
+)
+NONZERO = GAUSSIANS.filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def univariate_cases(draw):
+    """(f, N): a Q(i) polynomial in one variable, total or truncated, and a
+    cut N below, at or above its degree."""
+    terms = draw(st.dictionaries(st.integers(0, 7), GAUSSIANS, max_size=5))
+    f = PolySeries(1, {(k,): c for k, c in terms.items()})
+    n = draw(st.integers(0, f.total_degree() + 3))
+    if draw(st.booleans()):
+        f = f.truncated(draw(st.integers(0, 8)))
+    return f, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(univariate_cases())
+@example((PolySeries(1, {(5,): gq(1), (2,): gq(0, 1)}), 3))
+@example((PolySeries(1, {(5,): gq(1), (2,): gq(0, 1)}), 8))
+@example((PolySeries(1, {(1,): gq(2, -1), (6,): gq(Fraction(1, 2), 3)}).truncated(4), 6))
+def test_cauchy_riemann_pair_against_sympy(case):
+    f, n = case
+    x, y = cauchy_riemann_pair(f, n)
+    u, v, trunc = sympy_cauchy_riemann(f, n)
+    assert x.trunc == y.trunc == trunc
+    got = field_to_sympy(x) + field_to_sympy(y)
+    assert all(sympy.expand(a - b) == 0 for a, b in zip(got, [u, v, v, -u]))
+
+
+def _factor_shapes(draw):
+    """Three coprime factors through 0, shaped like the bench's."""
+    a, b, c, d = (draw(GAUSSIANS) for _ in range(4))
+    e = draw(NONZERO)
+    return [
+        PolySeries(2, {(1, 0): 1, (0, 2): a, (1, 1): b}),
+        PolySeries(2, {(0, 1): 1, (2, 0): c}),
+        PolySeries(2, {(1, 0): 1, (0, 1): d, (0, 3): e}),
+    ]
+
+
+# the bench's multiplicities, and one with k = 3, where dropping the factor
+# k - 1 of d(phi / D) would show
+@pytest.mark.parametrize("mults", [(2, 1, 1), (1, 2, 1), (1, 1, 2), (3, 1, 2)])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_log_decomposition_round_trip_against_sympy(mults, data):
+    fs = _factor_shapes(data.draw)
+    residues = [data.draw(GAUSSIANS) for _ in fs]
+    phi_terms = data.draw(st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+                                          GAUSSIANS, max_size=4))
+    unit = data.draw(st.sampled_from(["1", "2", "1 + y", "3 - i*x"]))
+    g, omega = sympy_log_form(list(zip(fs, mults)), residues, PolySeries(2, phi_terms))
+    u = parse_poly(unit)
+    g, omega = g * poly_to_sympy(u), [c * poly_to_sympy(u) for c in omega]
+    result = log_decomposition(
+        OneFormJet([poly_from_sympy(c, 2) for c in omega]), poly_from_sympy(g, 2),
+        list(zip(fs, mults)), 3,
+    )
+    assert result.success
+    d = result.decomposition
+    assert list(d.residues) == residues
+    # phi is unique up to a multiple of D; the form it gives is not
+    _, again = sympy_log_form(list(zip(fs, mults)), d.residues, d.phi)
+    assert all(sympy.expand(a * poly_to_sympy(u) - b) == 0 for a, b in zip(again, omega))

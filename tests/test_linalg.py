@@ -74,8 +74,9 @@ def test_eliminator_matches_sympy(case):
 def test_solve_consistency_matches_rank(case, data):
     rows, ncols = case
     rhs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
-    v, consistent = linalg.solve(_ours(rows), [gq(*t) for t in rhs], ncols)
     augmented = [row + [t] for row, t in zip(rows, rhs)]
+    # sparse rows of [M | rhs], the rhs entry at column ncols
+    v, consistent = linalg.solve([{c: a for c, a in enumerate(r) if a} for r in _ours(augmented)], ncols)
     assert consistent == (len(sympy_rref(augmented, ncols + 1)[1]) == len(sympy_rref(rows, ncols)[1]))
     satisfied = [
         sum((a * x for a, x in zip(row, v)), gq(0)) == gq(*t)

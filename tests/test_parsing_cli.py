@@ -226,6 +226,14 @@ class TestCli:
         )
         assert rc == 1
 
+    def test_log_decomp_negative_phi_bound_is_exit_2(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "log-decomp", "x^2 dy - y dx", "--denominator", "x^2*y",
+            "--factor", "x:2", "--factor", "y:1", "--phi-bound", "-1",
+        )
+        assert (rc, out) == (2, "")
+        assert "phi degree bound" in err
+
     def test_table_row7(self, capsys):
         rc, out, _ = run_cli(capsys, "table", "7")
         assert rc == 0
