@@ -24,7 +24,7 @@ from math import comb
 from operator import add
 
 from . import linalg
-from .gaussian import ONE, ZERO, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
 from .series import GermError, PolySeries, TruncationError, monomial_key, monomials_up_to
 from .fields import VectorFieldJet, radial_field, wedge
 
@@ -32,7 +32,7 @@ Exponent = tuple[int, ...]
 
 # Kernel solves refuse more unknowns than this before listing a column, and
 # resonances more candidate exponents before listing one; a plane normal form
-# near this size takes about 1.5 s, a dense field far more.
+# near this size takes about 0.1 s, a dense field far more.
 MAX_UNKNOWNS = 10_000
 
 
@@ -152,30 +152,40 @@ def _constraint_rows(x: VectorFieldJet, columns) -> dict[tuple[int, Exponent], l
 
     [X, x^e d_i] = X(x^e) d_i - x^e sum_k (dX_k/dx_i) d_k, and for a function
     column X(x^e) = sum_j e_j X_j x^(e - u_j): both are X's terms (or its
-    partials' terms) shifted and scaled, so no product is formed.  Entries
-    that cancel within a column are dropped."""
+    partials' terms) shifted and scaled, so no product is formed.  Every
+    coefficient is a Gaussian-integer numerator over D, the lcm of X's
+    denominators, so a column's image is summed in ints and each entry that
+    does not cancel becomes one Q(i) scalar."""
     dim = x.dim
-    terms = [list(c.terms.items()) for c in x.comps]
-    neg_partials = [[list((-c.partial(i)).terms.items()) for c in x.comps] for i in range(dim)]
+    d, nums = over_common_denominator([c for comp in x.comps for c in comp.terms.values()])
+    nums = iter(nums)
+    terms = [[(a, next(nums)) for a in comp.terms] for comp in x.comps]
+    # neg_partials[i][k]: the terms of -dX_k/dx_i
+    neg_partials = [
+        [[(a[:i] + (a[i] - 1,) + a[i + 1:], (-a[i] * p, -a[i] * q)) for a, (p, q) in t if a[i]]
+         for t in terms]
+        for i in range(dim)
+    ]
     rows: dict[tuple[int, Exponent], linalg.SparseRow] = {}
     for col, (e, i) in enumerate(columns):
-        image: dict[tuple[int, Exponent], GaussianRational] = {}
+        image: dict[tuple[int, Exponent], tuple[int, int]] = {}
         slot = 0 if i is None else i
         for j, ej in enumerate(e):
             if ej:
                 shift = e[:j] + (ej - 1,) + e[j + 1:]
-                for a, c in terms[j]:
+                for a, (p, q) in terms[j]:
                     key = (slot, tuple(map(add, a, shift)))
-                    v = c * ej
-                    image[key] = v + image[key] if key in image else v
+                    s, t = image.get(key, (0, 0))
+                    image[key] = (s + ej * p, t + ej * q)
         if i is not None:
             for k, dk in enumerate(neg_partials[i]):
-                for b, c in dk:
+                for b, (p, q) in dk:
                     key = (k, tuple(map(add, b, e)))
-                    image[key] = c + image[key] if key in image else c
-        for key, c in image.items():
-            if c:
-                rows.setdefault(key, {})[col] = c
+                    s, t = image.get(key, (0, 0))
+                    image[key] = (s + p, t + q)
+        for key, (p, q) in image.items():
+            if p or q:
+                rows.setdefault(key, {})[col] = _reduce(p, q, d)
     return rows
 
 

@@ -4,10 +4,12 @@ One routine does the work: ``Echelon.insert`` keeps the reduced row echelon
 form (RREF) of the rows inserted so far.  Rows are ``{column:
 GaussianRational}`` dicts holding only nonzeros.  An inserted row is reduced
 against the pivot rows; a nonzero remainder is normalized at its leftmost
-column, which is then cleared from the other pivot rows.  RREF is unique, so
-results do not depend on insertion order, and with the graded-lex column
-order chosen by callers every kernel basis is reproducible bit for bit.  The
-kernel constraint matrices are about 1 % dense, so pivot rows stay short.
+column, which is then cleared from the other pivot rows.  Only pivot rows
+inserted with a nonempty tail are revisited: a row that is a bare pivot can
+never gain an entry.  RREF is unique, so results do not depend on insertion
+order, and with the graded-lex column order chosen by callers every kernel
+basis is reproducible bit for bit.  The kernel constraint matrices are about
+1 % dense and the normal forms' nearly diagonal, so pivot rows stay short.
 The module functions take and return dense rows (lists of GaussianRational),
 except solve, which takes sparse rows.
 """
@@ -38,6 +40,9 @@ class Echelon:
     def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
         self.rows: dict[int, SparseRow] = {}
+        # the pivot rows inserted with a nonempty tail, the only ones that
+        # back-substitution can reach (a bare pivot row never gains an entry)
+        self._tailed: dict[int, SparseRow] = {}
         for row in rows:
             self.insert(row)
 
@@ -52,16 +57,21 @@ class Echelon:
 
     def insert(self, row: SparseRow):
         """Add row to the span (a row already in it changes nothing)."""
-        tail = self.reduce(row)
-        if not tail:
+        self._insert_reduced(self.reduce(row))
+
+    def _insert_reduced(self, rem: SparseRow):
+        """Add a remainder already reduced modulo the pivot rows (consumed)."""
+        if not rem:
             return
-        p = min(tail)
-        inv = ONE / tail.pop(p)
-        tail = {c: v * inv for c, v in tail.items()}
-        for other in self.rows.values():
+        p = min(rem)
+        lead = rem.pop(p)
+        if rem:
+            inv = ONE / lead
+            rem = self._tailed[p] = {c: v * inv for c, v in rem.items()}
+        for other in self._tailed.values():
             if p in other:
-                _subtract(other, other.pop(p), tail)
-        self.rows[p] = tail
+                _subtract(other, other.pop(p), rem)
+        self.rows[p] = rem
 
     def basis(self) -> list[SparseRow]:
         """The reduced rows, ordered by pivot column."""
@@ -119,11 +129,11 @@ def solve(rows: list[SparseRow], ncols: int) -> tuple[Vector, bool]:
     ech = Echelon(ncols + 1)
     consistent = True
     for row in rows:
-        tail = ech.reduce(row)
-        if list(tail) == [ncols]:
+        rem = ech.reduce(row)
+        if list(rem) == [ncols]:
             consistent = False
         else:
-            ech.insert(tail)
+            ech._insert_reduced(rem)
     v = [ZERO] * ncols
     for p, tail in ech.rows.items():
         v[p] = tail.get(ncols, ZERO)

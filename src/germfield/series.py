@@ -56,18 +56,14 @@ def monomial_key(e: Exponent) -> tuple[int, tuple[int, ...]]:
 
 def monomials_up_to(dim: int, max_deg: int, min_deg: int = 0) -> list[Exponent]:
     """All exponent tuples with min_deg <= |e| <= max_deg in graded-lex order."""
-
-    def gen(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for k in range(remaining + 1):
-            yield from gen(prefix + (k,), remaining - k, slots - 1)
-
-    out = []
-    for d in range(min_deg, max_deg + 1):
-        out.extend(gen((), d, dim))
-    return sorted(out, key=monomial_key)
+    # by_degree[d]: the degree-d exponents in the slots built so far, in
+    # order; the last slot is outermost, each head in order for one slot fewer
+    by_degree = [[(d,)] for d in range(max_deg + 1)]
+    for _ in range(dim - 1):
+        by_degree = [
+            [h + (k,) for k in range(d + 1) for h in by_degree[d - k]] for d in range(max_deg + 1)
+        ]
+    return [e for d in range(max(min_deg, 0), max_deg + 1) for e in by_degree[d]]
 
 
 def _coerce_scalar(c) -> GaussianRational:

@@ -2,7 +2,8 @@
 
 RREF is unique, so rref, rank and nullspace must agree with the oracle
 exactly, entry for entry, on random sparse Q(i) matrices with zero rows,
-repeated rows and full rank.
+repeated rows and full rank, and on nearly diagonal ones like the normal
+forms' kernel systems, where only the rows with tails are back-substituted.
 """
 
 import sys
@@ -10,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -57,10 +59,36 @@ def _pairs(rows):
     return [[(v.re, v.im) for v in row] for row in rows]
 
 
-@settings(max_examples=300, deadline=None)
-@given(matrices())
-def test_eliminator_matches_sympy(case):
-    rows, ncols = case
+ONE = (Fraction(1), Fraction(0))
+
+
+def _row(ncols, entries):
+    row = [ZERO] * ncols
+    for c, a in entries.items():
+        row[c] = a
+    return row
+
+
+@st.composite
+def near_diagonal(draw):
+    """(rows, ncols): mostly one-entry rows plus a few rows with tails, up to
+    12 columns, in random order."""
+    ncols = draw(st.integers(2, 12))
+    cols = st.integers(0, ncols - 1)
+    rows = [_row(ncols, {c: draw(SCALARS)}) for c in draw(st.lists(cols, max_size=12))]
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.sets(cols, min_size=2, max_size=4))
+        rows.append(_row(ncols, {c: draw(SCALARS) for c in support}))
+    return draw(st.permutations(rows)), ncols
+
+
+# a one-entry row whose column a later row with a tail holds, and a row with
+# a tail whose tail column later becomes a one-entry pivot
+ONE_ENTRY_FIRST = ([_row(3, {1: ONE}), _row(3, {0: ONE, 1: ONE, 2: ONE})], 3)
+TAIL_FIRST = ([_row(3, {0: ONE, 1: ONE, 2: ONE}), _row(3, {1: ONE}), _row(3, {2: ONE})], 3)
+
+
+def _check_eliminator(rows, ncols):
     red, pivots = linalg.rref(_ours(rows), ncols)
     want_red, want_pivots = sympy_rref(rows, ncols)
     assert (pivots, _pairs(red)) == (want_pivots, want_red)
@@ -69,11 +97,19 @@ def test_eliminator_matches_sympy(case):
     assert linalg.span_equal(_ours(rows), _ours(want_red), ncols)
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices(), st.data())
-def test_solve_consistency_matches_rank(case, data):
-    rows, ncols = case
-    rhs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_eliminator_matches_sympy(case):
+    _check_eliminator(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_diagonal())
+def test_near_diagonal_eliminator_matches_sympy(case):
+    _check_eliminator(*case)
+
+
+def _check_solve(rows, ncols, rhs):
     augmented = [row + [t] for row, t in zip(rows, rhs)]
     # sparse rows of [M | rhs], the rhs entry at column ncols
     v, consistent = linalg.solve([{c: a for c, a in enumerate(r) if a} for r in _ours(augmented)], ncols)
@@ -90,3 +126,25 @@ def test_solve_consistency_matches_rank(case, data):
         if not ok:
             grown = kept + [row]
             assert len(sympy_rref(grown, ncols + 1)[1]) > len(sympy_rref([r[:ncols] for r in grown], ncols)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_solve_consistency_matches_rank(case, data):
+    rows, ncols = case
+    _check_solve(rows, ncols, data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_diagonal(), st.data())
+def test_near_diagonal_solve_matches_rank(case, data):
+    rows, ncols = case
+    _check_solve(rows, ncols, data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows))))
+
+
+@pytest.mark.parametrize("case", [ONE_ENTRY_FIRST, TAIL_FIRST], ids=["one_entry_first", "tail_first"])
+def test_one_entry_and_tailed_rows_in_either_order(case):
+    rows, ncols = case
+    _check_eliminator(rows, ncols)
+    _check_solve(rows, ncols, [ONE] * len(rows))
+    _check_solve(rows, ncols, [ONE] + [ZERO] * (len(rows) - 1))

@@ -19,6 +19,7 @@ from germfield.series import (
     _product,
     divide_by_variable_power,
     monomial_key,
+    monomials_up_to,
     variable_power_dividing,
 )
 
@@ -142,6 +143,17 @@ def test_jet_equality_up_to_common_truncation():
     b = P("x").truncated(5)
     assert a.jet_equal(b)
     assert not a.jet_equal(P("x + y").truncated(2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_monomials_up_to_is_sorted_product(dim):
+    for n in range(7):
+        for min_deg in range(3):
+            want = sorted(
+                (e for e in itertools.product(range(n + 1), repeat=dim) if min_deg <= sum(e) <= n),
+                key=monomial_key,
+            )
+            assert monomials_up_to(dim, n, min_deg) == want
 
 
 def test_variable_power_division():
