@@ -21,18 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
-from .series import GermError, PolySeries, TruncationError, monomial_key, monomials_up_to
+from .series import GermError, PolySeries, TruncationError, _trusted, monomial_key, monomials_up_to
 from .fields import VectorFieldJet, radial_field, wedge
 
 Exponent = tuple[int, ...]
 
 # Kernel solves refuse more unknowns than this before listing a column, and
 # resonances more candidate exponents before listing one; a plane normal form
-# near this size takes about 0.1 s, a dense field far more.
+# near this size (x, -y at N = 98) takes under 0.01 s on its resonant columns,
+# a dense field far more.
 MAX_UNKNOWNS = 10_000
 
 
@@ -189,27 +190,78 @@ def _constraint_rows(x: VectorFieldJet, columns) -> dict[tuple[int, Exponent], l
     return rows
 
 
+def _weights(lams: list[tuple[int, int]], exps) -> list[tuple[int, int]]:
+    """<lambda, e> for each exponent e, lambda written as Gaussian-integer
+    numerators (re, im)."""
+    re, im = zip(*lams)
+    return [(sum(map(mul, e, re)), sum(map(mul, e, im))) for e in exps]
+
+
+def _dot(u, v) -> tuple[int, int]:
+    """sum u_k v_k over Gaussian integers written as (re, im) pairs."""
+    pairs = list(zip(u, v))
+    return sum(a * c - b * d for (a, b), (c, d) in pairs), sum(a * d + b * c for (a, b), (c, d) in pairs)
+
+
+def _normal_form_weights(x: VectorFieldJet) -> list[tuple[int, int]] | None:
+    """lambda = diag(A), A the linear part of X, as numerators over one
+    denominator, when X is in Poincare-Dulac normal form with respect to
+    S = sum lambda_i z_i d_i; None otherwise.
+
+    The conditions: X(0) = 0, lambda != 0, A - diag(A) nilpotent (so S is
+    the semisimple part of A) and every term c z^e d_i of X resonant,
+    <lambda, e> = lambda_i.  Then [S, X] = 0, the kernel systems split into
+    blocks by the weight of a column, and only the weight-0 block has a
+    kernel (notes/decisions.md, "Normal-form kernels on resonant columns")."""
+    dim = x.dim
+    if not x.vanishes_at_origin():
+        return None
+    _, flat = over_common_denominator([c for row in x.linear_part_matrix() for c in row])
+    lams = flat[:: dim + 1]
+    if not any(map(any, lams)):
+        return None
+    off = [[(0, 0) if i == j else flat[i * dim + j] for j in range(dim)] for i in range(dim)]
+    power = off
+    for _ in range(dim):  # off^1, ..., off^dim until one vanishes
+        if not any(any(a) for row in power for a in row):
+            break
+        power = [[_dot(row, col) for col in zip(*off)] for row in power]
+    else:
+        return None
+    if any(w != lams[i] for i, comp in enumerate(x.comps) for w in _weights(lams, comp.terms)):
+        return None
+    return lams
+
+
 class _FieldKernel(_JetKernelProblem):
     def __init__(self, x: VectorFieldJet, max_degree: int):
         _check_unknowns(x.dim * comb(max_degree + x.dim, x.dim))
-        super().__init__(x, max_degree, _field_columns(x.dim, max_degree))
+        if lams := _normal_form_weights(x):
+            exps = monomials_up_to(x.dim, max_degree)
+            pairs = zip(exps, _weights(lams, exps))
+            cols = [(e, i) for e, w in pairs for i, li in enumerate(lams) if w == li]
+        else:
+            cols = _field_columns(x.dim, max_degree)
+        super().__init__(x, max_degree, cols)
 
     def value(self, vector) -> VectorFieldJet:
         comps_terms = [dict() for _ in range(self.dim)]
         for col, c in vector.items():
             e, i = self.columns[col]
             comps_terms[i][e] = c
-        return VectorFieldJet([PolySeries(self.dim, t) for t in comps_terms])
+        return VectorFieldJet([_trusted(self.dim, t, None) for t in comps_terms])
 
 
 class _IntegralKernel(_JetKernelProblem):
     def __init__(self, x: VectorFieldJet, max_degree: int):
         _check_unknowns(comb(max_degree + x.dim, x.dim) - 1)
-        cols = [(e, None) for e in monomials_up_to(x.dim, max_degree, min_deg=1)]
-        super().__init__(x, max_degree, cols)
+        exps = monomials_up_to(x.dim, max_degree, min_deg=1)
+        if lams := _normal_form_weights(x):
+            exps = [e for e, w in zip(exps, _weights(lams, exps)) if not any(w)]
+        super().__init__(x, max_degree, [(e, None) for e in exps])
 
     def value(self, vector) -> PolySeries:
-        return PolySeries(self.dim, {self.columns[col][0]: c for col, c in vector.items()})
+        return _trusted(self.dim, {self.columns[col][0]: c for col, c in vector.items()}, None)
 
 
 def ad_kernel(x: VectorFieldJet, max_degree: int) -> CentralizerReport:
@@ -331,14 +383,12 @@ def resonances(lambdas: list[GaussianRational], bound: int) -> tuple[Resonance, 
     count = comb(bound + n, n) - 1 - n
     if count > MAX_UNKNOWNS:
         raise GermError(f"{count} candidate exponents exceed the budget of {MAX_UNKNOWNS}")
+    _, nums = over_common_denominator(lams)
     found = []
-    for k in monomials_up_to(n, bound, min_deg=2):
-        combo = ZERO
-        for kj, lj in zip(k, lams):
-            if kj:
-                combo = combo + lj * kj
-        for i, li in enumerate(lams):
-            if combo == li:
+    candidates = monomials_up_to(n, bound, min_deg=2)
+    for k, w in zip(candidates, _weights(nums, candidates)):
+        for i, li in enumerate(nums):
+            if w == li:
                 found.append(Resonance(i + 1, k))
     found.sort(key=lambda r: (r.target, monomial_key(r.exponents)))
     return tuple(found)

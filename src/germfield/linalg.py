@@ -9,7 +9,8 @@ inserted with a nonempty tail are revisited: a row that is a bare pivot can
 never gain an entry.  RREF is unique, so results do not depend on insertion
 order, and with the graded-lex column order chosen by callers every kernel
 basis is reproducible bit for bit.  The kernel constraint matrices are about
-1 % dense and the normal forms' nearly diagonal, so pivot rows stay short.
+1 % dense, and a normal form's, kept to its resonant columns by the
+centralizer module, is small and nearly diagonal, so pivot rows stay short.
 The module functions take and return dense rows (lists of GaussianRational),
 except solve, which takes sparse rows.
 """

@@ -38,6 +38,9 @@ from germfield.centralizer import (
     MAX_UNKNOWNS,
     _constraint_rows,
     _field_columns,
+    _FieldKernel,
+    _IntegralKernel,
+    _JetKernelProblem,
     monomials_up_to,
 )
 from germfield.gaussian import gq
@@ -359,6 +362,101 @@ class TestFirstIntegrals:
         assert rep.dimension() == 0
         assert [b.value for b in rep.tentative] == [P("x^5")]
         assert brute_force_first_integral_dim(F("x^2, y"), 5) == 0
+
+
+# diagonal linear parts (lambda, nilpotent entry of d/dy at x), and their
+# resonant monomials decided in Q(i) arithmetic, apart from the engine's test
+NORMAL_FORM_LINEAR = [
+    ((gq(1), gq(2)), False),
+    ((gq(1), gq(-1)), False),
+    ((gq(2), gq(1)), False),
+    ((gq(0, 1), gq(0, -1)), False),
+    ((gq(1), gq(1)), True),
+    ((gq(2), gq(1), gq(3)), False),
+]
+
+
+@st.composite
+def normal_forms(draw):
+    """(X, N): a field in Poincare-Dulac normal form, times a Q(i) scale."""
+    lams, nilpotent = draw(st.sampled_from(NORMAL_FORM_LINEAR))
+    dim = len(lams)
+    terms = [{tuple(int(j == i) for j in range(dim)): lam} for i, lam in enumerate(lams)]
+    if nilpotent:
+        terms[1][(1, 0)] = draw(COEFFS)
+    resonant = [
+        (e, i)
+        for e in monomials_up_to(dim, 4, min_deg=2)
+        for i in range(dim)
+        if sum((lam * k for lam, k in zip(lams, e)), start=gq(0)) == lams[i]
+    ]
+    if resonant:
+        for e, i in draw(st.lists(st.sampled_from(resonant), unique=True, max_size=3)):
+            terms[i][e] = draw(COEFFS)
+    x = VectorFieldJet([PolySeries(dim, t) for t in terms]) * draw(COEFFS)
+    return x, draw(st.integers(3, 6))
+
+
+class TestResonantColumns:
+    """Kernels of normal-form fields, solved on their resonant columns only,
+    against the same problem on every column."""
+
+    @staticmethod
+    def labelled(problem, vectors):
+        return [{problem.columns[c]: a for c, a in v.items()} for v in vectors]
+
+    def check(self, x, n):
+        """Assert that both kernels equal their all-column oracle; return the
+        field kernel's exact and tentative counts and whether it dropped
+        columns."""
+        functions = [(e, None) for e in monomials_up_to(x.dim, n, min_deg=1)]
+        pairs = (
+            (_IntegralKernel(x, n), functions),
+            (_FieldKernel(x, n), _field_columns(x.dim, n)),
+        )
+        for problem, columns in pairs:
+            oracle = _JetKernelProblem(x, n, columns)
+            exact, tentative = oracle.solve()
+            got_exact, got_tentative = problem.solve()
+            assert self.labelled(problem, got_exact) == self.labelled(oracle, exact)
+            assert self.labelled(problem, got_tentative) == self.labelled(oracle, tentative)
+            dims: dict[int, int] = {}
+            for v in exact:
+                d = oracle.column_degree(min(v))
+                dims[d] = dims.get(d, 0) + 1
+            assert problem.certify()[2] == dims
+        # the field kernel's, from the last pass
+        return len(exact), len(tentative), len(problem.columns) < len(columns)
+
+    @given(normal_forms())
+    @settings(max_examples=60, deadline=None)
+    def test_normal_forms_match_all_columns(self, case):
+        x, n = case
+        assert self.check(x, n)[2]
+
+    @pytest.mark.parametrize(
+        "field, n, counts",
+        [
+            ("x + y, x + y", 3, (7, 0)),  # A - diag(A) is not nilpotent
+            ("x + y^2, 2*y", 3, (2, 1)),  # y^2 d/dx is not resonant
+            ("1, y", 3, (2, 6)),  # X(0) != 0
+        ],
+    )
+    def test_guards_keep_every_column(self, field, n, counts):
+        *got, dropped = self.check(F(field), n)
+        assert tuple(got) == counts and not dropped
+
+    def test_no_resonant_function_column(self):
+        rep = first_integral_kernel(F("x, 2*y"), 6)
+        assert rep.dimension() == 0 and rep.dims == {} and not rep.tentative
+
+    @pytest.mark.parametrize("field", ["x, x + y", "2*x + y^2, y, 3*z + y^3"])
+    def test_against_live_oracle(self, field):
+        x = F(field)
+        rep = ad_kernel(x, 4)
+        assert rep.dimension() == brute_force_centralizer_dim(x, 4)
+        horizon_dim = brute_force_centralizer_dim(x, 4, exact_only=False)
+        assert rep.dimension() + len(rep.tentative) == horizon_dim
 
 
 class TestGenericRank:
