@@ -25,15 +25,17 @@ from operator import add, mul
 
 from . import linalg
 from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
-from .series import GermError, PolySeries, TruncationError, _trusted, monomial_key, monomials_up_to
-from .fields import VectorFieldJet, radial_field, wedge
+from .series import (
+    GermError, PolySeries, TruncationError, _product, _term_cap, _trusted, monomial_key, monomials_up_to,
+)
+from .fields import VectorFieldJet, radial_field
 
 Exponent = tuple[int, ...]
 
 # Kernel solves refuse more unknowns than this before listing a column, and
 # resonances more candidate exponents before listing one; a plane normal form
-# near this size (x, -y at N = 98) takes under 0.01 s on its resonant columns,
-# a dense field far more.
+# near this size (x, -y at N = 98) takes under 2 ms, since its resonant
+# columns are solved for, not found among all 9,900; a dense field far more.
 MAX_UNKNOWNS = 10_000
 
 
@@ -103,16 +105,24 @@ class _JetKernelProblem:
         Constraint rows are (target slot, monomial) coefficients.  Rows up to
         the horizon give the raw kernel; inserting the rows beyond it into the
         same pivots gives the exact kernel.  A raw vector is tentative when it
-        is outside the span of the exact and earlier tentative ones."""
+        is outside the span of the exact and earlier tentative ones.  When the
+        rows beyond the horizon add no pivot (as when there are none), they
+        lie in the span of the others: exact = raw, and nothing is tentative."""
         ncols = len(self.columns)
         system = linalg.Echelon(ncols)
-        kernels = []
-        for beyond in (False, True):
-            for (_, e), row in self.rows.items():
-                if (sum(e) > self.horizon) == beyond:
-                    system.insert(row)
-            kernels.append(linalg.Echelon(ncols, system.kernel()).basis())
-        raw, exact = kernels
+        beyond = []
+        for (_, e), row in self.rows.items():
+            if sum(e) > self.horizon:
+                beyond.append(row)
+            else:
+                system.insert(row)
+        raw = linalg.Echelon(ncols, system.kernel()).basis()
+        rank = len(system.rows)
+        for row in beyond:
+            system.insert(row)
+        if len(system.rows) == rank:
+            return raw, []
+        exact = linalg.Echelon(ncols, system.kernel()).basis()
         span = linalg.Echelon(ncols, exact)
         tentative = []
         for v in raw:
@@ -197,6 +207,42 @@ def _weights(lams: list[tuple[int, int]], exps) -> list[tuple[int, int]]:
     return [(sum(map(mul, e, re)), sum(map(mul, e, im))) for e in exps]
 
 
+def _resonant(lams, targets, max_deg: int, min_deg: int = 0) -> list[tuple[Exponent, int]]:
+    """The pairs (e, i) with <lambda, e> = targets[i] and min_deg <= |e| <=
+    max_deg, graded-lex in e, then by i.  lambda and the targets are
+    Gaussian-integer numerators (re, im) over one denominator.
+
+    The equation is solved for e_k, k the last index with lambda_k != 0: each
+    choice of the other exponents leaves one candidate, O(N^(n-1)) of them
+    rather than O(N^n) monomials to weigh.  With lambda = 0 every exponent
+    solves target 0 and none solves another."""
+    n = len(lams)
+    nonzero = [k for k, l in enumerate(lams) if any(l)]
+    by_target: dict[tuple[int, int], list[int]] = {}
+    for i, t in enumerate(targets):
+        by_target.setdefault(t, []).append(i)
+    if not nonzero:
+        return [(e, i) for e in monomials_up_to(n, max_deg, min_deg) for i in by_target.get((0, 0), ())]
+    k = nonzero[-1]
+    a, b = lams[k]
+    norm = a * a + b * b
+    others = lams[:k] + lams[k + 1:]
+    re, im = [l[0] for l in others], [l[1] for l in others]
+    found = []
+    for h in monomials_up_to(n - 1, max_deg) if n > 1 else [()]:
+        s, t, d = sum(map(mul, h, re)), sum(map(mul, h, im)), sum(h)
+        for (p, q), idx in by_target.items():
+            # e_k = (p - s + i (q - t)) / lambda_k: real part over |lambda_k|^2
+            # of (p - s + i (q - t)) * conj(lambda_k), whose imaginary part is 0
+            r, u = p - s, q - t
+            if u * a == r * b:
+                ek, rest = divmod(r * a + u * b, norm)
+                if not rest and ek >= 0 and min_deg <= d + ek <= max_deg:
+                    found.extend((h[:k] + (ek,) + h[k:], i) for i in idx)
+    found.sort(key=lambda c: (sum(c[0]), c[0][::-1], c[1]))
+    return found
+
+
 def _dot(u, v) -> tuple[int, int]:
     """sum u_k v_k over Gaussian integers written as (re, im) pairs."""
     pairs = list(zip(u, v))
@@ -237,9 +283,7 @@ class _FieldKernel(_JetKernelProblem):
     def __init__(self, x: VectorFieldJet, max_degree: int):
         _check_unknowns(x.dim * comb(max_degree + x.dim, x.dim))
         if lams := _normal_form_weights(x):
-            exps = monomials_up_to(x.dim, max_degree)
-            pairs = zip(exps, _weights(lams, exps))
-            cols = [(e, i) for e, w in pairs for i, li in enumerate(lams) if w == li]
+            cols = _resonant(lams, lams, max_degree)
         else:
             cols = _field_columns(x.dim, max_degree)
         super().__init__(x, max_degree, cols)
@@ -255,9 +299,10 @@ class _FieldKernel(_JetKernelProblem):
 class _IntegralKernel(_JetKernelProblem):
     def __init__(self, x: VectorFieldJet, max_degree: int):
         _check_unknowns(comb(max_degree + x.dim, x.dim) - 1)
-        exps = monomials_up_to(x.dim, max_degree, min_deg=1)
         if lams := _normal_form_weights(x):
-            exps = [e for e, w in zip(exps, _weights(lams, exps)) if not any(w)]
+            exps = [e for e, _ in _resonant(lams, [(0, 0)], max_degree, min_deg=1)]
+        else:
+            exps = monomials_up_to(x.dim, max_degree, min_deg=1)
         super().__init__(x, max_degree, [(e, None) for e in exps])
 
     def value(self, vector) -> PolySeries:
@@ -351,8 +396,14 @@ def generic_rank(basis: list[VectorFieldJet]) -> int:
         raise GermError("generic_rank of an empty basis")
     if any(b.dim != 2 for b in basis):
         raise GermError("generic_rank is implemented for n=2")
+    # a and b are dependent when their wedge a_1 b_2 - a_2 b_1 vanishes (mod
+    # the pair's truncation): compare the two products, each usually a shift
+    # and scale of one-term components, with no sum set up
+    cap = _term_cap()
     for a, b in combinations(basis, 2):
-        if not wedge([a, b]).is_zero():
+        trunc = min((f.trunc for f in (a, b) if f.trunc is not None), default=None)
+        (a1, a2), (b1, b2) = a.comps, b.comps
+        if _product(a1, b2, trunc, cap).terms != _product(a2, b1, trunc, cap).terms:
             return 2
     return 1
 
@@ -372,7 +423,7 @@ class Resonance:
 
 
 def resonances(lambdas: list[GaussianRational], bound: int) -> tuple[Resonance, ...]:
-    """All resonance relations with 2 <= |k| <= bound, by exhaustive search."""
+    """All resonance relations with 2 <= |k| <= bound."""
     if bound < 2:
         raise GermError("resonance bound must be at least 2")
     lams = [
@@ -384,12 +435,7 @@ def resonances(lambdas: list[GaussianRational], bound: int) -> tuple[Resonance, 
     if count > MAX_UNKNOWNS:
         raise GermError(f"{count} candidate exponents exceed the budget of {MAX_UNKNOWNS}")
     _, nums = over_common_denominator(lams)
-    found = []
-    candidates = monomials_up_to(n, bound, min_deg=2)
-    for k, w in zip(candidates, _weights(nums, candidates)):
-        for i, li in enumerate(nums):
-            if w == li:
-                found.append(Resonance(i + 1, k))
+    found = [Resonance(i + 1, k) for k, i in _resonant(nums, nums, bound, min_deg=2)]
     found.sort(key=lambda r: (r.target, monomial_key(r.exponents)))
     return tuple(found)
 

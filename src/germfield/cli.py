@@ -88,7 +88,51 @@ def _encode(value):
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_DEGREE = ("--max-degree", {"type": int, "default": 6})
+
+# each verb's arguments, in the order its usage lists them
+_ARGUMENTS = {
+    "bracket": [("field1", {}), ("field2", {})],
+    "wedge": [
+        ("fields", {"nargs": "+"}),
+        ("--weights", {"help": "p,q to wedge against the weighted Euler field"}),
+    ],
+    "centralizer": [("field", {}), _DEGREE],
+    "first-integrals": [("field", {}), _DEGREE],
+    "rank": [("field", {}), _DEGREE],
+    "resonances": [("eigenvalues", {}), ("--bound", {"type": int, "default": 6})],
+    "classify": [("field", {})],
+    "blowup": [("field", {}), ("--chart", {"type": int, "choices": (1, 2)})],
+    "resolve": [
+        ("field", {}),
+        ("--depth", {"type": int, "default": 12}),
+        ("--force-radial", {"action": "store_true"}),
+    ],
+    "check-commute": [("field1", {}), ("field2", {})],
+    "verify-integral": [("field", {}), ("ratio", {})],
+    "dual-pair": [("field1", {}), ("field2", {})],
+    "log-decomp": [
+        ("form", {}),
+        ("--denominator", {"required": True}),
+        ("--factor", {"action": "append", "required": True, "help": "poly:mult"}),
+        ("--phi-bound", {"type": int, "default": None}),
+    ],
+    "cr-pair": [("poly", {}), _DEGREE],
+    "table": [
+        ("row", {"type": int}),
+        ("--ratio", {}),
+        ("--p", {"type": int}),
+        ("--q", {"type": int}),
+        ("--n", {"type": int}),
+        ("--residue", {}),
+        _DEGREE,
+    ],
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or with verb only of that one: its usage line
+    still lists every verb, so its messages read the same."""
     # --json is accepted before and after the verb; SUPPRESS keeps a verb's
     # parser from resetting a --json given before it
     common = argparse.ArgumentParser(add_help=False)
@@ -100,50 +144,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computer algebra for plane vector-field germs.",
         parents=[common],
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, *positional, **flags):
-        p = sub.add_parser(name, parents=[common])
-        for arg in positional:
-            p.add_argument(arg)
-        for flag, kwargs in flags.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
-        return p
-
-    add("bracket", "field1", "field2")
-    p = add("wedge")
-    p.add_argument("fields", nargs="+")
-    p.add_argument("--weights", help="p,q to wedge against the weighted Euler field")
-    add("centralizer", "field", max_degree={"type": int, "default": 6})
-    add("first-integrals", "field", max_degree={"type": int, "default": 6})
-    add("rank", "field", max_degree={"type": int, "default": 6})
-    add("resonances", "eigenvalues", bound={"type": int, "default": 6})
-    add("classify", "field")
-    add("blowup", "field", chart={"type": int, "choices": (1, 2)})
-    add(
-        "resolve",
-        "field",
-        depth={"type": int, "default": 12},
-        force_radial={"action": "store_true"},
-    )
-    add("check-commute", "field1", "field2")
-    add("verify-integral", "field", "ratio")
-    add("dual-pair", "field1", "field2")
-    p = add("log-decomp")
-    p.add_argument("form")
-    p.add_argument("--denominator", required=True)
-    p.add_argument("--factor", action="append", required=True, help="poly:mult")
-    p.add_argument("--phi-bound", type=int, default=None)
-    add("cr-pair", "poly", max_degree={"type": int, "default": 6})
-    p = add("table")
-    p.add_argument("row", type=int)
-    p.add_argument("--ratio")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--residue")
-    p.add_argument("--max-degree", type=int, default=6)
+    every = "{" + ",".join(_ARGUMENTS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=None if verb is None else every)
+    for name, arguments in _ARGUMENTS.items():
+        if verb in (None, name):
+            p = sub.add_parser(name, parents=[common])
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
     return parser
+
+
+def _verb_named(argv) -> str | None:
+    """The verb argparse will read from argv: its first word past any --json,
+    when that is a verb; None for no verb, a misspelt one or any other option
+    first (--help), which need every verb's parser."""
+    for word in argv:
+        if word != "--json":
+            return word if word in _ARGUMENTS else None
+    return None
 
 
 def _bracket(args):
@@ -469,7 +487,7 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(_verb_named(sys.argv[1:] if argv is None else argv))
     args = parser.parse_args(argv)
     try:
         return run(args)

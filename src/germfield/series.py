@@ -432,7 +432,7 @@ def _accumulate(out: dict, terms, cap) -> None:
 def _product(f: PolySeries, g: PolySeries, trunc: int | None, cap: int) -> PolySeries:
     """f * g mod degree trunc + 1 (trunc None: exact); TermLimitError as soon
     as the partial product has more than cap terms."""
-    if len(f.terms) == 1 or len(g.terms) == 1:  # shift and scale, no lcm
+    if len(f.terms) <= 1 or len(g.terms) <= 1:  # zero, or shift and scale: no lcm
         out = {
             tuple(map(add, e1, e2)): c1 * c2
             for e1, c1 in f.terms.items()

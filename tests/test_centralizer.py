@@ -8,6 +8,7 @@ both paths side by side.
 
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -16,7 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_centralizer_dim, brute_force_first_integral_dim, sympy_classify_linear
+from oracles import (
+    brute_force_centralizer_dim,
+    brute_force_first_integral_dim,
+    sympy_classify_linear,
+    sympy_nullspace,
+    sympy_rref,
+)
 
 from germfield import (
     GermError,
@@ -33,7 +40,7 @@ from germfield import (
     resonances,
     span_matches,
 )
-from germfield import PolySeries, VectorFieldJet, linalg, weighted_euler
+from germfield import PolySeries, VectorFieldJet, linalg, weighted_euler, wedge
 from germfield.centralizer import (
     MAX_UNKNOWNS,
     _constraint_rows,
@@ -41,9 +48,10 @@ from germfield.centralizer import (
     _FieldKernel,
     _IntegralKernel,
     _JetKernelProblem,
+    _resonant,
     monomials_up_to,
 )
-from germfield.gaussian import gq
+from germfield.gaussian import gq, over_common_denominator
 
 F = parse_field
 P = parse_poly
@@ -459,6 +467,129 @@ class TestResonantColumns:
         assert rep.dimension() + len(rep.tentative) == horizon_dim
 
 
+# eigenvalue entries: zero, repeated, negative rational and non-real
+LAMBDA_ENTRIES = st.sampled_from(
+    [gq(0), gq(1), gq(2), gq(-1), gq(Fraction(-3, 2)), gq(Fraction(1, 2)), gq(0, 1), gq(0, -2),
+     gq(1, -1), gq(Fraction(1, 2), Fraction(-1, 3))]
+)
+
+
+def scan_resonant(lams, targets, max_deg, min_deg):
+    """(e, i) with <lambda, e> = targets[i]: every monomial weighed in Q(i)
+    arithmetic, in monomials_up_to's order, then by i."""
+    out = []
+    for e in monomials_up_to(len(lams), max_deg, min_deg):
+        w = sum((lam * k for lam, k in zip(lams, e)), start=gq(0))
+        out.extend((e, i) for i, t in enumerate(targets) if w == t)
+    return out
+
+
+class TestResonantEnumeration:
+    """_resonant solves <lambda, e> = target for one exponent; it must list
+    what weighing every monomial lists, in the same order."""
+
+    @given(
+        st.lists(LAMBDA_ENTRIES, min_size=1, max_size=3),
+        st.integers(0, 7),
+        st.sampled_from([0, 1, 2]),
+    )
+    @example([gq(0), gq(0)], 4, 0)
+    @example([gq(1), gq(1), gq(1)], 3, 1)
+    @example([gq(Fraction(-3, 2)), gq(3)], 6, 2)
+    @example([gq(0, 1), gq(0, -1)], 5, 1)
+    @example([gq(0), gq(2), gq(0)], 4, 0)
+    @example([gq(2)], 7, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scan(self, lams, max_deg, min_deg):
+        _, nums = over_common_denominator(lams)
+        got = _resonant(nums, nums, max_deg, min_deg)
+        assert got == scan_resonant(lams, lams, max_deg, min_deg)
+        got = _resonant(nums, [(0, 0)], max_deg, min_deg)
+        assert got == scan_resonant(lams, [gq(0)], max_deg, min_deg)
+
+
+def _dense(rows, ncols):
+    return [[(r[c].re, r[c].im) if c in r else (Fraction(0), Fraction(0)) for c in range(ncols)] for r in rows]
+
+
+def _sympy_kernel_rref(rows, ncols):
+    """The RREF of the kernel of the dense rows, by sympy alone."""
+    one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+    if rows:
+        vectors = sympy_nullspace(rows, ncols)
+    else:
+        vectors = [[one if c == k else zero for c in range(ncols)] for k in range(ncols)]
+    return sympy_rref(vectors, ncols)[0] if vectors else []
+
+
+class TestOneElimination:
+    """_JetKernelProblem.solve against sympy: the exact kernel is the RREF of
+    the nullspace of every row, the raw one of the rows up to the horizon,
+    and the tentative vectors are the raw RREF vectors outside the span of
+    the exact and the earlier tentative ones.  When the rows past the horizon
+    add no pivot, solve returns the raw kernel with no second elimination."""
+
+    CASES = [
+        (F("y, -x"), 4, False),
+        (F("2*y, -3*x"), 4, False),
+        (F("0, x"), 4, False),
+        (F("x + y, y"), 4, False),
+        (linear_centralizer_table(8, p=1, residue=gq(1)).field, 4, True),
+        (parse_field("2*x + y^2, y, 3*z + y^3", 3), 3, True),
+    ]
+
+    @staticmethod
+    def problems(x, n):
+        functions = [(e, None) for e in monomials_up_to(x.dim, n, min_deg=1)]
+        return [
+            _FieldKernel(x, n),
+            _IntegralKernel(x, n),
+            _JetKernelProblem(x, n, _field_columns(x.dim, n)),
+            _JetKernelProblem(x, n, functions),
+        ]
+
+    @pytest.mark.parametrize("x, n, past", CASES, ids=[str(c[0]) for c in CASES])
+    def test_against_sympy(self, x, n, past):
+        found_past = False
+        for problem in self.problems(x, n):
+            ncols = len(problem.columns)
+            visible = [r for (_, e), r in problem.rows.items() if sum(e) <= problem.horizon]
+            found_past |= len(visible) < len(problem.rows)
+            raw = _sympy_kernel_rref(_dense(visible, ncols), ncols)
+            exact = _sympy_kernel_rref(_dense(problem.rows.values(), ncols), ncols)
+            tentative, span = [], list(exact)
+            for v in raw:
+                if len(sympy_rref(span + [v], ncols)[1]) > len(span):
+                    tentative.append(v)
+                    span.append(v)
+            got_exact, got_tentative = problem.solve()
+            assert _dense(got_exact, ncols) == exact
+            assert _dense(got_tentative, ncols) == tentative
+        assert found_past == past
+
+
+PLANE_POLYS = st.dictionaries(st.sampled_from(monomials_up_to(2, 3)), COEFFS, max_size=3).map(
+    lambda t: PolySeries(2, t)
+)
+PLANE_FIELDS = st.builds(lambda a, b: VectorFieldJet([a, b]), PLANE_POLYS, PLANE_POLYS)
+
+
+@st.composite
+def rank_families(draw):
+    """Plane bases: free draws, rank-1 families h*V, and bases whose first
+    pair is dependent, each member exact or cut at a drawn degree."""
+    kind = draw(st.sampled_from(["free", "multiples", "dependent_first"]))
+    if kind == "free":
+        basis = draw(st.lists(PLANE_FIELDS, min_size=1, max_size=4))
+    else:
+        v = draw(PLANE_FIELDS)
+        basis = [v * h for h in draw(st.lists(PLANE_POLYS, min_size=2, max_size=4))]
+        if kind == "dependent_first":
+            basis += draw(st.lists(PLANE_FIELDS, min_size=1, max_size=2))
+    cuts = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=len(basis), max_size=len(basis)))
+    return [b if t is None else b.truncated(t) for b, t in zip(basis, cuts)]
+
+
 class TestGenericRank:
     def test_diagonal_pair(self):
         assert generic_rank([F("x, 0"), F("0, y")]) == 2
@@ -474,6 +605,14 @@ class TestGenericRank:
     def test_empty_rejected(self):
         with pytest.raises(GermError):
             generic_rank([])
+
+    @given(rank_families())
+    @example([F("x, y"), F("x^2, x*y"), F("0, x")])  # first pair dependent
+    @example([F("x, y").truncated(1), F("x^2, x*y"), F("y, 0").truncated(1)])  # nonzero wedges only past the jets
+    @settings(max_examples=120, deadline=None)
+    def test_matches_wedge_definition(self, basis):
+        independent = any(not wedge([a, b]).is_zero() for a, b in combinations(basis, 2))
+        assert generic_rank(basis) == (2 if independent else 1)
 
 
 class TestResonances:
@@ -495,6 +634,17 @@ class TestResonances:
                 (lams[j] * k for j, k in enumerate(r.exponents)), start=gq(0)
             )
             assert combo == lams[r.target - 1]
+
+    def test_zero_eigenvalues_resonate_everywhere(self):
+        found = resonances([gq(0), gq(0)], 3)
+        expected = [(t, e) for t in (1, 2) for e in monomials_up_to(2, 3, min_deg=2)]
+        assert [(r.target, r.exponents) for r in found] == expected
+
+    def test_balanced_saddle_in_order(self):
+        found = resonances([gq(1), gq(-1)], 5)
+        assert [(r.target, r.exponents) for r in found] == [
+            (1, (2, 1)), (1, (3, 2)), (2, (1, 2)), (2, (2, 3)),
+        ]
 
     def test_resonant_completeness_for_diagonal_fields(self):
         # diagonal kernel = diagonal fields + exactly the resonant monomials

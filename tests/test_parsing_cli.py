@@ -16,6 +16,7 @@ from germfield import (
     parse_ratio,
     poly_to_text,
 )
+from germfield import cli
 from germfield.cli import VERBS, build_parser, main
 from germfield.gaussian import gq
 from test_golden import _fresh_python
@@ -338,6 +339,64 @@ class TestCli:
         # a verb added to only one of the parser and the dispatch table
         (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         assert set(VERBS) == set(verbs.choices)
+
+
+def outcome(capsys, argv):
+    """(stdout, stderr, exit code) of main(argv), argparse's exits included."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, rc
+
+
+PARSER_ARGVS = [
+    [],
+    ["--help"],
+    ["nosuchverb"],
+    ["centralizer"],
+    ["centralizer", "--help"],
+    ["--json", "centralizer", "--help"],
+    ["centralizer", "x, -y", "--bogus"],  # the top-level usage line reports it
+    ["--json", "rank", "x, 2*y", "--max-degree", "3"],
+    ["table", "--help"],
+    ["blowup", "y, x", "--chart", "3"],
+]
+
+
+class TestOneVerbParser:
+    """main builds only the named verb's parser; what it prints and returns
+    must be what the parser of every verb gives."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=[" ".join(a) or "no-verb" for a in PARSER_ARGVS])
+    def test_same_as_every_verb(self, capsys, monkeypatch, argv):
+        got = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "build_parser", lambda verb=None: build_parser())
+        assert got == outcome(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv, verb",
+        [
+            (["rank", "x, 2*y"], "rank"),
+            (["--json", "--json", "resolve", "y, x"], "resolve"),
+            ([], None),
+            (["--help"], None),
+            (["--json", "-h", "rank"], None),
+            (["nosuchverb", "rank"], None),
+        ],
+    )
+    def test_builds_only_the_named_verb(self, capsys, monkeypatch, argv, verb):
+        built = []
+
+        def spy(v=None):
+            built.append(build_parser(v))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        outcome(capsys, argv)
+        (verbs,) = [a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(verbs.choices) == ([verb] if verb else list(VERBS))
 
 
 class TestLazyNamespace:
