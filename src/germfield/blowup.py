@@ -481,37 +481,31 @@ def divisor_singularities(
     of a germ in its two charts.
 
     Chart-1 slopes cover every direction except the vertical axis, which is
-    the chart-2 origin; chart-2 points with nonzero slope are duplicates and
-    are not listed again.  When the germ is isolated, so is every point on
-    the divisor (see resolve), and the points are classified without a
-    further isolation test; otherwise each point is tested on its own.  The
-    strict transform never vanishes along the whole divisor: one of its
-    components is not divisible by the divisor coordinate.
+    the chart-2 origin, so only chart 1's witness is solved for its roots
+    and chart 2 adds its origin alone, when its strict transform vanishes
+    there.  When the germ is isolated, so is every point on the divisor (see
+    resolve), and the points are classified without a further isolation
+    test; otherwise each point is tested on its own.  The strict transform
+    never vanishes along the whole divisor: one of its components is not
+    divisible by the divisor coordinate.
     """
-    points: list[SingularPoint] = []
-    for blown in blowups:
-        chart = blown.chart
-        p0 = _restrict_to_divisor(blown.strict.comps[0])
-        q0 = _restrict_to_divisor(blown.strict.comps[1])
-        if p0.is_zero():
-            witness = q0
-        elif q0.is_zero():
-            witness = p0
-        else:
-            witness = _univariate_gcd(p0, q0)
-        if witness.total_degree() == 0:
-            roots, markers = [], []
-        else:
-            roots, markers = gaussian_roots(witness)
-        for value, _mult in roots:
-            if chart == CHART_SLOPE_X and not value.is_zero():
-                continue  # seen in chart 1 at slope 1/value
-            germ = translate_to_point(blown.strict, [ZERO, value])
-            cls, caveat, would_be = _classify(germ, isolated)
-            points.append(SingularPoint(chart, value, None, cls, germ, germ.mu(), caveat, would_be))
-        if chart == CHART_SLOPE_Y:
-            for marker, _mult in markers:
-                points.append(SingularPoint(chart, None, marker, UNRESOLVABLE_IRRATIONAL, None, None))
+    one, two = blowups
+    p0, q0 = map(_restrict_to_divisor, one.strict.comps)
+    if p0.is_zero():
+        witness = q0
+    elif q0.is_zero():
+        witness = p0
+    else:
+        witness = _univariate_gcd(p0, q0)
+    roots, markers = gaussian_roots(witness) if witness.total_degree() else ([], [])
+    found = [(one.chart, v, translate_to_point(one.strict, [ZERO, v])) for v, _ in roots]
+    if two.strict.vanishes_at_origin():
+        found.append((two.chart, ZERO, two.strict))
+    points = [SingularPoint(one.chart, None, m, UNRESOLVABLE_IRRATIONAL, None, None)
+              for m, _ in markers]
+    for chart, value, germ in found:
+        cls, caveat, would_be = _classify(germ, isolated)
+        points.append(SingularPoint(chart, value, None, cls, germ, germ.mu(), caveat, would_be))
     points.sort(key=SingularPoint.sort_token)
     return points
 

@@ -26,7 +26,7 @@ from operator import add, mul
 from . import linalg
 from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
 from .series import (
-    GermError, PolySeries, TruncationError, _product, _term_cap, _trusted, monomial_key, monomials_up_to,
+    GermError, PolySeries, TruncationError, _product, _trusted, monomial_key, monomials_up_to,
 )
 from .fields import VectorFieldJet, radial_field
 
@@ -80,11 +80,13 @@ class FirstIntegralReport:
         return len(self.basis)
 
 
-def _require_polynomial_field(x: VectorFieldJet):
+def _require_polynomial_field(x: VectorFieldJet, max_degree: int):
     if not x.is_total:
         raise TruncationError("the base field must be an exact polynomial")
     if x.is_zero():
         raise GermError("the zero field has no meaningful kernel")
+    if max_degree < 1:
+        raise GermError("max_degree must be at least 1")
 
 
 class _JetKernelProblem:
@@ -229,7 +231,7 @@ def _resonant(lams, targets, max_deg: int, min_deg: int = 0) -> list[tuple[Expon
     others = lams[:k] + lams[k + 1:]
     re, im = [l[0] for l in others], [l[1] for l in others]
     found = []
-    for h in monomials_up_to(n - 1, max_deg) if n > 1 else [()]:
+    for h in monomials_up_to(n - 1, max_deg):
         s, t, d = sum(map(mul, h, re)), sum(map(mul, h, im)), sum(h)
         for (p, q), idx in by_target.items():
             # e_k = (p - s + i (q - t)) / lambda_k: real part over |lambda_k|^2
@@ -332,9 +334,7 @@ def centralizer_rank(x: VectorFieldJet, max_degree: int) -> int | None:
 
 def _certified_centralizer(x: VectorFieldJet, max_degree: int):
     """(horizon, basis, tentative, dims, rank_estimate) of the bracket kernel."""
-    _require_polynomial_field(x)
-    if max_degree < 1:
-        raise GermError("max_degree must be at least 1")
+    _require_polynomial_field(x, max_degree)
     problem = _FieldKernel(x, max_degree)
     basis, tentative, dims = problem.certify()
     rank_estimate = None
@@ -358,9 +358,7 @@ def _stabilization_verdict(x, max_degree, dims) -> str:
 
 def first_integral_kernel(x: VectorFieldJet, max_degree: int) -> FirstIntegralReport:
     """Certified basis of nonconstant jets f, f(0)=0, with X(f) = 0."""
-    _require_polynomial_field(x)
-    if max_degree < 1:
-        raise GermError("max_degree must be at least 1")
+    _require_polynomial_field(x, max_degree)
     problem = _IntegralKernel(x, max_degree)
     basis, tentative, dims = problem.certify()
     return FirstIntegralReport(
@@ -380,7 +378,7 @@ def extendable_jet_dimension(x: VectorFieldJet, max_degree: int, d: int) -> int:
     Monotone non-increasing in max_degree for fixed d: deeper truncations add
     constraints that extendable low jets must survive.
     """
-    _require_polynomial_field(x)
+    _require_polynomial_field(x, max_degree)
     problem = _FieldKernel(x, max_degree)
     exact_vecs, tentative_vecs = problem.solve()
     truncated = [
@@ -399,11 +397,9 @@ def generic_rank(basis: list[VectorFieldJet]) -> int:
     # a and b are dependent when their wedge a_1 b_2 - a_2 b_1 vanishes (mod
     # the pair's truncation): compare the two products, each usually a shift
     # and scale of one-term components, with no sum set up
-    cap = _term_cap()
     for a, b in combinations(basis, 2):
-        trunc = min((f.trunc for f in (a, b) if f.trunc is not None), default=None)
         (a1, a2), (b1, b2) = a.comps, b.comps
-        if _product(a1, b2, trunc, cap).terms != _product(a2, b1, trunc, cap).terms:
+        if _product(a1, b2).terms != _product(a2, b1).terms:
             return 2
     return 1
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from .gaussian import GaussianRational
 from .series import (
-    DimensionMismatchError, GermError, PolySeries, TruncationError, Weight, _combination,
-    _term_cap,
+    DimensionMismatchError, GermError, PolySeries, Weight, _combination, _least_trunc,
 )
 
 
@@ -38,8 +37,7 @@ class VectorFieldJet:
                 f"{len(comps)} components for dimension {dim}"
             )
         # components share one truncation degree: settle on the weakest claim
-        finite = [c.trunc for c in comps if c.trunc is not None]
-        trunc = min(finite) if finite else None
+        trunc = _least_trunc([c.trunc for c in comps])
         if trunc is not None:
             comps = tuple(c if c.trunc == trunc else c.truncated(trunc) for c in comps)
         object.__setattr__(self, "dim", dim)
@@ -123,7 +121,7 @@ class VectorFieldJet:
 
     def apply(self, f: PolySeries) -> PolySeries:
         """Directional derivative X(f) = sum_i X_i * df/dz_i."""
-        return _sum_of_products(self._apply_pairs(f), _term_cap())
+        return _combination(self._apply_pairs(f))
 
     def _apply_pairs(self, f: PolySeries, k: int = 1) -> list:
         """The products (k, X_i, f, i), meaning k * X_i * df/dz_i, that sum to
@@ -176,7 +174,7 @@ class OneFormJet:
         """Pairing omega(X)."""
         if x.dim != self.dim:
             raise DimensionMismatchError("form and field dimensions differ")
-        return _sum_of_products([(1, a, c) for a, c in zip(self.coeffs, x.comps)], _term_cap())
+        return _combination([(1, a, c) for a, c in zip(self.coeffs, x.comps)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OneFormJet):
@@ -192,28 +190,11 @@ class OneFormJet:
 # -- operations ------------------------------------------------------------
 
 
-def _sum_of_products(pairs, cap: int) -> PolySeries:
-    """The sum of k * f * g over pairs (k, f, g), g None meaning 1, and of
-    k * f * dg/dz_i over pairs (k, f, g, i), known as far as every operand
-    is: the least truncation degree among them, where dg/dz_i counts as known
-    to g.trunc - 1.  A degree-0 jet fixes no coefficient of its derivative,
-    which is refused with TruncationError, as partial does."""
-    known = [f.trunc for _, f, *_ in pairs]
-    for _, f, g, *i in pairs:
-        if g is not None and g.trunc is not None:
-            if i and g.trunc == 0:
-                raise TruncationError("the derivative of a degree-0 jet is unknown")
-            known.append(g.trunc - len(i))
-    trunc = min((n for n in known if n is not None), default=None)
-    return _combination(pairs[0][1].dim, pairs, trunc, cap)
-
-
 def lie_bracket(x: VectorFieldJet, y: VectorFieldJet) -> VectorFieldJet:
     """[X, Y] with components X(Y_i) - Y(X_i), each one sum of 2n products."""
     x._check(y)
-    cap = _term_cap()
     return VectorFieldJet([
-        _sum_of_products(x._apply_pairs(yc) + y._apply_pairs(xc, -1), cap)
+        _combination(x._apply_pairs(yc) + y._apply_pairs(xc, -1))
         for xc, yc in zip(x.comps, y.comps)
     ])
 
@@ -234,34 +215,32 @@ def wedge(fields: list[VectorFieldJet]):
             raise DimensionMismatchError("wedge of fields in different dimensions")
     if m > n:
         raise GermError(f"cannot wedge {m} fields in dimension {n}")
-    cap = _term_cap()
     if m == n:
-        trunc = min((f.trunc for f in fields if f.trunc is not None), default=None)
-        return _determinant([f.comps for f in fields], trunc, cap)
+        return _determinant([f.comps for f in fields])
     if m == 1:
         return list(fields[0].comps)
     if n != 3:
         raise GermError(f"wedge of {m} fields supported in dimension 3 only")
     a, b = fields[0].comps, fields[1].comps
     return [
-        _sum_of_products([(1, a[i], b[j]), (-1, a[j], b[i])], cap)
+        _combination([(1, a[i], b[j]), (-1, a[j], b[i])])
         for i, j in ((1, 2), (2, 0), (0, 1))
     ]
 
 
-def _determinant(rows, trunc: int | None, cap: int) -> PolySeries:
-    """Cofactor expansion along the first row: one sum of products per minor,
-    each cut at the truncation degree of the whole determinant."""
+def _determinant(rows) -> PolySeries:
+    """Cofactor expansion along the first row, one sum of products per minor;
+    each sum is cut at the least truncation degree of its own entries."""
     if len(rows) == 1:
         return rows[0][0]
-    return _combination(rows[0][0].dim, [
-        ((-1) ** j, top, _determinant([r[:j] + r[j + 1:] for r in rows[1:]], trunc, cap))
+    return _combination([
+        ((-1) ** j, top, _determinant([r[:j] + r[j + 1:] for r in rows[1:]]))
         for j, top in enumerate(rows[0])
-    ], trunc, cap)
+    ])
 
 
 def divergence(x: VectorFieldJet) -> PolySeries:
-    return _sum_of_products([(1, c.partial(i), None) for i, c in enumerate(x.comps)], _term_cap())
+    return _combination([(1, c.partial(i), None) for i, c in enumerate(x.comps)])
 
 
 def dual_form(x: VectorFieldJet) -> OneFormJet:

@@ -15,11 +15,11 @@ from operator import add
 
 from .gaussian import GaussianRational, _reduce, over_common_denominator
 from .series import (
-    Exponent, GermError, PolySeries, TruncationError, _term_cap, _trusted, monomial_key,
+    Exponent, GermError, PolySeries, TruncationError, _combination, _trusted, monomial_key,
     monomials_up_to, poly_divides,
 )
 from . import linalg
-from .fields import OneFormJet, VectorFieldJet, _sum_of_products, wedge
+from .fields import OneFormJet, VectorFieldJet, wedge
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,7 @@ def closedness_check(omega: OneFormJet, g: PolySeries) -> tuple[bool, PolySeries
     if g.is_zero():
         raise ZeroDivisionError("zero denominator in closedness_check")
     p, q = omega.coeffs
-    residual = _sum_of_products([
-        (1, g, q, 0), (-1, g, p, 1), (-1, q, g, 0), (1, p, g, 1),
-    ], _term_cap())
+    residual = _combination([(1, g, q, 0), (-1, g, p, 1), (-1, q, g, 0), (1, p, g, 1)])
     return residual.is_zero(), residual
 
 
@@ -74,14 +72,14 @@ def integrating_factor_check(x: VectorFieldJet, g: PolySeries) -> bool:
     if g.is_zero():
         raise ZeroDivisionError("zero integrating factor candidate")
     div_g = [(-1, g, c, i) for i, c in enumerate(x.comps)]
-    return _sum_of_products(x._apply_pairs(g) + div_g, _term_cap()).is_zero()
+    return _combination(x._apply_pairs(g) + div_g).is_zero()
 
 
 def meromorphic_first_integral_check(x: VectorFieldJet, f: MeromorphicRatio) -> bool:
     """X(P/Q) = 0, tested as Q X(P) - P X(Q) = 0."""
-    p, q, cap = f.numerator, f.denominator, _term_cap()
-    xp, xq = (_sum_of_products(x._apply_pairs(h), cap) for h in (p, q))
-    return _sum_of_products([(1, q, xp), (-1, p, xq)], cap).is_zero()
+    p, q = f.numerator, f.denominator
+    xp, xq = (_combination(x._apply_pairs(h)) for h in (p, q))
+    return _combination([(1, q, xp), (-1, p, xq)]).is_zero()
 
 
 def invariance_check(x: VectorFieldJet, f: PolySeries) -> bool:
@@ -131,16 +129,15 @@ class LogDecomposition:
         """Component i is sum_j lam_j cof_j df_j/dz_i + q dphi/dz_i
         - sum_j (k_j - 1) phi (q/f_j) df_j/dz_i, one sum of products."""
         cofs, q, q_over = quotients
-        cap = _term_cap()
         scaled = [cof * lam for cof, lam in zip(cofs, self.residues)]
         drifts = [
             (1 - k, self.phi * h, f)
             for f, k, h in zip(self.factors, self.multiplicities, q_over) if k > 1
         ]
         return OneFormJet([
-            _sum_of_products(
+            _combination(
                 [(1, s, f, i) for s, f in zip(scaled, self.factors)] + [(1, q, self.phi, i)]
-                + [(k, p, f, i) for k, p, f in drifts], cap)
+                + [(k, p, f, i) for k, p, f in drifts])
             for i in range(q.dim)
         ])
 
@@ -211,14 +208,14 @@ def log_decomposition(
     # m_i x^(m - u_i) q - x^m D_i with D_i = sum_j (k_j - 1) (q/f_j) df_j/dz_i,
     # shifts and scales of q and D_i with no product.
     phi_monomials = monomials_up_to(dim, phi_degree_bound)
-    n, ncols, cap = len(flist), len(flist) + len(phi_monomials), _term_cap()
+    n, ncols = len(flist), len(flist) + len(phi_monomials)
     rows: dict[tuple[int, Exponent], linalg.SparseRow] = {}
     for j, (cof, f) in enumerate(zip(cofs, flist)):
         for i in range(dim):
-            for e, c in _sum_of_products([(1, cof, f, i)], cap).terms.items():
+            for e, c in _combination([(1, cof, f, i)]).terms.items():
                 rows.setdefault((i, e), {})[j] = c
     drifts = [(1 - k, h, f) for f, k, h in zip(flist, mults, q_over) if k > 1]
-    minus_d = [_sum_of_products([(*t, i) for t in drifts], cap).terms if drifts else {}
+    minus_d = [_combination([(*t, i) for t in drifts]).terms if drifts else {}
                for i in range(dim)]
     for col, m in enumerate(phi_monomials, n):
         for i in range(dim):

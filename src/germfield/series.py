@@ -56,6 +56,8 @@ def monomial_key(e: Exponent) -> tuple[int, tuple[int, ...]]:
 
 def monomials_up_to(dim: int, max_deg: int, min_deg: int = 0) -> list[Exponent]:
     """All exponent tuples with min_deg <= |e| <= max_deg in graded-lex order."""
+    if dim == 0:
+        return [()] if min_deg <= 0 <= max_deg else []
     # by_degree[d]: the degree-d exponents in the slots built so far, in
     # order; the last slot is outermost, each head in order for one slot fewer
     by_degree = [[(d,)] for d in range(max_deg + 1)]
@@ -180,13 +182,6 @@ class PolySeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def _join_trunc(self, other: "PolySeries") -> int | None:
-        if self.trunc is None:
-            return other.trunc
-        if other.trunc is None:
-            return self.trunc
-        return min(self.trunc, other.trunc)
-
     def _check_dim(self, other: "PolySeries"):
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dimension {self.dim} vs {other.dim}")
@@ -194,9 +189,17 @@ class PolySeries:
     def __add__(self, other) -> "PolySeries":
         other = self._coerce(other)
         self._check_dim(other)
-        trunc = self._join_trunc(other)
+        trunc = _least_trunc([self.trunc, other.trunc])
         out = dict(_within(self, trunc))
-        _accumulate(out, _within(other, trunc).items(), math.inf)
+        get = out.get
+        for e, c in _within(other, trunc).items():
+            s = get(e)
+            if s is None:
+                out[e] = c
+            elif s := s + c:
+                out[e] = s
+            else:
+                del out[e]
         return _trusted(self.dim, out, trunc)
 
     __radd__ = __add__
@@ -219,19 +222,18 @@ class PolySeries:
         if not isinstance(other, PolySeries):
             return NotImplemented
         self._check_dim(other)
-        return _product(self, other, self._join_trunc(other), _term_cap())
+        return _product(self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "PolySeries":
         if k < 0:
             raise ValueError("negative power of a series")
-        result = PolySeries.constant(self.dim, 1, self.trunc)
-        base, cap = self, _term_cap()
+        result, base = PolySeries.constant(self.dim, 1, self.trunc), self
         while k:
             if k & 1:
-                result = _product(result, base, self.trunc, cap)
-            base = _product(base, base, self.trunc, cap) if k > 1 else base
+                result = _product(result, base)
+            base = _product(base, base) if k > 1 else base
             k >>= 1
         return result
 
@@ -279,7 +281,7 @@ class PolySeries:
         self._check_dim(other)
         if self.trunc is None and other.trunc is None:
             return self.terms == other.terms
-        n = self._join_trunc(other)
+        n = _least_trunc([self.trunc, other.trunc])
         for e in set(self.terms) | set(other.terms):
             if sum(e) <= n and self.coefficient(e) != other.coefficient(e):
                 return False
@@ -345,20 +347,15 @@ class PolySeries:
                 raise TruncationError(
                     "affine substitution into a truncated jet is uncertified"
                 )
-        truncs = [g.trunc for g in images]
-        if not self.is_total:
-            truncs.append(self.trunc)
-        finite = [n for n in truncs if n is not None]
-        trunc = min(finite) if finite else None
+        trunc = _least_trunc([self.trunc] + [g.trunc for g in images])
 
-        cap = _term_cap()
-        # cache image powers (every use goes through _product or _combination,
-        # which cut at trunc); exponents are small in practice
-        powers = [{1: g} for g in images]
+        # cache image powers, each image cut at trunc so that every product
+        # and the final sum are cut there too; exponents are small in practice
+        powers = [{1: g if g.trunc == trunc else g.truncated(trunc)} for g in images]
 
         def power(i: int, k: int) -> PolySeries:
             if k not in powers[i]:
-                powers[i][k] = _product(power(i, k - 1), powers[i][1], trunc, cap)
+                powers[i][k] = _product(power(i, k - 1), powers[i][1])
             return powers[i][k]
 
         # one sum of products: each term's last image power is multiplied,
@@ -369,9 +366,9 @@ class PolySeries:
             term = _trusted(target, {one: c}, trunc)
             factors = [power(i, k) for i, k in enumerate(e) if k]
             for p in factors[:-1]:
-                term = _product(term, p, trunc, cap)
+                term = _product(term, p)
             pairs.append((1, term, factors[-1] if factors else None))
-        return _combination(target, pairs, trunc, cap) if pairs else _trusted(target, {}, trunc)
+        return _combination(pairs) if pairs else _trusted(target, {}, trunc)
 
     # -- comparison / display -------------------------------------------------
 
@@ -414,51 +411,56 @@ def _within(p: PolySeries, trunc: int | None) -> dict[Exponent, GaussianRational
     return {e: c for e, c in p.terms.items() if sum(e) <= trunc}
 
 
-def _accumulate(out: dict, terms, cap) -> None:
-    """Add terms into out, dropping sums that cancel; TermLimitError past cap terms."""
-    get = out.get
-    for e, c in terms:
-        s = get(e)
-        if s is None:
-            out[e] = c
-            if len(out) > cap:
-                raise TermLimitError("result exceeds GERM_MAX_TERMS")
-        elif s := s + c:
-            out[e] = s
-        else:
-            del out[e]
+def _least_trunc(truncs: list) -> int | None:
+    """The least truncation degree in truncs; None (exact) when all are None."""
+    least = None
+    for n in truncs:
+        if n is not None and (least is None or n < least):
+            least = n
+    return least
 
 
-def _product(f: PolySeries, g: PolySeries, trunc: int | None, cap: int) -> PolySeries:
-    """f * g mod degree trunc + 1 (trunc None: exact); TermLimitError as soon
-    as the partial product has more than cap terms."""
+def _product(f: PolySeries, g: PolySeries) -> PolySeries:
+    """f * g, known as far as both factors are; TermLimitError as soon as the
+    partial product has more than GERM_MAX_TERMS terms."""
     if len(f.terms) <= 1 or len(g.terms) <= 1:  # zero, or shift and scale: no lcm
+        trunc = _least_trunc([f.trunc, g.trunc])
         out = {
             tuple(map(add, e1, e2)): c1 * c2
             for e1, c1 in f.terms.items()
             for e2, c2 in g.terms.items()
             if trunc is None or sum(e1) + sum(e2) <= trunc
         }
-        if len(out) > cap:
+        if len(out) > _term_cap():
             raise TermLimitError("result exceeds GERM_MAX_TERMS")
         return _trusted(f.dim, out, trunc)
-    return _combination(f.dim, [(1, f, g)], trunc, cap)
+    return _combination([(1, f, g)])
 
 
-def _combination(dim: int, pairs, trunc: int | None, cap: int) -> PolySeries:
+def _combination(pairs) -> PolySeries:
     """The sum of k * f * g over pairs (k, f, g), with k an int and g None
-    meaning 1, and of k * f * dg/dz_i over pairs (k, f, g, i), mod degree
-    trunc + 1 (trunc None: exact).  TermLimitError as soon as the partial sum
-    has more than cap terms.  Every pair writes Gaussian-integer numerators
-    into one dict over D, the lcm of the pairs' D_f * D_g (D_f: the lcm of
-    f's denominators); a derivative scales g's numerators by e_i and lowers
-    e_i, with no partial series.  Each operand is written over D_f once per
-    call.  Monomials are packed into ints with bits = top.bit_length() bits
-    per variable, top the largest deg f + deg g over the pairs, so a product's
-    key is the sum of its factors' keys with no carry between slots.  No term
-    past trunc is formed, and each result term is reduced once, over D."""
+    meaning 1, and of k * f * dg/dz_i over pairs (k, f, g, i), known as far
+    as every operand is: to the least truncation degree trunc among them,
+    where dg/dz_i counts as known to g.trunc - 1 and a degree-0 jet's
+    derivative is refused with TruncationError, as partial does.
+    TermLimitError as soon as the partial sum has more than GERM_MAX_TERMS
+    terms.  Every pair writes Gaussian-integer numerators into one dict over
+    D, the lcm of the pairs' D_f * D_g (D_f: the lcm of f's denominators); a
+    derivative scales g's numerators by e_i and lowers e_i, with no partial
+    series.  Each operand is written over D_f once per call.  Monomials are
+    packed into ints with bits = top.bit_length() bits per variable, top the
+    largest deg f + deg g over the pairs, so a product's key is the sum of
+    its factors' keys with no carry between slots.  No term past trunc is
+    formed, and each result term is reduced once, over D."""
+    dim = pairs[0][1].dim
+    known = []
     ops = {}  # id(operand) -> [D, [(e, (a, b), |e|)], max |e|], for this call only
-    for _, f, g, *_ in pairs:
+    for _, f, g, *i in pairs:
+        known.append(f.trunc)
+        if g is not None and g.trunc is not None:
+            if i and g.trunc == 0:
+                raise TruncationError("the derivative of a degree-0 jet is unknown")
+            known.append(g.trunc - len(i))
         for p in (f, g):
             if p is not None and id(p) not in ops:
                 if p.dim != dim:
@@ -466,6 +468,7 @@ def _combination(dim: int, pairs, trunc: int | None, cap: int) -> PolySeries:
                 dp, num = over_common_denominator(p.terms.values())
                 ns = list(map(sum, p.terms))
                 ops[id(p)] = [dp, list(zip(p.terms, num, ns)), max(ns, default=0)]
+    trunc = _least_trunc(known)
     top = max(ops[id(f)][2] + (0 if g is None else ops[id(g)][2]) for _, f, g, *_ in pairs)
     bits = top.bit_length()
     shifts = [bits * j for j in range(dim)]
@@ -478,7 +481,7 @@ def _combination(dim: int, pairs, trunc: int | None, cap: int) -> PolySeries:
     d = math.lcm(*(f[0] * (1 if g is None else g[0]) for _, f, g, _ in scaled))
     acc: dict[int, tuple[int, int]] = {}
     exps: dict[int, Exponent] = {}
-    get = acc.get
+    get, cap = acc.get, _term_cap()
     for k, (df, lhs, _), g, i in scaled:
         if g is None:
             rhs = [(0, (0,) * dim, k * (d // df), 0, 0)]

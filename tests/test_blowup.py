@@ -222,6 +222,23 @@ class TestDivisorSingularities:
         # witness factor t^2 - 2
         assert markers[0].marker == PolySeries(1, {(2,): gq(1), (0,): gq(-2)})
 
+    def test_roots_found_in_chart_one_only(self, monkeypatch):
+        # both charts' witnesses of x^2, y^2 have the roots 0 and 1, but
+        # chart 2 adds only its origin, with no root search of its own
+        x = F("x^2, y^2")
+        blowups = (strict_transform(x, CHART_SLOPE_Y), strict_transform(x, CHART_SLOPE_X))
+        isolated = is_isolated_singularity(x)
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return gaussian_roots(f)
+
+        monkeypatch.setattr(blowup, "gaussian_roots", counted)
+        pts = divisor_singularities(blowups, isolated)
+        assert len(calls) == 1
+        assert [(p.chart, p.coordinate) for p in pts] == [(1, gq(0)), (1, gq(1)), (2, gq(0))]
+
 
 class TestGaussianRoots:
     RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)

@@ -238,6 +238,14 @@ class TestUnknownBudget:
             with pytest.raises(GermError, match="budget"):
                 solve(x, 100000)
 
+    def test_degree_below_one_refused_by_every_solve(self):
+        x = F("x, 2*y")
+        solves = (ad_kernel, first_integral_kernel, lambda x, n: extendable_jet_dimension(x, n, 2))
+        for solve in solves:
+            for n in (0, -1):
+                with pytest.raises(GermError, match="max_degree"):
+                    solve(x, n)
+
     def test_counts_at_the_edge(self):
         # plane field jets have 2*C(N+2, 2) unknowns, function jets C(N+2, 2) - 1
         x = F("x, 2*y")
