@@ -26,7 +26,8 @@ from operator import add, mul
 from . import linalg
 from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
 from .series import (
-    GermError, PolySeries, TruncationError, _product, _trusted, monomial_key, monomials_up_to,
+    DimensionMismatchError, GermError, PolySeries, TruncationError, _product, _trusted,
+    monomial_key, monomials_up_to,
 )
 from .fields import VectorFieldJet, radial_field
 
@@ -224,7 +225,8 @@ def _resonant(lams, targets, max_deg: int, min_deg: int = 0) -> list[tuple[Expon
     for i, t in enumerate(targets):
         by_target.setdefault(t, []).append(i)
     if not nonzero:
-        return [(e, i) for e in monomials_up_to(n, max_deg, min_deg) for i in by_target.get((0, 0), ())]
+        idx = by_target.get((0, 0), ())
+        return [(e, i) for e in monomials_up_to(n, max_deg, min_deg) for i in idx]
     k = nonzero[-1]
     a, b = lams[k]
     norm = a * a + b * b
@@ -251,23 +253,26 @@ def _dot(u, v) -> tuple[int, int]:
     return sum(a * c - b * d for (a, b), (c, d) in pairs), sum(a * d + b * c for (a, b), (c, d) in pairs)
 
 
-def _normal_form_weights(x: VectorFieldJet) -> list[tuple[int, int]] | None:
+def _normal_form_weights(x: VectorFieldJet) -> list[tuple[int, int]]:
     """lambda = diag(A), A the linear part of X, as numerators over one
     denominator, when X is in Poincare-Dulac normal form with respect to
-    S = sum lambda_i z_i d_i; None otherwise.
+    S = sum lambda_i z_i d_i; the zero vector otherwise, since every field is
+    in normal form for S = 0.
 
-    The conditions: X(0) = 0, lambda != 0, A - diag(A) nilpotent (so S is
-    the semisimple part of A) and every term c z^e d_i of X resonant,
-    <lambda, e> = lambda_i.  Then [S, X] = 0, the kernel systems split into
-    blocks by the weight of a column, and only the weight-0 block has a
-    kernel (notes/decisions.md, "Normal-form kernels on resonant columns")."""
+    The conditions: X(0) = 0, A - diag(A) nilpotent (so S is the semisimple
+    part of A) and every term c z^e d_i of X resonant, <lambda, e> =
+    lambda_i.  Then [S, X] = 0, the kernel systems split into blocks by the
+    weight of a column, and only the weight-0 block has a kernel
+    (notes/decisions.md, "Normal-form kernels on resonant columns").  For
+    S = 0 every column has weight 0: one block, every column kept."""
     dim = x.dim
+    zero = [(0, 0)] * dim
     if not x.vanishes_at_origin():
-        return None
+        return zero
     _, flat = over_common_denominator([c for row in x.linear_part_matrix() for c in row])
     lams = flat[:: dim + 1]
     if not any(map(any, lams)):
-        return None
+        return lams  # S = 0 already
     off = [[(0, 0) if i == j else flat[i * dim + j] for j in range(dim)] for i in range(dim)]
     power = off
     for _ in range(dim):  # off^1, ..., off^dim until one vanishes
@@ -275,20 +280,17 @@ def _normal_form_weights(x: VectorFieldJet) -> list[tuple[int, int]] | None:
             break
         power = [[_dot(row, col) for col in zip(*off)] for row in power]
     else:
-        return None
+        return zero
     if any(w != lams[i] for i, comp in enumerate(x.comps) for w in _weights(lams, comp.terms)):
-        return None
+        return zero
     return lams
 
 
 class _FieldKernel(_JetKernelProblem):
     def __init__(self, x: VectorFieldJet, max_degree: int):
         _check_unknowns(x.dim * comb(max_degree + x.dim, x.dim))
-        if lams := _normal_form_weights(x):
-            cols = _resonant(lams, lams, max_degree)
-        else:
-            cols = _field_columns(x.dim, max_degree)
-        super().__init__(x, max_degree, cols)
+        lams = _normal_form_weights(x)
+        super().__init__(x, max_degree, _resonant(lams, lams, max_degree))
 
     def value(self, vector) -> VectorFieldJet:
         comps_terms = [dict() for _ in range(self.dim)]
@@ -301,11 +303,8 @@ class _FieldKernel(_JetKernelProblem):
 class _IntegralKernel(_JetKernelProblem):
     def __init__(self, x: VectorFieldJet, max_degree: int):
         _check_unknowns(comb(max_degree + x.dim, x.dim) - 1)
-        if lams := _normal_form_weights(x):
-            exps = [e for e, _ in _resonant(lams, [(0, 0)], max_degree, min_deg=1)]
-        else:
-            exps = monomials_up_to(x.dim, max_degree, min_deg=1)
-        super().__init__(x, max_degree, [(e, None) for e in exps])
+        resonant = _resonant(_normal_form_weights(x), [(0, 0)], max_degree, min_deg=1)
+        super().__init__(x, max_degree, [(e, None) for e, _ in resonant])
 
     def value(self, vector) -> PolySeries:
         return _trusted(self.dim, {self.columns[col][0]: c for col, c in vector.items()}, None)
@@ -551,17 +550,22 @@ def span_matches(
     generators: list[VectorFieldJet],
     max_degree: int,
 ) -> bool:
-    """Exact span equality of two families of degree-<=N field jets."""
-    if not kernel and not generators:
+    """Exact span equality of two families of degree-<=N field jets in one
+    dimension; a term above degree N is refused, not dropped."""
+    fields = [*kernel, *generators]
+    if not fields:
         return True
-    cols = _field_columns((kernel or generators)[0].dim, max_degree)
-    index = {label: k for k, label in enumerate(cols)}
+    dim = fields[0].dim
+    index = {label: k for k, label in enumerate(_field_columns(dim, max_degree))}
 
-    def vec(f: VectorFieldJet):
-        v = [ZERO] * len(cols)
-        for i, comp in enumerate(f.comps):
-            for e, c in comp.terms.items():
-                v[index[(e, i)]] = c
-        return v
+    def echelon(family) -> dict[int, linalg.SparseRow]:
+        span = linalg.Echelon(len(index))
+        for f in family:
+            if f.dim != dim:
+                raise DimensionMismatchError(f"dimension {f.dim} vs {dim}")
+            if any(c.total_degree() > max_degree for c in f.comps):
+                raise GermError(f"a term above degree {max_degree}")
+            span.insert({index[(e, i)]: c for i, comp in enumerate(f.comps) for e, c in comp.terms.items()})
+        return span.rows
 
-    return linalg.span_equal([vec(f) for f in kernel], [vec(g) for g in generators], len(cols))
+    return echelon(kernel) == echelon(generators)

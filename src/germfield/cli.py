@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every verb in ``VERBS`` parses its payload with the shared text grammar, calls
-the engine and returns one result: a dict of engine values, its text report,
-and the exit code.  ``run`` prints the text, or with --json the dict as a
+``VERBS`` maps each verb to its handler and its arguments; the parser and
+the dispatch both read it.  Each handler parses its payload with the shared
+text grammar, calls the engine and returns one result: a dict of engine
+values, its text report, and the exit code.  ``run`` prints the text, or with --json the dict as a
 stable, deterministic JSON schema.  ``_encode`` is the one place that knows
 the JSON form of each value type; the text stays with each verb, because the
 two forms differ.  Exit codes: 0 success, 1 mathematical false / no solution,
@@ -88,48 +89,6 @@ def _encode(value):
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
-_DEGREE = ("--max-degree", {"type": int, "default": 6})
-
-# each verb's arguments, in the order its usage lists them
-_ARGUMENTS = {
-    "bracket": [("field1", {}), ("field2", {})],
-    "wedge": [
-        ("fields", {"nargs": "+"}),
-        ("--weights", {"help": "p,q to wedge against the weighted Euler field"}),
-    ],
-    "centralizer": [("field", {}), _DEGREE],
-    "first-integrals": [("field", {}), _DEGREE],
-    "rank": [("field", {}), _DEGREE],
-    "resonances": [("eigenvalues", {}), ("--bound", {"type": int, "default": 6})],
-    "classify": [("field", {})],
-    "blowup": [("field", {}), ("--chart", {"type": int, "choices": (1, 2)})],
-    "resolve": [
-        ("field", {}),
-        ("--depth", {"type": int, "default": 12}),
-        ("--force-radial", {"action": "store_true"}),
-    ],
-    "check-commute": [("field1", {}), ("field2", {})],
-    "verify-integral": [("field", {}), ("ratio", {})],
-    "dual-pair": [("field1", {}), ("field2", {})],
-    "log-decomp": [
-        ("form", {}),
-        ("--denominator", {"required": True}),
-        ("--factor", {"action": "append", "required": True, "help": "poly:mult"}),
-        ("--phi-bound", {"type": int, "default": None}),
-    ],
-    "cr-pair": [("poly", {}), _DEGREE],
-    "table": [
-        ("row", {"type": int}),
-        ("--ratio", {}),
-        ("--p", {"type": int}),
-        ("--q", {"type": int}),
-        ("--n", {"type": int}),
-        ("--residue", {}),
-        _DEGREE,
-    ],
-}
-
-
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser of every verb, or with verb only of that one: its usage line
     still lists every verb, so its messages read the same."""
@@ -144,9 +103,9 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         description="Exact computer algebra for plane vector-field germs.",
         parents=[common],
     )
-    every = "{" + ",".join(_ARGUMENTS) + "}"
+    every = "{" + ",".join(VERBS) + "}"
     sub = parser.add_subparsers(dest="verb", required=True, metavar=None if verb is None else every)
-    for name, arguments in _ARGUMENTS.items():
+    for name, (_, arguments) in VERBS.items():
         if verb in (None, name):
             p = sub.add_parser(name, parents=[common])
             for flag, kwargs in arguments:
@@ -160,7 +119,7 @@ def _verb_named(argv) -> str | None:
     first (--help), which need every verb's parser."""
     for word in argv:
         if word != "--json":
-            return word if word in _ARGUMENTS else None
+            return word if word in VERBS else None
     return None
 
 
@@ -457,27 +416,51 @@ def _table(args):
     return result, "\n".join(lines), 0
 
 
+_DEGREE = ("--max-degree", {"type": int, "default": 6})
+
+# verb -> (handler, its arguments in the order its usage lists them), in the
+# order the usage line lists the verbs
 VERBS = {
-    "bracket": _bracket,
-    "wedge": _wedge,
-    "centralizer": _centralizer,
-    "first-integrals": _first_integrals,
-    "rank": _rank,
-    "resonances": _resonances,
-    "classify": _classify,
-    "blowup": _blowup,
-    "resolve": _resolve,
-    "check-commute": _check_commute,
-    "verify-integral": _verify_integral,
-    "dual-pair": _dual_pair,
-    "log-decomp": _log_decomp,
-    "cr-pair": _cr_pair,
-    "table": _table,
+    "bracket": (_bracket, [("field1", {}), ("field2", {})]),
+    "wedge": (_wedge, [
+        ("fields", {"nargs": "+"}),
+        ("--weights", {"help": "p,q to wedge against the weighted Euler field"}),
+    ]),
+    "centralizer": (_centralizer, [("field", {}), _DEGREE]),
+    "first-integrals": (_first_integrals, [("field", {}), _DEGREE]),
+    "rank": (_rank, [("field", {}), _DEGREE]),
+    "resonances": (_resonances, [("eigenvalues", {}), ("--bound", {"type": int, "default": 6})]),
+    "classify": (_classify, [("field", {})]),
+    "blowup": (_blowup, [("field", {}), ("--chart", {"type": int, "choices": (1, 2)})]),
+    "resolve": (_resolve, [
+        ("field", {}),
+        ("--depth", {"type": int, "default": 12}),
+        ("--force-radial", {"action": "store_true"}),
+    ]),
+    "check-commute": (_check_commute, [("field1", {}), ("field2", {})]),
+    "verify-integral": (_verify_integral, [("field", {}), ("ratio", {})]),
+    "dual-pair": (_dual_pair, [("field1", {}), ("field2", {})]),
+    "log-decomp": (_log_decomp, [
+        ("form", {}),
+        ("--denominator", {"required": True}),
+        ("--factor", {"action": "append", "required": True, "help": "poly:mult"}),
+        ("--phi-bound", {"type": int, "default": None}),
+    ]),
+    "cr-pair": (_cr_pair, [("poly", {}), _DEGREE]),
+    "table": (_table, [
+        ("row", {"type": int}),
+        ("--ratio", {}),
+        ("--p", {"type": int}),
+        ("--q", {"type": int}),
+        ("--n", {"type": int}),
+        ("--residue", {}),
+        _DEGREE,
+    ]),
 }
 
 
 def run(args) -> int:
-    result, text, code = VERBS[args.verb](args)
+    result, text, code = VERBS[args.verb][0](args)
     if getattr(args, "json", False):
         result = {"version": SCHEMA_VERSION, "command": args.verb, **result}
         print(json.dumps(result, sort_keys=True, indent=2, default=_encode))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .gaussian import GaussianRational
 from .series import (
-    DimensionMismatchError, GermError, PolySeries, Weight, _combination, _least_trunc,
+    DimensionMismatchError, GermError, PolySeries, Weight, _combination, _least_trunc, _trusted,
 )
 
 
@@ -288,18 +288,13 @@ def quasi_decompose(obj, weight: Weight):
     if isinstance(obj, PolySeries):
         return obj.weighted_parts(weight)
     if isinstance(obj, VectorFieldJet):
-        if len(weight) != obj.dim:
-            raise DimensionMismatchError("weight length differs from dimension")
-        buckets: dict[int, list[PolySeries]] = {}
+        buckets: dict[int, list[dict]] = {}
         for i, comp in enumerate(obj.comps):
             for e, c in comp.terms.items():
                 k = weight.degree_of(e) - weight[i]
-                if k not in buckets:
-                    buckets[k] = [
-                        PolySeries.zero(obj.dim, obj.trunc) for _ in range(obj.dim)
-                    ]
-                buckets[k][i] = buckets[k][i] + PolySeries.monomial(
-                    obj.dim, e, c, obj.trunc
-                )
-        return {k: VectorFieldJet(comps) for k, comps in sorted(buckets.items())}
+                buckets.setdefault(k, [{} for _ in range(obj.dim)])[i][e] = c
+        return {
+            k: VectorFieldJet([_trusted(obj.dim, t, obj.trunc) for t in comps])
+            for k, comps in sorted(buckets.items())
+        }
     raise TypeError("quasi_decompose expects a PolySeries or VectorFieldJet")

@@ -11,8 +11,11 @@ order, and with the graded-lex column order chosen by callers every kernel
 basis is reproducible bit for bit.  The kernel constraint matrices are about
 1 % dense, and a normal form's, kept to its resonant columns by the
 centralizer module, is small and nearly diagonal, so pivot rows stay short.
-The module functions take and return dense rows (lists of GaussianRational),
-except solve, which takes sparse rows.
+
+The engine uses only ``Echelon``, ``in_span`` and ``solve`` (sparse rows).
+``rref`` and ``nullspace`` take and return dense rows (lists of
+GaussianRational); nothing in the package calls them, but the benchmark's
+tracer wraps them by name, with ``in_span`` and ``solve``, to count calls.
 """
 
 from __future__ import annotations
@@ -101,10 +104,6 @@ def rref(rows: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     return [_dense(r, ncols) for r in ech.basis()], sorted(ech.rows)
 
 
-def rank(rows: Matrix, ncols: int) -> int:
-    return len(_echelon(rows, ncols).rows)
-
-
 def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
     """Basis of {v : M v = 0}, one vector per free column, in column order."""
     return [_dense(v, ncols) for v in _echelon(rows, ncols).kernel()]
@@ -112,10 +111,6 @@ def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
 
 def in_span(span: Echelon, v: SparseRow) -> bool:
     return not span.reduce(v)
-
-
-def span_equal(a: Matrix, b: Matrix, ncols: int) -> bool:
-    return _echelon(a, ncols).rows == _echelon(b, ncols).rows
 
 
 def solve(rows: list[SparseRow], ncols: int) -> tuple[Vector, bool]:

@@ -88,6 +88,8 @@ class Weight(tuple):
         return super().__new__(cls, entries)
 
     def degree_of(self, e: Exponent) -> int:
+        if len(e) != len(self):
+            raise DimensionMismatchError(f"weight of length {len(self)} for dimension {len(e)}")
         return sum(p * k for p, k in zip(self, e))
 
 

@@ -26,6 +26,7 @@ from oracles import (
 )
 
 from germfield import (
+    DimensionMismatchError,
     GermError,
     ad_kernel,
     classify_linear,
@@ -48,6 +49,7 @@ from germfield.centralizer import (
     _FieldKernel,
     _IntegralKernel,
     _JetKernelProblem,
+    _normal_form_weights,
     _resonant,
     monomials_up_to,
 )
@@ -92,6 +94,16 @@ class TestAdKernel:
         assert rep.dimension() == 4 == brute_force_centralizer_dim(x, 3)
         expected = [F("x, 0"), F("0, y"), F("x^2*y, 0"), F("0, x*y^2")]
         assert span_matches(rep.basis_fields(), expected, 3)
+
+    def test_span_match_refuses_term_above_max_degree(self):
+        basis = ad_kernel(F("x, 2*y"), 3).basis_fields()
+        with pytest.raises(GermError, match="above degree 3"):
+            span_matches(basis, [F("x^5, 0")], 3)
+
+    def test_span_match_refuses_other_dimension(self):
+        basis = ad_kernel(F("x, 2*y"), 3).basis_fields()
+        with pytest.raises(DimensionMismatchError):
+            span_matches(basis, [F("x, y, z")], 3)
 
     def test_nonsingular_field(self):
         # C(d/dx) = C{y} d/dx + C{y} d/dy
@@ -299,8 +311,9 @@ class TestTentativeSplit:
     @staticmethod
     def rank(fields):
         keys = sorted({(i, e) for f in fields for i, c in enumerate(f.comps) for e in c.terms})
-        rows = [[f.comps[i].coefficient(e) for i, e in keys] for f in fields]
-        return linalg.rank(rows, len(keys))
+        index = {key: k for k, key in enumerate(keys)}
+        rows = [{index[(i, e)]: a for i, c in enumerate(f.comps) for e, a in c.terms.items()} for f in fields]
+        return len(linalg.Echelon(len(keys), rows).rows)
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_split(self, case):
@@ -456,10 +469,14 @@ class TestResonantColumns:
             ("x + y, x + y", 3, (7, 0)),  # A - diag(A) is not nilpotent
             ("x + y^2, 2*y", 3, (2, 1)),  # y^2 d/dx is not resonant
             ("1, y", 3, (2, 6)),  # X(0) != 0
+            ("0, x", 3, (7, 0)),  # S = 0 already: A is nilpotent
         ],
     )
     def test_guards_keep_every_column(self, field, n, counts):
-        *got, dropped = self.check(F(field), n)
+        x = F(field)
+        # not in normal form for a nonzero S: in normal form for S = 0
+        assert _normal_form_weights(x) == [(0, 0)] * x.dim
+        *got, dropped = self.check(x, n)
         assert tuple(got) == counts and not dropped
 
     def test_no_resonant_function_column(self):
@@ -514,6 +531,14 @@ class TestResonantEnumeration:
         assert got == scan_resonant(lams, lams, max_deg, min_deg)
         got = _resonant(nums, [(0, 0)], max_deg, min_deg)
         assert got == scan_resonant(lams, [gq(0)], max_deg, min_deg)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_lambda_lists_every_column(self, dim):
+        # the columns of every field not in normal form for a nonzero S
+        zero = [(0, 0)] * dim
+        for n in range(9):
+            assert _resonant(zero, zero, n) == _field_columns(dim, n)
+            assert _resonant(zero, [(0, 0)], n, min_deg=1) == [(e, 0) for e in monomials_up_to(dim, n, 1)]
 
 
 def _dense(rows, ncols):

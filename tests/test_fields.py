@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import field_to_sympy, poly_to_sympy, sympy_bracket
 
 from germfield import (
+    DimensionMismatchError,
     TruncationError,
     VectorFieldJet,
     Weight,
@@ -169,6 +170,19 @@ class TestQuasiDecompose:
 
     def test_zero_input_gives_empty(self):
         assert quasi_decompose(P("0"), Weight((1, 1))) == {}
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: F("x, 2*y").mu(Weight((1,))),
+            lambda: quasi_decompose(P("x + y^2"), Weight((1,))),
+            lambda: quasi_decompose(F("x, 2*y"), Weight((1,))),
+        ],
+        ids=["mu", "function", "field"],
+    )
+    def test_weight_of_wrong_length_refused(self, call):
+        with pytest.raises(DimensionMismatchError):
+            call()
 
 
 def test_weighted_euler_fields():

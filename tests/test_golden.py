@@ -189,7 +189,12 @@ def test_script_runs(script):
     path = Path(__file__).resolve().parent.parent / "scripts" / script
     run = _fresh_python(f"import runpy; runpy.run_path({str(path)!r}, run_name='__main__')")
     assert run.returncode == 0, run.stderr
-    assert SCRIPTS[script] in run.stdout.splitlines()
+    lines = run.stdout.splitlines()
+    assert SCRIPTS[script] in lines
+    if script == "centralizer_table.py":
+        # every table row's kernel spans its tabulated generators
+        rows = [line for line in lines if line.startswith("  kernel dim")]
+        assert len(rows) == 8 and all(", span match True," in line for line in rows)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

@@ -1,9 +1,10 @@
 """The sparse eliminator against sympy's DomainMatrix over QQ_I.
 
-RREF is unique, so rref, rank and nullspace must agree with the oracle
-exactly, entry for entry, on random sparse Q(i) matrices with zero rows,
-repeated rows and full rank, and on nearly diagonal ones like the normal
-forms' kernel systems, where only the rows with tails are back-substituted.
+RREF is unique, so rref, nullspace and the rank and span of an Echelon must
+agree with the oracle exactly, entry for entry, on random sparse Q(i)
+matrices with zero rows, repeated rows and full rank, and on nearly diagonal
+ones like the normal forms' kernel systems, where only the rows with tails
+are back-substituted.
 """
 
 import sys
@@ -88,13 +89,18 @@ ONE_ENTRY_FIRST = ([_row(3, {1: ONE}), _row(3, {0: ONE, 1: ONE, 2: ONE})], 3)
 TAIL_FIRST = ([_row(3, {0: ONE, 1: ONE, 2: ONE}), _row(3, {1: ONE}), _row(3, {2: ONE})], 3)
 
 
+def _sparse(rows):
+    return [{c: a for c, a in enumerate(r) if a} for r in _ours(rows)]
+
+
 def _check_eliminator(rows, ncols):
     red, pivots = linalg.rref(_ours(rows), ncols)
     want_red, want_pivots = sympy_rref(rows, ncols)
     assert (pivots, _pairs(red)) == (want_pivots, want_red)
-    assert linalg.rank(_ours(rows), ncols) == len(want_pivots)
+    echelon = linalg.Echelon(ncols, _sparse(rows))
+    assert len(echelon.rows) == len(want_pivots)
     assert _pairs(linalg.nullspace(_ours(rows), ncols)) == sympy_nullspace(rows, ncols)
-    assert linalg.span_equal(_ours(rows), _ours(want_red), ncols)
+    assert echelon.rows == linalg.Echelon(ncols, _sparse(want_red)).rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -112,7 +118,7 @@ def test_near_diagonal_eliminator_matches_sympy(case):
 def _check_solve(rows, ncols, rhs):
     augmented = [row + [t] for row, t in zip(rows, rhs)]
     # sparse rows of [M | rhs], the rhs entry at column ncols
-    v, consistent = linalg.solve([{c: a for c, a in enumerate(r) if a} for r in _ours(augmented)], ncols)
+    v, consistent = linalg.solve(_sparse(augmented), ncols)
     assert consistent == (len(sympy_rref(augmented, ncols + 1)[1]) == len(sympy_rref(rows, ncols)[1]))
     satisfied = [
         sum((a * x for a, x in zip(row, v)), gq(0)) == gq(*t)

@@ -335,11 +335,6 @@ class TestCli:
         rc, text, _ = run_cli(capsys, *argv)
         assert rc == 0 and text.startswith("multiplicity mu = 1")
 
-    def test_every_verb_has_a_handler(self):
-        # a verb added to only one of the parser and the dispatch table
-        (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert set(VERBS) == set(verbs.choices)
-
 
 def outcome(capsys, argv):
     """(stdout, stderr, exit code) of main(argv), argparse's exits included."""
