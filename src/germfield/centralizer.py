@@ -36,7 +36,8 @@ Exponent = tuple[int, ...]
 # Kernel solves refuse more unknowns than this before listing a column, and
 # resonances more candidate exponents before listing one; a plane normal form
 # near this size (x, -y at N = 98) takes under 2 ms, since its resonant
-# columns are solved for, not found among all 9,900; a dense field far more.
+# columns are solved for, not found among all 9,900.  A dense field keeps
+# every column: a dense rotation takes about 0.25 s at N = 20.
 MAX_UNKNOWNS = 10_000
 
 
@@ -49,7 +50,10 @@ class CertifiedJet:
 
 
 @dataclass(frozen=True)
-class CentralizerReport:
+class _KernelReport:
+    """A kernel at coefficient degree <= max_degree: its certified basis, its
+    tentative vectors, and the certified count per leading degree."""
+
     field: VectorFieldJet
     max_degree: int
     multiplicity: int
@@ -57,103 +61,22 @@ class CentralizerReport:
     basis: tuple[CertifiedJet, ...]
     tentative: tuple[CertifiedJet, ...]
     dims: dict[int, int]
-    rank_estimate: int | None
-    stabilization: str
 
     def dimension(self) -> int:
         return len(self.basis)
+
+
+@dataclass(frozen=True)
+class CentralizerReport(_KernelReport):
+    rank_estimate: int | None
+    stabilization: str
 
     def basis_fields(self) -> list[VectorFieldJet]:
         return [b.value for b in self.basis]
 
 
-@dataclass(frozen=True)
-class FirstIntegralReport:
-    field: VectorFieldJet
-    max_degree: int
-    multiplicity: int
-    certified_degree: int
-    basis: tuple[CertifiedJet, ...]
-    tentative: tuple[CertifiedJet, ...]
-    dims: dict[int, int]
-
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
-def _require_polynomial_field(x: VectorFieldJet, max_degree: int):
-    if not x.is_total:
-        raise TruncationError("the base field must be an exact polynomial")
-    if x.is_zero():
-        raise GermError("the zero field has no meaningful kernel")
-    if max_degree < 1:
-        raise GermError("max_degree must be at least 1")
-
-
-class _JetKernelProblem:
-    """Shared assembly/split logic for ad_X and first-integral kernels.
-
-    Columns are (e, i) labels: the field x^e d/dz_i, or the function x^e when
-    i is None."""
-
-    def __init__(self, x: VectorFieldJet, max_degree: int, columns):
-        self.dim = x.dim
-        self.columns = columns            # unknown labels, graded order
-        self.rows = _constraint_rows(x, columns)
-        self.horizon = max_degree + x.mu() - 1
-
-    def solve(self) -> tuple[list[linalg.SparseRow], list[linalg.SparseRow]]:
-        """(exact, tentative) kernel vectors in RREF, from one elimination.
-
-        Constraint rows are (target slot, monomial) coefficients.  Rows up to
-        the horizon give the raw kernel; inserting the rows beyond it into the
-        same pivots gives the exact kernel.  A raw vector is tentative when it
-        is outside the span of the exact and earlier tentative ones.  When the
-        rows beyond the horizon add no pivot (as when there are none), they
-        lie in the span of the others: exact = raw, and nothing is tentative."""
-        ncols = len(self.columns)
-        system = linalg.Echelon(ncols)
-        beyond = []
-        for (_, e), row in self.rows.items():
-            if sum(e) > self.horizon:
-                beyond.append(row)
-            else:
-                system.insert(row)
-        raw = linalg.Echelon(ncols, system.kernel()).basis()
-        rank = len(system.rows)
-        for row in beyond:
-            system.insert(row)
-        if len(system.rows) == rank:
-            return raw, []
-        exact = linalg.Echelon(ncols, system.kernel()).basis()
-        span = linalg.Echelon(ncols, exact)
-        tentative = []
-        for v in raw:
-            if not linalg.in_span(span, v):
-                tentative.append(v)
-                span.insert(v)
-        return exact, tentative
-
-    def certify(self):
-        """Certified jets, tentative jets, and certified count per leading degree."""
-        exact, tentative = self.solve()
-        dims: dict[int, int] = {}
-        for v in exact:
-            d = self.column_degree(min(v))
-            dims[d] = dims.get(d, 0) + 1
-
-        def jets(vectors):
-            return tuple(CertifiedJet(self.value(v)) for v in vectors)
-
-        return jets(exact), jets(tentative), dims
-
-    def column_degree(self, col_idx: int) -> int:
-        return sum(self.columns[col_idx][0])
-
-
-def _check_unknowns(count: int):
-    if count > MAX_UNKNOWNS:
-        raise GermError(f"{count} unknowns exceed the kernel budget of {MAX_UNKNOWNS}")
+class FirstIntegralReport(_KernelReport):
+    """Nonconstant jets f, f(0) = 0, with X(f) = 0."""
 
 
 def _field_columns(dim: int, max_degree: int) -> list[tuple[Exponent, int]]:
@@ -161,15 +84,37 @@ def _field_columns(dim: int, max_degree: int) -> list[tuple[Exponent, int]]:
     return [(e, i) for e in monomials_up_to(dim, max_degree) for i in range(dim)]
 
 
-def _constraint_rows(x: VectorFieldJet, columns) -> dict[tuple[int, Exponent], linalg.SparseRow]:
-    """(slot, monomial) -> {column: coeff}: the images of the columns under X.
+def _columns(x: VectorFieldJet, max_degree: int, functions: bool) -> list[tuple[Exponent, int | None]]:
+    """The unknowns of a kernel, highest degree first: the resonant x^e d/dz_i
+    of a field jet, or with functions the resonant x^e, e != 0, labelled
+    (e, None).  Every column is resonant when S = 0.  An input that is not an
+    exact polynomial, or whose unknowns exceed the budget, is refused before
+    any column is listed."""
+    if not x.is_total:
+        raise TruncationError("the base field must be an exact polynomial")
+    if x.is_zero():
+        raise GermError("the zero field has no meaningful kernel")
+    if max_degree < 1:
+        raise GermError("max_degree must be at least 1")
+    count = comb(max_degree + x.dim, x.dim)
+    count = count - 1 if functions else x.dim * count
+    if count > MAX_UNKNOWNS:
+        raise GermError(f"{count} unknowns exceed the kernel budget of {MAX_UNKNOWNS}")
+    lams = _normal_form_weights(x)
+    if functions:
+        return [(e, None) for e, _ in _resonant(lams, [(0, 0)], max_degree, min_deg=1)][::-1]
+    return _resonant(lams, lams, max_degree)[::-1]
+
+
+def _column_images(x: VectorFieldJet, columns) -> tuple[int, list[dict]]:
+    """(D, images): each column's image under X, {(slot, monomial): (re, im)}
+    holding Gaussian-integer numerators over D, the lcm of X's denominators
+    (an entry that cancels stays, as (0, 0)).
 
     [X, x^e d_i] = X(x^e) d_i - x^e sum_k (dX_k/dx_i) d_k, and for a function
     column X(x^e) = sum_j e_j X_j x^(e - u_j): both are X's terms (or its
-    partials' terms) shifted and scaled, so no product is formed.  Every
-    coefficient is a Gaussian-integer numerator over D, the lcm of X's
-    denominators, so a column's image is summed in ints and each entry that
-    does not cancel becomes one Q(i) scalar."""
+    partials' terms) shifted and scaled, so no product is formed and each
+    image is summed in ints."""
     dim = x.dim
     d, nums = over_common_denominator([c for comp in x.comps for c in comp.terms.values()])
     nums = iter(nums)
@@ -180,8 +125,8 @@ def _constraint_rows(x: VectorFieldJet, columns) -> dict[tuple[int, Exponent], l
          for t in terms]
         for i in range(dim)
     ]
-    rows: dict[tuple[int, Exponent], linalg.SparseRow] = {}
-    for col, (e, i) in enumerate(columns):
+    images = []
+    for e, i in columns:
         image: dict[tuple[int, Exponent], tuple[int, int]] = {}
         slot = 0 if i is None else i
         for j, ej in enumerate(e):
@@ -197,10 +142,93 @@ def _constraint_rows(x: VectorFieldJet, columns) -> dict[tuple[int, Exponent], l
                     key = (k, tuple(map(add, b, e)))
                     s, t = image.get(key, (0, 0))
                     image[key] = (s + p, t + q)
+        images.append(image)
+    return d, images
+
+
+def _kernel(x: VectorFieldJet, max_degree: int, columns):
+    """(horizon, exact, tentative) kernel vectors in canonical (graded-lex)
+    RREF, from one elimination.
+
+    Constraint rows are the (slot, monomial) coefficients of the columns'
+    images.  Rows up to the horizon give the raw kernel; inserting the rows
+    beyond it into the same pivots gives the exact kernel.  A raw vector is
+    tentative when it is outside the span of the exact and earlier tentative
+    ones; when the rows beyond the horizon add no pivot, exact = raw.
+
+    The columns come highest degree first, so each free column's kernel
+    vector leads, in graded-lex order, with that column and is zero at every
+    other free one: Echelon.kernel() reversed is the canonical RREF.  Rows go
+    in by leading column, the last (lowest degree) first: a new pivot then
+    seldom sits in an older pivot row, and pivot rows stay short
+    (notes/decisions.md, "Kernels eliminated highest degree first")."""
+    horizon = max_degree + x.mu() - 1
+    d, images = _column_images(x, columns)
+    rows: dict[tuple[int, Exponent], linalg.SparseRow] = {}
+    for col, image in enumerate(images):
         for key, (p, q) in image.items():
             if p or q:
                 rows.setdefault(key, {})[col] = _reduce(p, q, d)
-    return rows
+    system = linalg.Echelon(len(columns))
+    beyond = []
+    # each row was created at its leading column: reversed, the rows go in by
+    # leading column, the last first
+    for (_, e), row in reversed(rows.items()):
+        if sum(e) > horizon:
+            beyond.append(row)
+        else:
+            system.insert(row)
+    exact = raw = system.kernel()[::-1]
+    rank = len(system.rows)
+    for row in beyond:
+        system.insert(row)
+    tentative = []
+    if len(system.rows) > rank:
+        exact = system.kernel()[::-1]
+        span = linalg.Echelon(len(columns), exact)
+        for v in raw:
+            if not linalg.in_span(span, v):
+                tentative.append(v)
+                span.insert(v)
+    _check_residuals(images, exact)
+    return horizon, exact, tentative
+
+
+def _check_residuals(images, vectors):
+    """Raise unless every row, past the horizon too, annihilates every vector:
+    sum_c v_c image_c, in Gaussian-integer numerators, apart from Echelon."""
+    for v in vectors:
+        _, nums = over_common_denominator(v.values())
+        total: dict[tuple[int, Exponent], tuple[int, int]] = {}
+        for col, (a, b) in zip(v, nums):
+            for key, (p, q) in images[col].items():
+                s, t = total.get(key, (0, 0))
+                total[key] = (s + a * p - b * q, t + a * q + b * p)
+        if any(s or t for s, t in total.values()):
+            raise GermError("internal error: a certified kernel vector fails a constraint")
+
+
+def _certify(x: VectorFieldJet, max_degree: int, functions: bool = False):
+    """(horizon, certified jets, tentative jets, certified count per degree),
+    in the reports' field order; a vector's degree is that of its canonical
+    leading column, max(v)."""
+    columns = _columns(x, max_degree, functions)
+    horizon, exact, tentative = _kernel(x, max_degree, columns)
+    dims: dict[int, int] = {}
+    for v in exact:
+        d = sum(columns[max(v)][0])
+        dims[d] = dims.get(d, 0) + 1
+
+    def jet(v) -> CertifiedJet:
+        terms = [{} for _ in range(x.dim)]
+        for col, c in v.items():
+            e, i = columns[col]
+            terms[i or 0][e] = c
+        if functions:
+            return CertifiedJet(_trusted(x.dim, terms[0], None))
+        return CertifiedJet(VectorFieldJet([_trusted(x.dim, t, None) for t in terms]))
+
+    return horizon, tuple(map(jet, exact)), tuple(map(jet, tentative)), dims
 
 
 def _weights(lams: list[tuple[int, int]], exps) -> list[tuple[int, int]]:
@@ -286,44 +314,11 @@ def _normal_form_weights(x: VectorFieldJet) -> list[tuple[int, int]]:
     return lams
 
 
-class _FieldKernel(_JetKernelProblem):
-    def __init__(self, x: VectorFieldJet, max_degree: int):
-        _check_unknowns(x.dim * comb(max_degree + x.dim, x.dim))
-        lams = _normal_form_weights(x)
-        super().__init__(x, max_degree, _resonant(lams, lams, max_degree))
-
-    def value(self, vector) -> VectorFieldJet:
-        comps_terms = [dict() for _ in range(self.dim)]
-        for col, c in vector.items():
-            e, i = self.columns[col]
-            comps_terms[i][e] = c
-        return VectorFieldJet([_trusted(self.dim, t, None) for t in comps_terms])
-
-
-class _IntegralKernel(_JetKernelProblem):
-    def __init__(self, x: VectorFieldJet, max_degree: int):
-        _check_unknowns(comb(max_degree + x.dim, x.dim) - 1)
-        resonant = _resonant(_normal_form_weights(x), [(0, 0)], max_degree, min_deg=1)
-        super().__init__(x, max_degree, [(e, None) for e, _ in resonant])
-
-    def value(self, vector) -> PolySeries:
-        return _trusted(self.dim, {self.columns[col][0]: c for col, c in vector.items()}, None)
-
-
 def ad_kernel(x: VectorFieldJet, max_degree: int) -> CentralizerReport:
     """Certified basis of the bracket kernel at coefficient degree <= N."""
-    horizon, basis, tentative, dims, rank_estimate = _certified_centralizer(x, max_degree)
-    return CentralizerReport(
-        field=x,
-        max_degree=max_degree,
-        multiplicity=x.mu(),
-        certified_degree=horizon,
-        basis=basis,
-        tentative=tentative,
-        dims=dims,
-        rank_estimate=rank_estimate,
-        stabilization=_stabilization_verdict(x, max_degree, dims),
-    )
+    horizon, basis, tentative, dims, rank = _certified_centralizer(x, max_degree)
+    verdict = _stabilization_verdict(x, max_degree, dims)
+    return CentralizerReport(x, max_degree, x.mu(), horizon, basis, tentative, dims, rank, verdict)
 
 
 def centralizer_rank(x: VectorFieldJet, max_degree: int) -> int | None:
@@ -333,13 +328,9 @@ def centralizer_rank(x: VectorFieldJet, max_degree: int) -> int | None:
 
 def _certified_centralizer(x: VectorFieldJet, max_degree: int):
     """(horizon, basis, tentative, dims, rank_estimate) of the bracket kernel."""
-    _require_polynomial_field(x, max_degree)
-    problem = _FieldKernel(x, max_degree)
-    basis, tentative, dims = problem.certify()
-    rank_estimate = None
-    if x.dim == 2 and basis:
-        rank_estimate = generic_rank([b.value for b in basis])
-    return problem.horizon, basis, tentative, dims, rank_estimate
+    horizon, basis, tentative, dims = _certify(x, max_degree)
+    rank_estimate = generic_rank([b.value for b in basis]) if x.dim == 2 and basis else None
+    return horizon, basis, tentative, dims, rank_estimate
 
 
 def _stabilization_verdict(x, max_degree, dims) -> str:
@@ -357,18 +348,7 @@ def _stabilization_verdict(x, max_degree, dims) -> str:
 
 def first_integral_kernel(x: VectorFieldJet, max_degree: int) -> FirstIntegralReport:
     """Certified basis of nonconstant jets f, f(0)=0, with X(f) = 0."""
-    _require_polynomial_field(x, max_degree)
-    problem = _IntegralKernel(x, max_degree)
-    basis, tentative, dims = problem.certify()
-    return FirstIntegralReport(
-        field=x,
-        max_degree=max_degree,
-        multiplicity=x.mu(),
-        certified_degree=problem.horizon,
-        basis=basis,
-        tentative=tentative,
-        dims=dims,
-    )
+    return FirstIntegralReport(x, max_degree, x.mu(), *_certify(x, max_degree, functions=True))
 
 
 def extendable_jet_dimension(x: VectorFieldJet, max_degree: int, d: int) -> int:
@@ -377,14 +357,10 @@ def extendable_jet_dimension(x: VectorFieldJet, max_degree: int, d: int) -> int:
     Monotone non-increasing in max_degree for fixed d: deeper truncations add
     constraints that extendable low jets must survive.
     """
-    _require_polynomial_field(x, max_degree)
-    problem = _FieldKernel(x, max_degree)
-    exact_vecs, tentative_vecs = problem.solve()
-    truncated = [
-        {i: c for i, c in v.items() if problem.column_degree(i) <= d}
-        for v in exact_vecs + tentative_vecs
-    ]
-    return len(linalg.Echelon(len(problem.columns), truncated).rows)
+    columns = _columns(x, max_degree, functions=False)
+    _, exact, tentative = _kernel(x, max_degree, columns)
+    truncated = [{c: a for c, a in v.items() if sum(columns[c][0]) <= d} for v in exact + tentative]
+    return len(linalg.Echelon(len(columns), truncated).rows)
 
 
 def generic_rank(basis: list[VectorFieldJet]) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -473,10 +474,17 @@ def main(argv=None) -> int:
     parser = build_parser(_verb_named(sys.argv[1:] if argv is None else argv))
     args = parser.parse_args(argv)
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()
+        return code
     except (ParseError, GermError, ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left: stdout to devnull keeps the last flush quiet, and
+        # 141 is a shell's status for a process ended by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ against the pivot rows; a nonzero remainder is normalized at its leftmost
 column, which is then cleared from the other pivot rows.  Only pivot rows
 inserted with a nonempty tail are revisited: a row that is a bare pivot can
 never gain an entry.  RREF is unique, so results do not depend on insertion
-order, and with the graded-lex column order chosen by callers every kernel
-basis is reproducible bit for bit.  The kernel constraint matrices are about
-1 % dense, and a normal form's, kept to its resonant columns by the
-centralizer module, is small and nearly diagonal, so pivot rows stay short.
+order.  Callers list kernel columns highest degree first: the kernel read
+off the pivots is then, reversed, its graded-lex RREF, bit for bit.  The
+kernel constraint matrices are about 1 % dense, and a normal form's, kept to
+its resonant columns, is small and nearly diagonal: pivot rows stay short.
 
 The engine uses only ``Echelon``, ``in_span`` and ``solve`` (sparse rows).
 ``rref`` and ``nullspace`` take and return dense rows (lists of

@@ -76,7 +76,7 @@ class _Parser:
             self.error("trailing input")
 
     # polynomial := ['+'|'-'] term (('+'|'-') term)*
-    def polynomial(self, stop_at_diff=False) -> PolySeries:
+    def polynomial(self) -> PolySeries:
         result = PolySeries.zero(self.dim)
         sign = 1
         kind, val, _ = self.peek()
@@ -84,7 +84,7 @@ class _Parser:
             self.next()
             sign = -1 if val == "-" else 1
         while True:
-            result = result + self.term(stop_at_diff) * sign
+            result = result + self.term() * sign
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
@@ -92,9 +92,10 @@ class _Parser:
                 continue
             return result
 
-    # term := factor ('*'? factor)*  with '/' only after a number factor
+    # term := factor ('*'? factor)*  with '/' only after a number factor; a
+    # one-form's term (stop_at_diff) takes no implicit product
     def term(self, stop_at_diff=False) -> PolySeries:
-        result = self.factor(stop_at_diff)
+        result = self.factor()
         if result is None:
             self.error("expected a term")
         while True:
@@ -108,24 +109,19 @@ class _Parser:
                 if stop_at_diff and ahead == "diff":
                     break  # the star binds a differential, not a factor
                 self.next()
-                nxt = self.factor(stop_at_diff)
+                nxt = self.factor()
                 if nxt is None:
                     self.error("expected a factor after '*'")
                 result = result * nxt
-                continue
-            # implicit product, e.g. "2x" is not in the grammar but "(x)(y)" is
-            if kind in ("number", "name") or (kind == "op" and val == "("):
-                if stop_at_diff is False and kind is not None:
-                    nxt = self.factor(stop_at_diff)
-                    if nxt is None:
-                        break
-                    result = result * nxt
-                    continue
-            break
+            elif not stop_at_diff and (kind in ("number", "name") or (kind == "op" and val == "(")):
+                # an implicit product: "2x" is 2*x, "2 3" is 6, "(x)(y)" is x*y
+                result = result * self.factor()
+            else:
+                break
         return result
 
     # factor := rational | 'i' | variable ['^' number] | '(' polynomial ')'
-    def factor(self, stop_at_diff=False) -> PolySeries | None:
+    def factor(self) -> PolySeries | None:
         kind, val, start = self.peek()
         if kind == "number":
             self.next()

@@ -44,11 +44,11 @@ from germfield import (
 from germfield import PolySeries, VectorFieldJet, linalg, weighted_euler, wedge
 from germfield.centralizer import (
     MAX_UNKNOWNS,
-    _constraint_rows,
+    _certify,
+    _column_images,
+    _columns,
     _field_columns,
-    _FieldKernel,
-    _IntegralKernel,
-    _JetKernelProblem,
+    _kernel,
     _normal_form_weights,
     _resonant,
     monomials_up_to,
@@ -197,6 +197,60 @@ def exact_fields(dim, max_deg):
     )
 
 
+def constraint_rows(x, columns):
+    """{(slot, monomial): {column: coefficient}}: the constraint rows, read
+    off the engine's column images."""
+    d, images = _column_images(x, columns)
+    rows = {}
+    for col, image in enumerate(images):
+        for key, (p, q) in image.items():
+            if p or q:
+                rows.setdefault(key, {})[col] = gq(Fraction(p, d), Fraction(q, d))
+    return rows
+
+
+def graded_lex(columns):
+    """The columns in graded-lex order of their exponents, then by component."""
+    return sorted(columns, key=lambda c: (sum(c[0]), c[0][::-1], c[1] or 0))
+
+
+def labelled(columns, vectors):
+    return [{columns[c]: a for c, a in v.items()} for v in vectors]
+
+
+def canonical_solve(x, n, columns):
+    """The kernel solve with the columns in graded-lex order, as the engine
+    ran it before it pivoted highest degree first: raw and exact kernels
+    re-reduced to RREF by a second elimination each.  Returns the labelled
+    exact and tentative vectors and the certified count per leading degree."""
+    horizon, ncols = n + x.mu() - 1, len(columns)
+    rows = constraint_rows(x, columns)
+    system = linalg.Echelon(ncols, [r for (_, e), r in rows.items() if sum(e) <= horizon])
+    raw = linalg.Echelon(ncols, system.kernel()).basis()
+    for (_, e), r in rows.items():
+        if sum(e) > horizon:
+            system.insert(r)
+    exact = linalg.Echelon(ncols, system.kernel()).basis()
+    span, tentative = linalg.Echelon(ncols, exact), []
+    for v in raw:
+        if not linalg.in_span(span, v):
+            tentative.append(v)
+            span.insert(v)
+    dims: dict[int, int] = {}
+    for v in exact:
+        d = sum(columns[min(v)][0])
+        dims[d] = dims.get(d, 0) + 1
+    return labelled(columns, exact), labelled(columns, tentative), dims
+
+
+def engine_solve(x, n, functions):
+    """The engine's kernel of X on its own columns: labelled exact and
+    tentative vectors and the certified count per leading degree."""
+    columns = _columns(x, n, functions)
+    _, exact, tentative = _kernel(x, n, columns)
+    return labelled(columns, exact), labelled(columns, tentative), _certify(x, n, functions)[3]
+
+
 class TestConstraintRows:
     """Shift-and-scale assembly against the definitions it replaces:
     column x^e d_i is [X, x^e d_i], column x^e (i = None) is X(x^e)."""
@@ -220,7 +274,7 @@ class TestConstraintRows:
     def check(self, x, n):
         functions = [(e, None) for e in monomials_up_to(x.dim, n, min_deg=1)]
         for columns in (_field_columns(x.dim, n), functions):
-            assert _constraint_rows(x, columns) == self.reference_rows(x, columns)
+            assert constraint_rows(x, columns) == self.reference_rows(x, columns)
 
     @given(exact_fields(2, 3))
     @settings(max_examples=60, deadline=None)
@@ -237,7 +291,7 @@ class TestConstraintRows:
         # [R, x^e d_i] = (|e| - 1) x^e d_i: the linear columns' images cancel
         for x in (radial_field(dim), weighted_euler((1, 2, 3)[:dim])):
             self.check(x, 3)
-        rows = _constraint_rows(radial_field(dim), _field_columns(dim, 3))
+        rows = constraint_rows(radial_field(dim), _field_columns(dim, 3))
         linear = {col for col, (e, _) in enumerate(_field_columns(dim, 3)) if sum(e) == 1}
         assert rows and not any(linear & row.keys() for row in rows.values())
 
@@ -430,32 +484,16 @@ class TestResonantColumns:
     """Kernels of normal-form fields, solved on their resonant columns only,
     against the same problem on every column."""
 
-    @staticmethod
-    def labelled(problem, vectors):
-        return [{problem.columns[c]: a for c, a in v.items()} for v in vectors]
-
     def check(self, x, n):
         """Assert that both kernels equal their all-column oracle; return the
         field kernel's exact and tentative counts and whether it dropped
         columns."""
         functions = [(e, None) for e in monomials_up_to(x.dim, n, min_deg=1)]
-        pairs = (
-            (_IntegralKernel(x, n), functions),
-            (_FieldKernel(x, n), _field_columns(x.dim, n)),
-        )
-        for problem, columns in pairs:
-            oracle = _JetKernelProblem(x, n, columns)
-            exact, tentative = oracle.solve()
-            got_exact, got_tentative = problem.solve()
-            assert self.labelled(problem, got_exact) == self.labelled(oracle, exact)
-            assert self.labelled(problem, got_tentative) == self.labelled(oracle, tentative)
-            dims: dict[int, int] = {}
-            for v in exact:
-                d = oracle.column_degree(min(v))
-                dims[d] = dims.get(d, 0) + 1
-            assert problem.certify()[2] == dims
+        for flag, columns in ((True, functions), (False, _field_columns(x.dim, n))):
+            exact, tentative, dims = canonical_solve(x, n, columns)
+            assert engine_solve(x, n, flag) == (exact, tentative, dims)
         # the field kernel's, from the last pass
-        return len(exact), len(tentative), len(problem.columns) < len(columns)
+        return len(exact), len(tentative), len(_columns(x, n, False)) < len(columns)
 
     @given(normal_forms())
     @settings(max_examples=60, deadline=None)
@@ -556,11 +594,11 @@ def _sympy_kernel_rref(rows, ncols):
 
 
 class TestOneElimination:
-    """_JetKernelProblem.solve against sympy: the exact kernel is the RREF of
-    the nullspace of every row, the raw one of the rows up to the horizon,
-    and the tentative vectors are the raw RREF vectors outside the span of
-    the exact and the earlier tentative ones.  When the rows past the horizon
-    add no pivot, solve returns the raw kernel with no second elimination."""
+    """_kernel against sympy: the exact kernel is the RREF of the nullspace of
+    every row, the raw one of the rows up to the horizon, and the tentative
+    vectors are the raw RREF vectors outside the span of the exact and the
+    earlier tentative ones.  sympy sees the rows with the columns in
+    graded-lex order; vectors are compared by column label."""
 
     CASES = [
         (F("y, -x"), 4, False),
@@ -572,33 +610,86 @@ class TestOneElimination:
     ]
 
     @staticmethod
-    def problems(x, n):
+    def column_lists(x, n):
+        """Each list highest degree first: the resonant field and function
+        columns, then every field and every function column."""
         functions = [(e, None) for e in monomials_up_to(x.dim, n, min_deg=1)]
-        return [
-            _FieldKernel(x, n),
-            _IntegralKernel(x, n),
-            _JetKernelProblem(x, n, _field_columns(x.dim, n)),
-            _JetKernelProblem(x, n, functions),
-        ]
+        return [_columns(x, n, False), _columns(x, n, True), _field_columns(x.dim, n)[::-1], functions[::-1]]
+
+    @staticmethod
+    def by_label(canonical, dense):
+        return [{canonical[c]: gq(*z) for c, z in enumerate(v) if any(z)} for v in dense]
 
     @pytest.mark.parametrize("x, n, past", CASES, ids=[str(c[0]) for c in CASES])
     def test_against_sympy(self, x, n, past):
         found_past = False
-        for problem in self.problems(x, n):
-            ncols = len(problem.columns)
-            visible = [r for (_, e), r in problem.rows.items() if sum(e) <= problem.horizon]
-            found_past |= len(visible) < len(problem.rows)
+        for columns in self.column_lists(x, n):
+            canonical = graded_lex(columns)
+            ncols, horizon = len(canonical), n + x.mu() - 1
+            rows = constraint_rows(x, canonical)
+            visible = [r for (_, e), r in rows.items() if sum(e) <= horizon]
+            found_past |= len(visible) < len(rows)
             raw = _sympy_kernel_rref(_dense(visible, ncols), ncols)
-            exact = _sympy_kernel_rref(_dense(problem.rows.values(), ncols), ncols)
+            exact = _sympy_kernel_rref(_dense(rows.values(), ncols), ncols)
             tentative, span = [], list(exact)
             for v in raw:
                 if len(sympy_rref(span + [v], ncols)[1]) > len(span):
                     tentative.append(v)
                     span.append(v)
-            got_exact, got_tentative = problem.solve()
-            assert _dense(got_exact, ncols) == exact
-            assert _dense(got_tentative, ncols) == tentative
+            _, got_exact, got_tentative = _kernel(x, n, columns)
+            assert labelled(columns, got_exact) == self.by_label(canonical, exact)
+            assert labelled(columns, got_tentative) == self.by_label(canonical, tentative)
         assert found_past == past
+
+
+# linear parts of every type: rotations, saddles, nodes, resonant nodes,
+# Jordan blocks, nilpotent and zero (mu > 1 once the constant term is gone)
+DENSE_LINEAR = {
+    2: ["y, -x", "i*x, -i*y", "x, -2*y", "x, 1/3*y", "x, 2*y", "x + y, y", "0, x", "0, 0"],
+    3: ["x, 2*y, 3*z", "y, -x, z", "x, y, -2*z", "x + y, y, 2*z", "y, z, 0", "0, 0, 0"],
+}
+
+
+@st.composite
+def dense_fields(draw):
+    """(X, N): a drawn linear part plus every monomial of degree 2 up to a
+    drawn degree, each with a drawn nonzero coefficient."""
+    dim = draw(st.sampled_from([2, 3]))
+    linear = parse_field(draw(st.sampled_from(DENSE_LINEAR[dim])), dim)
+    top = draw(st.integers(2, 3))
+    higher = monomials_up_to(dim, top, min_deg=2)
+    comps = [PolySeries(dim, {**c.terms, **{e: draw(COEFFS) for e in higher}}) for c in linear.comps]
+    return VectorFieldJet(comps), draw(st.integers(2, 4 if dim == 2 else 3))
+
+
+class TestCanonicalOrder:
+    """Pivoting highest degree first reads the canonical RREF off one
+    elimination: on dense fields of every linear type the engine's exact and
+    tentative vectors and dims equal the graded-lex solve with re-reduction."""
+
+    @given(dense_fields())
+    @settings(max_examples=40, deadline=None)
+    def test_dense_fields_match_canonical_solve(self, case):
+        x, n = case
+        for functions in (False, True):
+            canonical = graded_lex(_columns(x, n, functions))
+            assert engine_solve(x, n, functions) == canonical_solve(x, n, canonical)
+
+
+class TestResidualCheck:
+    def test_corrupted_kernel_vector_is_refused(self, monkeypatch):
+        kernel = linalg.Echelon.kernel
+
+        def corrupted(self):
+            vectors = kernel(self)
+            v = next(v for v in vectors if len(v) > 1)
+            c = list(v)[1]  # a pivot column: its image is not zero
+            v[c] = v[c] + 1
+            return vectors
+
+        monkeypatch.setattr(linalg.Echelon, "kernel", corrupted)
+        with pytest.raises(GermError, match="internal error"):
+            ad_kernel(F("y, -x"), 3)
 
 
 PLANE_POLYS = st.dictionaries(st.sampled_from(monomials_up_to(2, 3)), COEFFS, max_size=3).map(

@@ -17,6 +17,7 @@ fails: the default paths never reach blowup's sympy fallback.
 
 import contextlib
 import io
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from germfield import cli, linear_centralizer_table, parse_field
+from germfield import cli, lie_bracket, linear_centralizer_table, parse_field, parse_poly
 from germfield.gaussian import gq
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,6 +139,19 @@ def test_fields_are_the_table_rows(row):
 def test_output_matches_golden(verb, name, field, n):
     path = f"{verb}_{name}_N{n}.json"
     assert _output(FILES[path]) == (GOLDEN / path).read_text()
+
+
+@pytest.mark.parametrize("name,field,n", CASES, ids=[f"{c[0]}_N{c[2]}" for c in CASES])
+def test_certified_golden_vectors_are_in_the_kernel(name, field, n):
+    # each certified vector of a kernel file, parsed back from its text,
+    # commutes with X (centralizer) or is annihilated by it (first integrals)
+    x = parse_field(field)
+    for verb in VERBS:
+        for b in json.loads((GOLDEN / f"{verb}_{name}_N{n}.json").read_text())["basis"]:
+            if verb == "centralizer":
+                assert lie_bracket(x, parse_field(b["text"], x.dim)).is_zero()
+            else:
+                assert x.apply(parse_poly(b["text"], x.dim)).is_zero()
 
 
 CLI_FILES = sorted(name for name in FILES if name.startswith("cli/"))

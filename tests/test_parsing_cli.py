@@ -1,8 +1,12 @@
 import argparse
 import importlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,17 @@ class TestGrammar:
     def test_ratio_with_rational_coefficients(self):
         r = parse_ratio("(3*y + 2*x^3) / (3*y^3)")
         assert r.denominator == parse_poly("3*y^3")
+
+    def test_implicit_products(self):
+        assert parse_poly("2x") == parse_poly("2*x")
+        assert parse_poly("2 3") == parse_poly("6")
+        assert parse_poly("(x)(y)") == parse_poly("x*y")
+        assert parse_poly("x y") == parse_poly("x*y")
+        assert parse_poly("3/2x^2 y") == parse_poly("3/2*x^2*y")
+
+    def test_one_form_term_takes_no_implicit_product(self):
+        with pytest.raises(ParseError, match="expected dx, dy or dz"):
+            parse_one_form("x y dx")
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
@@ -445,3 +460,17 @@ def test_verb_loads_only_its_modules(argv, unloaded):
     assert run.returncode == 0, run.stderr
     loaded = run.stdout.splitlines()[-1].split()
     assert not {f"germfield.{m}" for m in unloaded} & set(loaded), loaded
+
+
+def test_closed_pipe_exits_141_quietly():
+    # about 140 KB of JSON, more than a pipe holds: the writer is still
+    # printing when the reader takes one line and closes its end
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "germfield.cli", "--json", "resolve", "y, x^30", "--depth", "30"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
