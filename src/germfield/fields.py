@@ -5,8 +5,8 @@ component i is the coefficient of d/dz_i.  All operations are pure and return
 new values.  X(f), brackets, pairings, wedges and the divergence are each a
 sum of products k * f * g or k * f * dg/dz_i, computed in one pass on one
 common denominator (series._combination) with no intermediate series per
-product: the derivatives of brackets, X(f) and the integrability checks are
-taken inside that pass, with no call to partial.  Such a sum is certified
+product: the derivatives of brackets, X(f), the divergence and the
+integrability checks are taken inside that pass.  Such a sum is certified
 exactly as far as every operand is, and no further: a bracket component of
 jets known mod N and M (so partials mod N - 1 and M - 1) is known mod
 min(N, M) - 1.
@@ -45,10 +45,6 @@ class VectorFieldJet:
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorFieldJet is immutable")
-
-    @classmethod
-    def zero(cls, dim: int, trunc: int | None = None) -> "VectorFieldJet":
-        return cls([PolySeries.zero(dim, trunc)] * dim)
 
     # -- queries -----------------------------------------------------------
 
@@ -130,10 +126,10 @@ class VectorFieldJet:
             raise DimensionMismatchError("function and field dimensions differ")
         return [(k, c, f, i) for i, c in enumerate(self.comps)]
 
-    def substitute(self, images, allow_shift: bool = False) -> "VectorFieldJet":
+    def substitute(self, images) -> "VectorFieldJet":
         """Componentwise composition (no chain rule: coefficients only)."""
         return VectorFieldJet(
-            [c.substitute(images, allow_shift=allow_shift) for c in self.comps]
+            [c.substitute(images) for c in self.comps]
         )
 
     def jet_equal(self, other: "VectorFieldJet") -> bool:
@@ -240,7 +236,8 @@ def _determinant(rows) -> PolySeries:
 
 
 def divergence(x: VectorFieldJet) -> PolySeries:
-    return _combination([(1, c.partial(i), None) for i, c in enumerate(x.comps)])
+    one = PolySeries.constant(x.dim, 1)
+    return _combination([(1, one, c, i) for i, c in enumerate(x.comps)])
 
 
 def dual_form(x: VectorFieldJet) -> OneFormJet:
@@ -263,17 +260,17 @@ def hamiltonian_field(f: PolySeries) -> VectorFieldJet:
     return VectorFieldJet([f.partial(1), -f.partial(0)])
 
 
-def radial_field(dim: int, trunc: int | None = None) -> VectorFieldJet:
+def radial_field(dim: int) -> VectorFieldJet:
     return VectorFieldJet(
-        [PolySeries.variable(dim, i, trunc) for i in range(dim)]
+        [PolySeries.variable(dim, i) for i in range(dim)]
     )
 
 
-def weighted_euler(weight: Weight, trunc: int | None = None) -> VectorFieldJet:
+def weighted_euler(weight: Weight) -> VectorFieldJet:
     """The diagonal field sum_j p_j z_j d/dz_j."""
     n = len(weight)
     return VectorFieldJet(
-        [PolySeries.variable(n, i, trunc) * weight[i] for i in range(n)]
+        [PolySeries.variable(n, i) * weight[i] for i in range(n)]
     )
 
 

@@ -32,6 +32,11 @@ class ParseError(Exception):
         super().__init__(f"{message} at line {line}, column {col}: {snippet!r}")
 
 
+# The deepest parenthesis nesting a parser accepts; deeper input is refused
+# with ParseError.  Each level costs three Python frames, so a count, not the
+# interpreter's recursion limit, decides the refusal, the same for every caller.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<diff>d[xyz])|(?P<name>[ixyz])|(?P<op>[-+*/^(),]))"
 )
@@ -59,6 +64,7 @@ class _Parser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses around the current factor
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
@@ -75,22 +81,31 @@ class _Parser:
         if self.pos != len(self.tokens):
             self.error("trailing input")
 
-    # polynomial := ['+'|'-'] term (('+'|'-') term)*
+    def accept(self, ops: str) -> str | None:
+        """Consume the next token and return it if it is one of the ops."""
+        kind, val, _ = self.peek()
+        if kind == "op" and val in ops:
+            self.next()
+            return val
+        return None
+
+    # signed := ['+'|'-'] item (('+'|'-') item)*
+    def signs(self):
+        """The sign of each item of a signed sum; the caller parses the item
+        after each sign is yielded."""
+        op = self.accept("+-")
+        while True:
+            yield -1 if op == "-" else 1
+            op = self.accept("+-")
+            if op is None:
+                return
+
+    # polynomial := signed sum of terms
     def polynomial(self) -> PolySeries:
         result = PolySeries.zero(self.dim)
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        while True:
+        for sign in self.signs():
             result = result + self.term() * sign
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                sign = -1 if val == "-" else 1
-                continue
-            return result
+        return result
 
     # term := factor ('*'? factor)*  with '/' only after a number factor; a
     # one-form's term (stop_at_diff) takes no implicit product
@@ -100,15 +115,10 @@ class _Parser:
             self.error("expected a term")
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                ahead = (
-                    self.tokens[self.pos + 1][0]
-                    if self.pos + 1 < len(self.tokens)
-                    else None
-                )
-                if stop_at_diff and ahead == "diff":
-                    break  # the star binds a differential, not a factor
-                self.next()
+            if self.accept("*"):
+                if stop_at_diff and self.peek()[0] == "diff":
+                    self.pos -= 1  # the star binds a differential, not a factor
+                    break
                 nxt = self.factor()
                 if nxt is None:
                     self.error("expected a factor after '*'")
@@ -126,10 +136,8 @@ class _Parser:
         if kind == "number":
             self.next()
             num = int(val)
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                save = self.pos
-                self.next()
+            save = self.pos
+            if self.accept("/"):
                 kind3, val3, _ = self.peek()
                 if kind3 == "number":
                     self.next()
@@ -151,22 +159,21 @@ class _Parser:
                 )
             self.next()
             power = 1
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "^":
-                self.next()
+            if self.accept("^"):
                 kind3, val3, _ = self.peek()
                 if kind3 != "number":
                     self.error("expected an integer exponent")
                 self.next()
                 power = int(val3)
             return PolySeries.variable(self.dim, index) ** power
-        if kind == "op" and val == "(":
-            self.next()
+        if self.accept("("):
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested too deeply", self.text, start)
+            self.depth += 1
             inner = self.polynomial()
-            kind2, val2, _ = self.peek()
-            if not (kind2 == "op" and val2 == ")"):
+            if not self.accept(")"):
                 self.error("expected ')'")
-            self.next()
+            self.depth -= 1
             return inner
         return None
 
@@ -188,13 +195,8 @@ def parse_field(text: str, dim: int | None = None) -> VectorFieldJet:
         dim = text.count(",") + 1
     parser = _Parser(text, dim)
     comps = [parser.polynomial()]
-    while True:
-        kind, val, _ = parser.peek()
-        if kind == "op" and val == ",":
-            parser.next()
-            comps.append(parser.polynomial())
-            continue
-        break
+    while parser.accept(","):
+        comps.append(parser.polynomial())
     parser.expect_end()
     if len(comps) != dim:
         raise ParseError(
@@ -207,17 +209,10 @@ def parse_one_form(text: str, dim: int = 2) -> OneFormJet:
     """Parse `P dx + Q dy (+ R dz)`; each additive term carries a differential."""
     parser = _Parser(text, dim)
     coeffs = [PolySeries.zero(dim) for _ in range(dim)]
-    sign = 1
-    kind, val, _ = parser.peek()
-    if kind == "op" and val in "+-":
-        parser.next()
-        sign = -1 if val == "-" else 1
-    while True:
+    for sign in parser.signs():
         term = parser.term(stop_at_diff=True)
+        parser.accept("*")
         kind, val, start = parser.peek()
-        if kind == "op" and val == "*":
-            parser.next()
-            kind, val, start = parser.peek()
         if kind != "diff":
             raise ParseError("expected dx, dy or dz after the term", text, start)
         parser.next()
@@ -225,12 +220,6 @@ def parse_one_form(text: str, dim: int = 2) -> OneFormJet:
         if index >= dim:
             raise ParseError(f"{val} needs a higher dimension", text, start)
         coeffs[index] = coeffs[index] + term * sign
-        kind, val, _ = parser.peek()
-        if kind == "op" and val in "+-":
-            parser.next()
-            sign = -1 if val == "-" else 1
-            continue
-        break
     parser.expect_end()
     return OneFormJet(coeffs)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from fractions import Fraction
 from operator import add, lshift
 
@@ -27,6 +26,10 @@ from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denomina
 Exponent = tuple[int, ...]
 
 VAR_NAMES = ("x", "y", "z")
+
+# A runaway guard: a product, sum of products or substitution whose partial
+# result holds more terms than this is refused with TermLimitError.
+MAX_TERMS = 1_000_000
 
 
 class GermError(Exception):
@@ -42,11 +45,7 @@ class TruncationError(GermError):
 
 
 class TermLimitError(GermError):
-    """The GERM_MAX_TERMS safety cap was exceeded."""
-
-
-def _term_cap() -> int:
-    return int(os.environ.get("GERM_MAX_TERMS", "1000000"))
+    """The MAX_TERMS safety cap was exceeded."""
 
 
 def monomial_key(e: Exponent) -> tuple[int, tuple[int, ...]]:
@@ -132,15 +131,15 @@ class PolySeries:
         return cls(dim, {(0,) * dim: _coerce_scalar(c)}, trunc)
 
     @classmethod
-    def variable(cls, dim: int, index: int, trunc: int | None = None) -> "PolySeries":
+    def variable(cls, dim: int, index: int) -> "PolySeries":
         if not 0 <= index < dim:
             raise ValueError(f"variable index {index} out of range for dim {dim}")
         e = tuple(1 if j == index else 0 for j in range(dim))
-        return cls(dim, {e: ONE}, trunc)
+        return cls(dim, {e: ONE})
 
     @classmethod
-    def monomial(cls, dim: int, e: Exponent, c=1, trunc: int | None = None) -> "PolySeries":
-        return cls(dim, {tuple(e): _coerce_scalar(c)}, trunc)
+    def monomial(cls, dim: int, e: Exponent, c=1) -> "PolySeries":
+        return cls(dim, {tuple(e): _coerce_scalar(c)})
 
     # -- basic queries ------------------------------------------------------
 
@@ -256,17 +255,7 @@ class PolySeries:
         """
         if not 0 <= var_index < self.dim:
             raise ValueError(f"variable index {var_index} out of range")
-        if self.trunc == 0:
-            raise TruncationError("the derivative of a degree-0 jet is unknown")
-        out: dict[Exponent, GaussianRational] = {}
-        for e, c in self.terms.items():
-            k = e[var_index]
-            if k == 0:
-                continue
-            de = tuple(v - 1 if j == var_index else v for j, v in enumerate(e))
-            out[de] = c * k
-        trunc = None if self.trunc is None else self.trunc - 1
-        return _trusted(self.dim, out, trunc)
+        return _combination([(1, PolySeries.constant(self.dim, 1), self, var_index)])
 
     def truncated(self, n: int) -> "PolySeries":
         """The jet of degree n (keeps total inputs' terms up to degree n)."""
@@ -322,33 +311,25 @@ class PolySeries:
             total = total + v
         return total
 
-    def substitute(self, images: list["PolySeries"], allow_shift: bool = False) -> "PolySeries":
+    def substitute(self, images: list["PolySeries"]) -> "PolySeries":
         """Exact truncated composition self(images[0], ..., images[n-1]).
 
-        Every image must vanish at the origin unless allow_shift is set, in
-        which case self must be a total polynomial (a truncated jet gives no
-        control over low degrees after an affine shift).
+        An image with a constant term (an affine shift) is allowed only when
+        self is a total polynomial: a truncated jet gives no control over low
+        degrees after a shift, and is refused with TruncationError.
         """
         if len(images) != self.dim:
             raise DimensionMismatchError(
                 f"need {self.dim} image series, got {len(images)}"
             )
         target = images[0].dim if images else self.dim
-        shifted = False
         for g in images:
             if g.dim != target:
                 raise DimensionMismatchError("image series have mixed dimensions")
-            if not g.constant_term().is_zero():
-                shifted = True
-        if shifted:
-            if not allow_shift:
-                raise GermError(
-                    "substitution image has a constant term; pass allow_shift=True"
-                )
-            if not self.is_total:
-                raise TruncationError(
-                    "affine substitution into a truncated jet is uncertified"
-                )
+        if not (self.is_total or all(g.constant_term().is_zero() for g in images)):
+            raise TruncationError(
+                "affine substitution into a truncated jet is uncertified"
+            )
         trunc = _least_trunc([self.trunc] + [g.trunc for g in images])
 
         # cache image powers, each image cut at trunc so that every product
@@ -424,7 +405,7 @@ def _least_trunc(truncs: list) -> int | None:
 
 def _product(f: PolySeries, g: PolySeries) -> PolySeries:
     """f * g, known as far as both factors are; TermLimitError as soon as the
-    partial product has more than GERM_MAX_TERMS terms."""
+    partial product has more than MAX_TERMS terms."""
     if len(f.terms) <= 1 or len(g.terms) <= 1:  # zero, or shift and scale: no lcm
         trunc = _least_trunc([f.trunc, g.trunc])
         out = {
@@ -433,8 +414,8 @@ def _product(f: PolySeries, g: PolySeries) -> PolySeries:
             for e2, c2 in g.terms.items()
             if trunc is None or sum(e1) + sum(e2) <= trunc
         }
-        if len(out) > _term_cap():
-            raise TermLimitError("result exceeds GERM_MAX_TERMS")
+        if len(out) > MAX_TERMS:
+            raise TermLimitError("result exceeds MAX_TERMS")
         return _trusted(f.dim, out, trunc)
     return _combination([(1, f, g)])
 
@@ -444,8 +425,8 @@ def _combination(pairs) -> PolySeries:
     meaning 1, and of k * f * dg/dz_i over pairs (k, f, g, i), known as far
     as every operand is: to the least truncation degree trunc among them,
     where dg/dz_i counts as known to g.trunc - 1 and a degree-0 jet's
-    derivative is refused with TruncationError, as partial does.
-    TermLimitError as soon as the partial sum has more than GERM_MAX_TERMS
+    derivative is refused with TruncationError.
+    TermLimitError as soon as the partial sum has more than MAX_TERMS
     terms.  Every pair writes Gaussian-integer numerators into one dict over
     D, the lcm of the pairs' D_f * D_g (D_f: the lcm of f's denominators); a
     derivative scales g's numerators by e_i and lowers e_i, with no partial
@@ -483,7 +464,7 @@ def _combination(pairs) -> PolySeries:
     d = math.lcm(*(f[0] * (1 if g is None else g[0]) for _, f, g, _ in scaled))
     acc: dict[int, tuple[int, int]] = {}
     exps: dict[int, Exponent] = {}
-    get, cap = acc.get, _term_cap()
+    get, cap = acc.get, MAX_TERMS
     for k, (df, lhs, _), g, i in scaled:
         if g is None:
             rhs = [(0, (0,) * dim, k * (d // df), 0, 0)]
@@ -508,7 +489,7 @@ def _combination(pairs) -> PolySeries:
                     acc[key] = re, im
                     exps[key] = tuple(map(add, e1, e2))
                     if len(acc) > cap:
-                        raise TermLimitError("result exceeds GERM_MAX_TERMS")
+                        raise TermLimitError("result exceeds MAX_TERMS")
                     continue
                 re += s[0]
                 im += s[1]

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (
     field_to_sympy,
+    sympy_classify_linear,
     sympy_gaussian_factors,
     sympy_gcd_isolated,
     sympy_isolated,
@@ -442,6 +444,101 @@ class TestResolve:
             resolve(F("y, 0"))
 
 
+class _CountingSympy:
+    """Stands in for blowup's sympy: records each gcd and factor_list call
+    and hands every lookup on to sympy itself."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        found = getattr(sympy, name)
+        if name not in ("gcd", "factor_list"):
+            return found
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return found(*args, **kwargs)
+
+        return counted
+
+
+def _sympy_reduced_hyperbolic(germ):
+    """Both eigenvalues nonzero and no ratio of them in Q_+, by the oracle."""
+    rows = [[(c.re, c.im) for c in row] for row in germ.linear_part_matrix()]
+    case, _, _, ratios, _ = sympy_classify_linear(rows)
+    return case == "semisimple" and all(r < 0 for r in ratios)
+
+
+def _preorder(node):
+    """(chart history, classification, verdict, germ, marker) of every node."""
+    yield node.chart_history, node.classification, node.verdict, node.germ, node.marker
+    for child in node.children:
+        yield from _preorder(child)
+
+
+class TestSympyFallbacks:
+    # germs the native algebra cannot decide: each answer is written out in
+    # full and checked against the oracles, and the bridge calls are counted;
+    # a native gcd and factorizer would leave these call lists empty
+
+    @pytest.fixture
+    def bridge(self, monkeypatch):
+        counting = _CountingSympy()
+        monkeypatch.setattr(blowup, "sympy", counting)
+        return counting.calls
+
+    def test_cubic_witness_reaches_factor_list(self, bridge):
+        # W(t) = t^3 - 2 has no root in Q(i): chart 1 keeps it as a marker
+        x = F("x^4 + y^4, y^3 - 2*x^3")
+        tree = resolve(x)
+        assert bridge == ["factor_list"]
+        origin = F("x - 2*x*y^3, x - y + 2*y^4 + x*y^4")
+        assert list(_preorder(tree)) == [
+            ((), "non_reduced_other", "blown_up", x, None),
+            (((1, None),), "unresolvable_irrational", "unresolvable_irrational", x, T**3 - 2),
+            (((2, gq(0)),), "reduced_hyperbolic", "reduced_hyperbolic", origin, None),
+        ]
+        assert sympy_gaussian_factors(dicritical_test(x).witness) == ([], [(_plain(_dense(T**3 - 2)), 1)])
+        assert sympy_isolated(x) and sympy_isolated(origin)
+        assert _sympy_reduced_hyperbolic(origin)
+
+    def test_isolated_germ_reaches_gcd(self, bridge):
+        # the components share the tangent line y = x, so only the gcd
+        # certifies isolation; three blow-ups end in three saddles
+        x = F("y - x + x^2, y - x - x^2")
+        assert is_isolated_singularity(x)
+        assert bridge == ["gcd"]
+        tree = resolve(x)
+        assert bridge == ["gcd", "gcd"]
+        one = (1, gq(1))
+        two = (one, (2, gq(0)))
+        leaves = [
+            (
+                (*two, (1, gq(Fraction(-3, 4)))),
+                F("1/2*x + 3/4*x^2 - 2*x*y - x^2*y, 27/16*x - 3*y - 9/2*x*y + 4*y^2 + 3*x*y^2"),
+            ),
+            ((*two, (1, gq(0))), F("-x - 2*x*y - x^2*y, 3*y + 4*y^2 + 3*x*y^2")),
+            ((*two, (2, gq(0))), F("2*x + 2*x*y + 2*x^2*y, -4*y - 3*y^2 - 3*x*y^2")),
+        ]
+        assert list(_preorder(tree)) == [
+            ((), "non_reduced_other", "blown_up", x, None),
+            ((one,), "non_reduced_other", "blown_up", F("x^2 + x*y, -2*x - x*y - y^2"), None),
+            (two, "non_reduced_other", "blown_up", F("-x^2 - 2*x*y - x^2*y, 2*x*y + 2*y^2 + 2*x*y^2"), None),
+        ] + [(h, "reduced_hyperbolic", "reduced_hyperbolic", g, None) for h, g in leaves]
+        assert sympy_isolated(x) and sympy_gcd_isolated(x)
+        assert all(sympy_isolated(g) and _sympy_reduced_hyperbolic(g) for _, g in leaves)
+
+    def test_non_isolated_germ_reaches_gcd(self, bridge):
+        # y - x divides both components and vanishes at 0
+        x = F("(y - x)*(1 + x), (y - x)*y")
+        assert not is_isolated_singularity(x)
+        assert bridge == ["gcd"]
+        assert not sympy_isolated(x) and not sympy_gcd_isolated(x)
+        with pytest.raises(GermError):
+            resolve(x)
+
+
 # the seven germs of the benchmark's resolution workload
 RESOLUTION_GERMS = [
     "2*y, 3*x^2",
@@ -493,6 +590,6 @@ def test_multiplicity_monotonicity_at_generic_points():
         lead = f1.homogeneous_part(f1.order())
         assert not lead.evaluate([gq(1), slope]).is_zero()
         images = [xv, (tv + PolySeries.constant(2, slope)) * xv]
-        up1 = f1.substitute(images, allow_shift=True)
-        up2 = f2.substitute(images, allow_shift=True)
+        up1 = f1.substitute(images)
+        up2 = f2.substitute(images)
         assert up1.order() < up2.order()

@@ -91,6 +91,23 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_poly("x + z", 2)
 
+    def test_nesting_bound(self):
+        # the bound parses from a caller that has used half the recursion
+        # limit; one level past it is refused at its own '(' by a count
+        from germfield.parsing import MAX_NESTING
+
+        def nested(levels):
+            return "(" * levels + "x" + ")" * levels
+
+        def from_depth(frames, text):
+            return from_depth(frames - 1, text) if frames else parse_poly(text)
+
+        assert from_depth(sys.getrecursionlimit() // 2, nested(MAX_NESTING)) == parse_poly("x")
+        for levels in (MAX_NESTING + 1, 1000):
+            with pytest.raises(ParseError, match="parentheses nested too deeply") as err:
+                parse_poly(nested(levels))
+            assert err.value.position == MAX_NESTING
+
 
 class TestRoundTrip:
     CASES = [
@@ -460,6 +477,17 @@ def test_verb_loads_only_its_modules(argv, unloaded):
     assert run.returncode == 0, run.stderr
     loaded = run.stdout.splitlines()[-1].split()
     assert not {f"germfield.{m}" for m in unloaded} & set(loaded), loaded
+
+
+def test_deep_parentheses_exit_2_without_traceback():
+    # 400 levels are deeper than a recursive parse could go within the
+    # interpreter's recursion limit
+    deep = "(" * 400 + "x" + ")" * 400
+    run = _fresh_python(f"from germfield import cli\nsys.exit(cli.main(['bracket', '{deep}, y', 'y, x']))\n")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("error: parentheses nested too deeply at line 1, column 101")
 
 
 def test_closed_pipe_exits_141_quietly():

@@ -291,6 +291,6 @@ def test_multiplicity_monotone_under_blowup(f1, f2, slope):
         return  # p must be generic for f1
     xv, tv = PolySeries.variable(2, 0), PolySeries.variable(2, 1)
     images = [xv, (tv + PolySeries.constant(2, slope)) * xv]
-    up1 = f1.substitute(images, allow_shift=True)
-    up2 = f2.substitute(images, allow_shift=True)
+    up1 = f1.substitute(images)
+    up2 = f2.substitute(images)
     assert up1.order() < up2.order()

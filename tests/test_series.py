@@ -14,6 +14,7 @@ from germfield import (
     parse_poly,
     poly_divides,
 )
+from germfield import series as series_module
 from germfield.gaussian import gq
 from germfield.series import (
     _product,
@@ -120,17 +121,15 @@ class TestSubstitute:
         x, t = PolySeries.variable(2, 0), PolySeries.variable(2, 1)
         assert P("y^2 + x^3").substitute([x, t * x]) == P("x^2*y^2 + x^3")
 
-    def test_shift_needs_flag(self):
+    def test_shift_into_total_polynomial_is_composed(self):
         f = P("x^2")
         img = [P("x + 1"), P("y")]
-        with pytest.raises(GermError):
-            f.substitute(img)
-        assert f.substitute(img, allow_shift=True) == P("1 + 2*x + x^2")
+        assert f.substitute(img) == P("1 + 2*x + x^2")
 
     def test_shift_into_jet_rejected(self):
         f = P("x^2").truncated(4)
         with pytest.raises(TruncationError):
-            f.substitute([P("x + 1"), P("y")], allow_shift=True)
+            f.substitute([P("x + 1"), P("y")])
 
     def test_truncation_propagates(self):
         f = P("x^2")
@@ -165,7 +164,7 @@ def test_variable_power_division():
 
 
 def test_term_cap(monkeypatch):
-    monkeypatch.setenv("GERM_MAX_TERMS", "3")
+    monkeypatch.setattr(series_module, "MAX_TERMS", 3)
     from germfield.series import TermLimitError
 
     with pytest.raises(TermLimitError):
@@ -175,12 +174,12 @@ def test_term_cap(monkeypatch):
 def test_term_cap_counts_the_partial_product(monkeypatch):
     # (1 + x)(1 - x + x^2 - x^3) = 1 - x^4 has 2 terms, but its first row
     # of partial products has 4
-    monkeypatch.setenv("GERM_MAX_TERMS", "3")
+    monkeypatch.setattr(series_module, "MAX_TERMS", 3)
     from germfield.series import TermLimitError
 
     with pytest.raises(TermLimitError):
         P("1 + x") * P("1 - x + x^2 - x^3")
-    monkeypatch.setenv("GERM_MAX_TERMS", "4")
+    monkeypatch.setattr(series_module, "MAX_TERMS", 4)
     assert P("1 + x") * P("1 - x + x^2 - x^3") == P("1 - x^4")
 
 
@@ -188,9 +187,9 @@ def test_term_cap_in_substitute(monkeypatch):
     from germfield.series import TermLimitError
 
     f, images = P("x^3 + y"), [P("x + y"), P("y")]
-    monkeypatch.setenv("GERM_MAX_TERMS", "5")
+    monkeypatch.setattr(series_module, "MAX_TERMS", 5)
     assert f.substitute(images) == P("x^3 + 3*x^2*y + 3*x*y^2 + y^3 + y")
-    monkeypatch.setenv("GERM_MAX_TERMS", "4")
+    monkeypatch.setattr(series_module, "MAX_TERMS", 4)
     with pytest.raises(TermLimitError):
         f.substitute(images)
 

@@ -38,12 +38,15 @@ from germfield import (
     TruncationError,
     VectorFieldJet,
     closedness_check,
+    divergence,
+    hamiltonian_field,
     integrating_factor_check,
     lie_bracket,
     parse_field,
     parse_poly,
     wedge,
 )
+from germfield import series as series_module
 from germfield.gaussian import gq
 from germfield.series import TermLimitError, _combination
 
@@ -172,6 +175,38 @@ def test_derivative_pairs(pairs):
     assert same_jet(ours, sympy.expand(theirs))
 
 
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda n: st.lists(jets(n), min_size=n, max_size=n)))
+@settings(max_examples=40, deadline=None)
+@example([parse_poly("x^2 + y", 2).truncated(0), parse_poly("x*y", 2)])
+def test_partial_divergence_and_hamiltonian(comps):
+    # partial, divergence and H_f are derivative pairs of the one sum of
+    # products: known to trunc - 1, and a degree-0 jet is refused
+    dim = len(comps)
+
+    def check(ours, theirs, trunc):
+        if trunc == 0:
+            with pytest.raises(TruncationError):
+                ours()
+            return
+        ours = ours()
+        assert all(c.trunc == (None if trunc is None else trunc - 1) for c in ours)
+        assert all(same_jet(c, sympy.expand(t)) for c, t in zip(ours, theirs))
+
+    for f in comps:
+        g = poly_to_sympy(f)
+        for i in range(dim):
+            check(lambda: [f.partial(i)], [sympy.diff(g, SYMS[i])], f.trunc)
+        with pytest.raises(ValueError):
+            f.partial(dim)
+    x = VectorFieldJet(comps)
+    xs = field_to_sympy(x)
+    check(lambda: [divergence(x)], [sum(sympy.diff(c, s) for c, s in zip(xs, SYMS))], x.trunc)
+    if dim == 2:
+        f = comps[0]
+        g = poly_to_sympy(f)
+        check(lambda: hamiltonian_field(f).comps, [sympy.diff(g, SYMS[1]), -sympy.diff(g, SYMS[0])], f.trunc)
+
+
 def dense(dim, deg, seed=0):
     """Every monomial of degree <= deg, with varied nonzero Q(i) coefficients."""
     exps = [e for e in itertools.product(range(deg + 1), repeat=dim) if sum(e) <= deg]
@@ -260,6 +295,6 @@ def test_bracket_past_the_term_cap(monkeypatch):
     theirs = sympy_bracket(field_to_sympy(X3), field_to_sympy(Y3), 2)
     size = max(len(sympy.Poly(t, *SYMS[:2]).terms()) for t in theirs)
     assert all(same(c, t) for c, t in zip(lie_bracket(X3, Y3).comps, theirs))
-    monkeypatch.setenv("GERM_MAX_TERMS", str(size - 1))
+    monkeypatch.setattr(series_module, "MAX_TERMS", size - 1)
     with pytest.raises(TermLimitError):
         lie_bracket(X3, Y3)
