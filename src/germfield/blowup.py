@@ -31,7 +31,7 @@ from .series import (
     divide_by_variable_power,
     variable_power_dividing,
 )
-from .fields import VectorFieldJet, radial_field, wedge
+from .fields import VectorFieldJet
 
 CHART_SLOPE_Y = 1  # (x, y) = (x, t x)
 CHART_SLOPE_X = 2  # (x, y) = (t x, x)
@@ -75,36 +75,27 @@ def _require_blowup_input(x: VectorFieldJet):
         raise GermError("blow-up requires a singular point at the origin")
 
 
-def _swap_field(x: VectorFieldJet) -> VectorFieldJet:
-    """Exchange the two variables and the two components."""
-
-    def swap_vars(f: PolySeries) -> PolySeries:
-        # a permutation of f's exponents: same terms, same degrees
-        return _trusted(2, {(b, a): c for (a, b), c in f.terms.items()}, f.trunc)
-
-    return VectorFieldJet([swap_vars(x.comps[1]), swap_vars(x.comps[0])])
-
-
 def _relabel(f: PolySeries, dx: int, dt: int) -> PolySeries:
     """f(x, tx) / x^dx * t^dt, by moving exponents: x^i y^j -> x^(i+j-dx) t^(j+dt)."""
     # injective, and i + j - dx >= 0: dx <= 1 on a field vanishing at 0, dx = nu on its nu-jet
     return _trusted(2, {(i + j - dx, j + dt): c for (i, j), c in f.terms.items()}, None)
 
 
-def blowup_pullback(x: VectorFieldJet, chart: int) -> VectorFieldJet:
-    """Total transform in the chosen chart, in (divisor, slope) coordinates.
+def blowup_pullback(x: VectorFieldJet) -> tuple[VectorFieldJet, VectorFieldJet]:
+    """Total transforms in charts 1 and 2, in (divisor, slope) coordinates.
 
     Chart 1: A(x, tx) d/dx + [(B - tA)(x, tx) / x] d/dt, the division by x
     being exact for any field vanishing at the origin.  The map is monomial,
     so each component is built by relabelling exponents.
     """
     _require_blowup_input(x)
-    if chart == CHART_SLOPE_X:
-        return blowup_pullback(_swap_field(x), CHART_SLOPE_Y)
-    if chart != CHART_SLOPE_Y:
-        raise GermError("chart must be 1 or 2")
     a, b = x.comps
-    return VectorFieldJet([_relabel(a, 0, 0), _relabel(b, 1, 0) - _relabel(a, 1, 1)])
+    # chart 2 is chart 1 of B(y, x) d/dx + A(y, x) d/dy: the same terms, the same degrees
+    swapped = [_trusted(2, {(j, i): c for (i, j), c in f.terms.items()}, f.trunc) for f in (b, a)]
+    return tuple(
+        VectorFieldJet([_relabel(p, 0, 0), _relabel(q, 1, 0) - _relabel(p, 1, 1)])
+        for p, q in ((a, b), swapped)
+    )
 
 
 @dataclass(frozen=True)
@@ -138,28 +129,24 @@ class BlownUpField:
     strict: VectorFieldJet
 
 
-def strict_transform(x: VectorFieldJet, chart: int) -> BlownUpField:
-    """Pullback divided by the largest power of the divisor coordinate.
+def strict_transform(x: VectorFieldJet) -> tuple[BlownUpField, BlownUpField]:
+    """Both pullbacks divided by the largest power of the divisor coordinate.
 
     That power is nu - 1 when the blow-up is non-dicritical and nu when it
     is dicritical, for every field vanishing at 0 (notes/decisions.md, "The
     divisor multiplicity is nu - 1 or nu"), so it also gives the verdict.
     """
-    pullback = blowup_pullback(x, chart)
+    pullbacks = blowup_pullback(x)
     nu = x.mu()
-    power = min(
-        variable_power_dividing(c, 0) for c in pullback.comps if not c.is_zero()
-    )
-    assert power in (nu - 1, nu)
-    strict = VectorFieldJet([divide_by_variable_power(c, 0, power) for c in pullback.comps])
-    return BlownUpField(
-        chart=chart,
-        pullback=pullback,
-        nu=nu,
-        dicritical=power == nu,
-        divisor_multiplicity=power,
-        strict=strict,
-    )
+    blowups = []
+    for chart, pullback in zip((CHART_SLOPE_Y, CHART_SLOPE_X), pullbacks):
+        power = min(
+            variable_power_dividing(c, 0) for c in pullback.comps if not c.is_zero()
+        )
+        assert power in (nu - 1, nu)
+        strict = VectorFieldJet([divide_by_variable_power(c, 0, power) for c in pullback.comps])
+        blowups.append(BlownUpField(chart, pullback, nu, power == nu, power, strict))
+    return tuple(blowups)
 
 
 # -- singular points on the divisor -------------------------------------------
@@ -445,26 +432,32 @@ def classify_singularity(germ: VectorFieldJet) -> tuple[str, bool]:
         raise GermError("classification expects a singular germ")
     if germ.is_zero():
         return NON_REDUCED_OTHER, True
-    return _classify(germ, False)[:2]
+    return _classify(germ, germ.mu(), False)[:2]
 
 
-def _classify(germ: VectorFieldJet, isolated: bool) -> tuple[str, bool, bool | None]:
+def _radial_jet(germ: VectorFieldJet, nu: int) -> bool:
+    """x B_nu = y A_nu (the nu-jet is h.R), compared as shifted term maps."""
+    a, b = germ.comps
+    return ({(i, j + 1): c for (i, j), c in a.terms.items() if i + j == nu}
+            == {(i + 1, j): c for (i, j), c in b.terms.items() if i + j == nu})
+
+
+def _classify(germ: VectorFieldJet, nu: int, isolated: bool) -> tuple[str, bool, bool | None]:
     """Classification, non-isolated flag and, for purely radial and n.p.r.s
-    germs, whether their blow-up would be dicritical.  The germ is nonzero
-    and singular at 0; isolated=False means "not known" and runs the test."""
+    germs, whether their blow-up would be dicritical.  The germ is nonzero,
+    singular at 0 and of multiplicity nu; isolated=False runs the test."""
     isolated = isolated or is_isolated_singularity(germ)
-    nu = germ.mu()
     m = germ.linear_part_matrix()
     # the cases of classify_linear that decide the class, without its eigenvalues
     trace, det = _trace_det(m)
-    if nu == 1 and _is_scalar(m):
+    if nu == 1 and _is_scalar(m):  # _radial_jet at nu = 1, read off m
         classification = PURELY_RADIAL  # m is nonzero, since nu == 1
     elif det:  # semisimple or nondiagonal_resonant
         positive = any(r > 0 for r in eigenvalue_ratio_roots(trace, det))
         classification = NON_REDUCED_OTHER if positive else REDUCED_HYPERBOLIC
     elif trace and isolated:  # one_zero_eigenvalue
         classification = SADDLE_NODE
-    elif nu > 1 and isolated and wedge([germ.jet_part(nu), radial_field(2)]).is_zero():
+    elif nu > 1 and isolated and _radial_jet(germ, nu):
         classification = NPRS
     else:
         classification = NON_REDUCED_OTHER
@@ -504,8 +497,9 @@ def divisor_singularities(
     points = [SingularPoint(one.chart, None, m, UNRESOLVABLE_IRRATIONAL, None, None)
               for m, _ in markers]
     for chart, value, germ in found:
-        cls, caveat, would_be = _classify(germ, isolated)
-        points.append(SingularPoint(chart, value, None, cls, germ, germ.mu(), caveat, would_be))
+        nu = germ.mu()
+        cls, caveat, would_be = _classify(germ, nu, isolated)
+        points.append(SingularPoint(chart, value, None, cls, germ, nu, caveat, would_be))
     points.sort(key=SingularPoint.sort_token)
     return points
 
@@ -573,7 +567,7 @@ def resolve(
         raise GermError(f"max_depth {max_depth} is outside 1..{MAX_DEPTH}, the depth budget")
     if not is_isolated_singularity(x):
         raise GermError("resolve requires an isolated singularity at 0")
-    classification, _caveat, would_be = _classify(x, True)
+    classification, _caveat, would_be = _classify(x, x.mu(), True)
     return _resolve_node(x, classification, would_be, (), max_depth, force_radial)
 
 
@@ -591,7 +585,7 @@ def _resolve_node(
         return ResolutionNode(
             germ, history, classification, "unresolved_depth", None, (), would_be
         )
-    blowups = (strict_transform(germ, CHART_SLOPE_Y), strict_transform(germ, CHART_SLOPE_X))
+    blowups = strict_transform(germ)
     children = []
     for point in divisor_singularities(blowups, True):
         if point.marker is not None:

@@ -232,8 +232,6 @@ def _classify(args):
 
 def _blowup(args):
     from .blowup import (
-        CHART_SLOPE_X,
-        CHART_SLOPE_Y,
         dicritical_test,
         divisor_singularities,
         is_isolated_singularity,
@@ -242,7 +240,7 @@ def _blowup(args):
 
     x = parse_field_text(args.field)
     dic = dicritical_test(x)
-    blowups = (strict_transform(x, CHART_SLOPE_Y), strict_transform(x, CHART_SLOPE_X))
+    blowups = strict_transform(x)
     points = divisor_singularities(blowups, is_isolated_singularity(x))
     charts = [b for b in blowups if args.chart in (None, b.chart)]
     kind = "dicritical" if dic.dicritical else "non-dicritical"

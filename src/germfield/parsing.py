@@ -25,6 +25,7 @@ class ParseError(Exception):
     """Syntax error with the position and the offending token."""
 
     def __init__(self, message: str, text: str, position: int):
+        self.message = message
         self.position = position
         line = text.count("\n", 0, position) + 1
         col = position - (text.rfind("\n", 0, position) + 1) + 1
@@ -228,7 +229,8 @@ def parse_ratio(text: str, dim: int = 2):
     """Parse `P / Q` splitting at a top-level slash; both sides polynomials.
 
     Ambiguous inputs (several viable splits) are rejected; parenthesize the
-    numerator and denominator to disambiguate.
+    numerator and denominator to disambiguate.  When no split parses, the
+    error of the side that parsed furthest is raised at its place in text.
     """
     from .integrability import MeromorphicRatio
 
@@ -241,18 +243,23 @@ def parse_ratio(text: str, dim: int = 2):
             depth -= 1
         elif ch == "/" and depth == 0:
             candidates.append(idx)
-    parses = []
+    if not candidates:
+        parse_poly(text, dim)  # a syntax error is reported as it is
+    parses, errors = [], []
     for idx in candidates:
+        start = 0  # where the side being parsed begins in text
         try:
             num = parse_poly(text[:idx], dim)
-            den = parse_poly(text[idx + 1 :], dim)
-        except ParseError:
+            start = idx + 1
+            den = parse_poly(text[start:], dim)
+        except ParseError as err:
+            errors.append((start + err.position, err.message))
             continue
-        if den.is_zero():
-            continue
-        parses.append((idx, num, den))
-    if not parses:
-        raise ParseError("expected a ratio P / Q", text, 0)
+        if not den.is_zero():
+            parses.append((idx, num, den))
+    if not parses:  # the error of the side that parsed furthest, if any
+        position, message = max(errors, key=lambda e: e[0], default=(0, "expected a ratio P / Q"))
+        raise ParseError(message, text, position)
     if len(parses) > 1:
         raise ParseError(
             "ambiguous ratio; parenthesize numerator and denominator",

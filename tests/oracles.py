@@ -214,6 +214,24 @@ def sympy_isolated(x: VectorFieldJet) -> bool:
     return True
 
 
+def sympy_blowup_pullback(x: VectorFieldJet, chart: int) -> list:
+    """The total transform of a plane field in (divisor, slope) coordinates,
+    written in x and y, by substitution.
+
+    Chart 1 puts y = t s: s' = A and t' = (B - t A)/s.  Chart 2 puts x = t s
+    with s = y, so the components swap roles: s' = B and t' = (A - t B)/s.
+    The division by s is checked to be exact.
+    """
+    xs, ys = _SYMS[:2]
+    s, t = sympy.symbols("s t")
+    a, b = field_to_sympy(x)
+    image, (p, q) = ({xs: s, ys: t * s}, (a, b)) if chart == 1 else ({xs: t * s, ys: s}, (b, a))
+    p, q = (sympy.expand(c.subs(image, simultaneous=True)) for c in (p, q))
+    slope, rem = sympy.div(sympy.expand(q - t * p), s, s, t)
+    assert rem == 0
+    return [sympy.expand(c.subs({s: xs, t: ys}, simultaneous=True)) for c in (p, slope)]
+
+
 def sympy_linear_root(c1, c0) -> tuple[Fraction, Fraction]:
     """The root of c1 t + c0 read off sympy's factor_list over QQ_I; c0, c1
     are (re, im) Fraction pairs."""
@@ -371,3 +389,38 @@ def sympy_log_form(factors, residues, phi):
             total += (g * f.diff(s)).exquo(f).mul_ground(lam)
         omega.append(total.as_expr())
     return g.as_expr(), omega
+
+
+def sympy_classify_singularity(x: VectorFieldJet) -> tuple[str, bool]:
+    """classify_singularity's answer for a nonzero plane germ singular at 0,
+    from sympy alone: the class and whether the zero locus is non-isolated.
+
+    Isolation is sympy_isolated.  nu is the least total degree of a term, the
+    linear part is the Jacobian at 0, and its ratios r are the real roots of
+    det r^2 - (tr^2 - 2 det) r + det over QQ_I.  The first jet is h.R exactly
+    when x B_nu - y A_nu expands to 0; at nu = 1 that is a scalar linear part.
+    """
+    xs, ys = _SYMS[:2]
+    a, b = field_to_sympy(x)
+    isolated = sympy_isolated(x)
+    nu = min(sum(m) for c in (a, b) if c != 0 for m in sympy.Poly(c, xs, ys).monoms())
+
+    def jet(c):  # the homogeneous part of degree nu
+        return sum(k * xs**i * ys**j for (i, j), k in sympy.Poly(c, xs, ys).terms() if i + j == nu)
+
+    radial = sympy.expand(xs * jet(b) - ys * jet(a)) == 0
+    m = sympy.Matrix([[sympy.diff(c, v).subs({xs: 0, ys: 0}) for v in (xs, ys)] for c in (a, b)])
+    tr, det = sympy.expand(m.trace()), sympy.expand(m.det())
+    if nu == 1 and radial:
+        cls = "purely_radial"
+    elif det != 0:
+        r = sympy.Symbol("r")
+        roots, _ = _qq_i_roots(det * r**2 - (tr**2 - 2 * det) * r + det, r)
+        cls = "non_reduced_other" if any(im == 0 and re > 0 for re, im in roots) else "reduced_hyperbolic"
+    elif tr != 0 and isolated:
+        cls = "saddle_node"
+    elif nu > 1 and isolated and radial:
+        cls = "nprs"
+    else:
+        cls = "non_reduced_other"
+    return cls, not isolated

@@ -10,7 +10,9 @@ from hypothesis import assume, example, given, settings
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (
     field_to_sympy,
+    sympy_blowup_pullback,
     sympy_classify_linear,
+    sympy_classify_singularity,
     sympy_gaussian_factors,
     sympy_gcd_isolated,
     sympy_isolated,
@@ -21,7 +23,6 @@ from oracles import (
 )
 
 from germfield import (
-    CHART_SLOPE_X,
     CHART_SLOPE_Y,
     GermError,
     PolySeries,
@@ -54,8 +55,7 @@ def chart_poly(text):
 def divisor_points(x):
     """The singular points on the divisor of x's blow-up, as the blowup verb
     finds them: both strict transforms and one isolation test of x."""
-    blowups = (strict_transform(x, CHART_SLOPE_Y), strict_transform(x, CHART_SLOPE_X))
-    return divisor_singularities(blowups, is_isolated_singularity(x))
+    return divisor_singularities(strict_transform(x), is_isolated_singularity(x))
 
 
 # exact plane fields vanishing at 0: random ones, and dicritical ones h R +
@@ -85,20 +85,20 @@ VANISHING_FIELDS = st.one_of(
 
 class TestPullback:
     def test_radial(self):
-        assert blowup_pullback(radial_field(2), CHART_SLOPE_Y) == F("x, 0")
+        assert blowup_pullback(radial_field(2))[0] == F("x, 0")
 
     def test_nilpotent_shear(self):
         # y d/dx pulls back to tx d/dx - t^2 d/dt
-        assert blowup_pullback(F("y, 0"), CHART_SLOPE_Y) == F("x*y, -y^2")
+        assert blowup_pullback(F("y, 0"))[0] == F("x*y, -y^2")
 
     def test_level_foliation_field(self):
-        got = blowup_pullback(F("2*x*y, 2*y^2 - x^3"), CHART_SLOPE_Y)
+        got = blowup_pullback(F("2*x*y, 2*y^2 - x^3"))[0]
         assert got == F("2*x^2*y, -x^2")
 
     def test_blowing_down_recovers_the_field(self):
         # substitute t = y/x back: A = P(x, y/x), B = x Q(x, y/x) + t P
         x = F("x^2 + y^2, x*y - y^3")
-        up = blowup_pullback(x, CHART_SLOPE_Y)
+        up = blowup_pullback(x)[0]
         p, q = up.comps
         deg = max(e[1] for e in list(p.terms) + list(q.terms))
         xv, yv = PolySeries.variable(2, 0), PolySeries.variable(2, 1)
@@ -114,7 +114,7 @@ class TestPullback:
 
     def test_nonsingular_rejected(self):
         with pytest.raises(GermError):
-            blowup_pullback(F("1, y"), CHART_SLOPE_Y)
+            blowup_pullback(F("1, y"))
 
 
 class TestDicritical:
@@ -142,8 +142,7 @@ class TestDicritical:
         # the divided power is nu - 1 (non-dicritical) or nu (dicritical) in
         # both charts, non-isolated fields such as x^2*y, x*y^2 included
         d = dicritical_test(x)
-        for chart in (CHART_SLOPE_Y, CHART_SLOPE_X):
-            b = strict_transform(x, chart)
+        for b in strict_transform(x):
             assert (b.nu, b.dicritical) == (d.nu, d.dicritical)
             assert b.divisor_multiplicity == (d.nu if d.dicritical else d.nu - 1)
 
@@ -156,25 +155,55 @@ class TestDicritical:
         assert dicritical_test(x).dicritical
 
 
+def _sympy_order(exprs, weights) -> int:
+    """The least weighted degree of a term of the nonzero sympy polynomials."""
+    xs, ys = sympy.symbols("x y")
+    return min(
+        sum(w * k for w, k in zip(weights, m))
+        for c in exprs if c != 0 for m in sympy.Poly(c, xs, ys).monoms()
+    )
+
+
+class TestChartsAgainstSympy:
+    # both charts of blowup_pullback and strict_transform against a pullback
+    # by substitution (tests/oracles.py)
+    @settings(max_examples=80, deadline=None)
+    @given(VANISHING_FIELDS)
+    @example(F("y, 0"))
+    @example(F("x^2*y, x*y^2"))
+    def test_both_charts(self, x):
+        xs = sympy.Symbol("x")
+        nu = _sympy_order(field_to_sympy(x), (1, 1))
+        for chart, pullback, b in zip((1, 2), blowup_pullback(x), strict_transform(x)):
+            want = sympy_blowup_pullback(x, chart)
+            k = _sympy_order(want, (1, 0))  # the largest power of x dividing both
+            assert b.chart == chart and b.pullback == pullback
+            assert all(sympy.expand(p - q) == 0 for p, q in zip(field_to_sympy(pullback), want))
+            assert b.divisor_multiplicity == k
+            assert all(sympy.expand(p - q / xs**k) == 0 for p, q in zip(field_to_sympy(b.strict), want))
+            assert b.nu == nu
+            assert b.dicritical == (k == nu)
+
+
 class TestStrictTransform:
     def test_radial(self):
-        b = strict_transform(radial_field(2), CHART_SLOPE_Y)
+        b = strict_transform(radial_field(2))[0]
         assert b.strict == F("1, 0") and b.divisor_multiplicity == 1 and b.dicritical
 
     def test_shear_keeps_pullback(self):
-        b = strict_transform(F("y, 0"), CHART_SLOPE_Y)
+        b = strict_transform(F("y, 0"))[0]
         assert b.divisor_multiplicity == 0
         assert b.strict == b.pullback
 
     def test_two_squares(self):
-        b = strict_transform(F("x^2, y^2"), CHART_SLOPE_Y)
+        b = strict_transform(F("x^2, y^2"))[0]
         assert b.divisor_multiplicity == 1
         assert b.strict == chart_poly("x") * F("1, 0") + F("0, -y + y^2")
 
     def test_divisor_invariance_when_non_dicritical(self):
         # x divides the slope component of the pullback iff non-dicritical
         for text in ("y, 0", "x^2, y^2", "2*y, 3*x^2", "x, -y"):
-            b = strict_transform(F(text), CHART_SLOPE_Y)
+            b = strict_transform(F(text))[0]
             slope_on_divisor = PolySeries(
                 1, {(k,): c for (a, k), c in b.strict.comps[1].terms.items() if a == 0}
             )
@@ -228,7 +257,7 @@ class TestDivisorSingularities:
         # both charts' witnesses of x^2, y^2 have the roots 0 and 1, but
         # chart 2 adds only its origin, with no root search of its own
         x = F("x^2, y^2")
-        blowups = (strict_transform(x, CHART_SLOPE_Y), strict_transform(x, CHART_SLOPE_X))
+        blowups = strict_transform(x)
         isolated = is_isolated_singularity(x)
         calls = []
 
@@ -347,6 +376,41 @@ class TestClassify:
     def test_non_isolated_flagged(self):
         cls, caveat = classify_singularity(F("y, 0"))
         assert caveat and cls == "non_reduced_other"
+
+
+def _linear_plus(m, higher):
+    a, b, c, d = m
+    return VectorFieldJet([PolySeries(2, {(1, 0): a, (0, 1): b}) + higher[0],
+                           PolySeries(2, {(1, 0): c, (0, 1): d}) + higher[1]])
+
+
+# germs for the classification oracle: the fields vanishing at 0, h R first
+# jets among them, random linear parts plus higher terms, and fields times a
+# common factor through 0
+SHARED_AT_ZERO = st.sampled_from(["x", "y", "x + y", "y - x^2", "x - i*y"]).map(P)
+CLASSIFIED_GERMS = st.one_of(
+    VANISHING_FIELDS,
+    st.builds(
+        _linear_plus,
+        st.tuples(*[st.sampled_from([gq(1), gq(-1), gq(2), gq(0, 1), gq(Fraction(-1, 3)), gq(0)])] * 4),
+        st.tuples(_homogeneous_parts(2, 3), _homogeneous_parts(2, 3)),
+    ).filter(lambda x: not x.is_zero()),
+    st.builds(lambda h, x: VectorFieldJet([h * c for c in x.comps]), SHARED_AT_ZERO, VANISHING_FIELDS),
+)
+
+
+class TestClassifyAgainstSympy:
+    @settings(max_examples=120, deadline=None)
+    @given(CLASSIFIED_GERMS)
+    @example(F("x, -y"))
+    @example(F("x^2, y"))
+    @example(F("x, 2*y"))
+    @example(F("x + y^2, y"))
+    @example(F("x^3 + x*y^2 + y^4, x^2*y + y^3"))
+    @example(F("x^3 + x*y^2, x^2*y + y^3"))
+    @example(F("y, 0"))
+    def test_matches_the_oracle(self, x):
+        assert classify_singularity(x) == sympy_classify_singularity(x)
 
 
 class TestTranslate:

@@ -8,7 +8,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import germfield
 from germfield import (
@@ -107,6 +109,67 @@ class TestGrammar:
             with pytest.raises(ParseError, match="parentheses nested too deeply") as err:
                 parse_poly(nested(levels))
             assert err.value.position == MAX_NESTING
+
+
+# ratios whose sides do not parse: the error of the side that parsed
+# furthest, at its column in the whole text
+RATIO_ERRORS = pytest.mark.parametrize("text, message, column", [
+    ("(x + $) / (y)", "unexpected character", 6),
+    ("(x + ) / (y)", "expected a term", 6),
+    ("(" * 101 + "x" + ")" * 101 + " / y", "parentheses nested too deeply", 101),
+], ids=["character", "term", "nesting"])
+
+
+def _split_ratio(text, dim=2):
+    """The (numerator, denominator) that parse_ratio accepted before it
+    reported the sides' errors, or None where it refused the text."""
+    depth, parses = 0, []
+    for idx, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch != "/" or depth:
+            continue
+        try:
+            num, den = parse_poly(text[:idx], dim), parse_poly(text[idx + 1 :], dim)
+        except ParseError:
+            continue
+        if not den.is_zero():
+            parses.append((num, den))
+    return parses[0] if len(parses) == 1 else None
+
+
+# texts near a ratio: sides of polynomial pieces, stray parentheses, slashes
+# and characters outside the grammar among them
+PIECE = st.sampled_from(["x", "y", "0", "2", "i", "1/2", "x^2", "(x + y)", "(y - 1)", "(", ")", "/", "$"])
+SIDE = st.lists(st.tuples(st.sampled_from(["", " + ", " - ", "*", " "]), PIECE), min_size=1, max_size=3).map(
+    lambda parts: "".join(op + p for op, p in parts)
+)
+RATIO_TEXT = st.tuples(SIDE, st.sampled_from(["/", " / ", ""]), SIDE).map("".join)
+
+
+class TestRatio:
+    @RATIO_ERRORS
+    def test_reports_the_syntax_error(self, text, message, column):
+        with pytest.raises(ParseError, match=f"^{message} at line 1, column {column}:"):
+            parse_ratio(text)
+
+    def test_refusals_kept(self):
+        for text in ("x + y", "x / 0", "1/0"):
+            with pytest.raises(ParseError, match="^expected a ratio P / Q at line 1, column 1:"):
+                parse_ratio(text)
+        for text, column in (("1/2/3", 4), ("x + 1/2/3", 8)):
+            with pytest.raises(ParseError, match=f"^ambiguous ratio.* column {column}:"):
+                parse_ratio(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATIO_TEXT)
+    def test_accepted_ratios_unchanged(self, text):
+        old = _split_ratio(text)
+        try:
+            new = parse_ratio(text)
+        except ParseError:
+            assert old is None
+        else:
+            assert (new.numerator, new.denominator) == old
 
 
 class TestRoundTrip:
@@ -229,6 +292,11 @@ class TestCli:
         assert rc == 0 and "true" in out
         rc, _, _ = run_cli(capsys, "verify-integral", "x, 0", "x / y")
         assert rc == 1
+
+    @RATIO_ERRORS
+    def test_verify_integral_reports_the_syntax_error(self, capsys, text, message, column):
+        rc, _, err = run_cli(capsys, "verify-integral", "y, x", text)
+        assert rc == 2 and f"{message} at line 1, column {column}:" in err
 
     def test_log_decomp(self, capsys):
         rc, out, _ = run_cli(
