@@ -270,6 +270,45 @@ class TestDivisorSingularities:
         assert len(calls) == 1
         assert [(p.chart, p.coordinate) for p in pts] == [(1, gq(0)), (1, gq(1)), (2, gq(0))]
 
+    # a chart-1 root (t = 1, saddle node), the markers t^2 - 2 and t^2 - 3
+    # and the chart-2 origin (reduced hyperbolic)
+    EVERY_KIND = "x^6, (y - x)*(y^2 - 2*x^2)*(y^2 - 3*x^2)"
+
+    @staticmethod
+    def _sorted_order(points):
+        # chart, Q(i) points before markers, slope, marker terms
+        def key(p):
+            coord = p.coordinate.sort_key() if p.coordinate is not None else None
+            return (
+                p.chart,
+                0 if coord is not None else 1,
+                coord or (Fraction(0), Fraction(0)),
+                "" if p.marker is None else str(sorted(p.marker.terms.items())),
+            )
+        return sorted(points, key=key)
+
+    def test_points_come_in_sorted_order(self):
+        pts = divisor_points(F(self.EVERY_KIND))
+        assert [(p.chart, p.coordinate, p.classification) for p in pts] == [
+            (1, gq(1), "saddle_node"),
+            (1, None, "unresolvable_irrational"),
+            (1, None, "unresolvable_irrational"),
+            (2, gq(0), "reduced_hyperbolic"),
+        ]
+        assert [p.marker for p in pts[1:3]] == [P("x^2 - 2", 1), P("x^2 - 3", 1)]
+        assert pts == self._sorted_order(pts)
+
+    @settings(max_examples=20, deadline=None)
+    @given(COEFF, COEFF)
+    def test_rescaled_points_come_in_sorted_order(self, a, b):
+        # (x, y) -> (a x, b y) moves the roots and markers to other slopes
+        x = F(self.EVERY_KIND)
+        images = [PolySeries.variable(2, 0) * (1 / a), PolySeries.variable(2, 1) * (1 / b)]
+        moved = VectorFieldJet([c.substitute(images) * s for c, s in zip(x.comps, (a, b))])
+        pts = divisor_points(moved)
+        assert len(pts) == 4
+        assert pts == self._sorted_order(pts)
+
 
 class TestGaussianRoots:
     RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)

@@ -6,13 +6,15 @@ dense solver that preceded the sparse one).  ``golden/cli/`` holds the README
 commands with ``--json`` (one of them also in the README's spelling, with
 ``--json`` after the arguments), every README command as text, the cases of
 ``MORE_COMMANDS`` (text, and ``--json`` for those in ``MORE_JSON``), and
-``resolve`` on the seven germs of ``test_blowup.RESOLUTION_GERMS``.  A file holds the standard
+``resolve`` on the seven germs of ``test_blowup.RESOLUTION_GERMS``, and ``blowup`` (text
+and ``--json``) on a germ with every kind of divisor point.  A file holds the standard
 output, and for a nonzero exit also the exit code and standard error.
 Regenerate the files only for an intended change of answer, with
 ``PYTHONPATH=src python tests/test_golden.py --write``.
 
-One test checks every file again in a fresh process where importing sympy
-fails: the default paths never reach blowup's sympy fallback.
+One test checks every file of ``FILES`` again in a fresh process where
+importing sympy fails: the default paths never reach blowup's sympy fallback.
+The files of ``SYMPY_FILES`` do reach it, and are left out of that run.
 """
 
 import contextlib
@@ -111,6 +113,15 @@ FILES.update({
     for name, germ in RESOLUTION_GERMS.items()
 })
 
+# the witness (t - 1)(t^2 - 2)(t^2 - 3) is square-free of degree 5, which only
+# sympy's factor_list splits into a root and two markers
+EVERY_KIND = "x^6, (y - x)*(y^2 - 2*x^2)*(y^2 - 3*x^2)"
+SYMPY_FILES = {
+    "cli/blowup-every-kind.txt": ["blowup", EVERY_KIND],
+    "cli/blowup-every-kind.json": ["--json", "blowup", EVERY_KIND],
+}
+ALL_FILES = {**FILES, **SYMPY_FILES}
+
 
 def _output(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -154,12 +165,12 @@ def test_certified_golden_vectors_are_in_the_kernel(name, field, n):
                 assert x.apply(parse_poly(b["text"], x.dim)).is_zero()
 
 
-CLI_FILES = sorted(name for name in FILES if name.startswith("cli/"))
+CLI_FILES = sorted(name for name in ALL_FILES if name.startswith("cli/"))
 
 
 @pytest.mark.parametrize("path", CLI_FILES, ids=[p[len("cli/"):] for p in CLI_FILES])
 def test_cli_output_matches_golden(path):
-    assert _output(FILES[path]) == (GOLDEN / path).read_text()
+    assert _output(ALL_FILES[path]) == (GOLDEN / path).read_text()
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
@@ -213,5 +224,5 @@ def test_script_runs(script):
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
-    for name, argv in FILES.items():
+    for name, argv in ALL_FILES.items():
         (GOLDEN / name).write_text(_output(argv))

@@ -226,6 +226,15 @@ class TestCli:
         assert rc == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, count", [
+        (("bracket", "x", "y"), 1),
+        (("centralizer", "x, y, z, x"), 4),
+    ])
+    def test_component_count_is_exit_2(self, capsys, argv, count):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert f"expected 2 or 3 components, got {count}" in err
+
     @pytest.mark.parametrize(
         "verb, field", [("centralizer", "x, 2*y"), ("first-integrals", "x, -y")]
     )
