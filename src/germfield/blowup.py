@@ -163,15 +163,6 @@ class SingularPoint:
     non_isolated: bool = False
     would_be_dicritical: bool | None = None
 
-    def sort_token(self):
-        coord = self.coordinate.sort_key() if self.coordinate is not None else None
-        return (
-            self.chart,
-            0 if coord is not None else 1,
-            coord or (Fraction(0), Fraction(0)),
-            "" if self.marker is None else str(sorted(self.marker.terms.items())),
-        )
-
 
 def _sympy_poly(f: PolySeries):
     """f as a sympy Poly over QQ_I, in t (one variable) or in x, y (two)."""
@@ -494,13 +485,15 @@ def divisor_singularities(
     found = [(one.chart, v, translate_to_point(one.strict, [ZERO, v])) for v, _ in roots]
     if two.strict.vanishes_at_origin():
         found.append((two.chart, ZERO, two.strict))
-    points = [SingularPoint(one.chart, None, m, UNRESOLVABLE_IRRATIONAL, None, None)
-              for m, _ in markers]
+    points = []
     for chart, value, germ in found:
         nu = germ.mu()
         cls, caveat, would_be = _classify(germ, nu, isolated)
         points.append(SingularPoint(chart, value, None, cls, germ, nu, caveat, would_be))
-    points.sort(key=SingularPoint.sort_token)
+    # gaussian_roots sorts the roots; the markers follow them, before the chart-2 origin
+    points[len(roots):len(roots)] = [
+        SingularPoint(one.chart, None, m, UNRESOLVABLE_IRRATIONAL, None, None)
+        for m in sorted((m for m, _ in markers), key=lambda m: str(sorted(m.terms.items())))]
     return points
 
 

@@ -26,12 +26,10 @@ from operator import add, mul
 from . import linalg
 from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
 from .series import (
-    DimensionMismatchError, GermError, PolySeries, TruncationError, _product, _trusted,
-    monomial_key, monomials_up_to,
+    DimensionMismatchError, Exponent, GermError, PolySeries, TruncationError, _product,
+    _trusted, monomial_key, monomials_up_to,
 )
 from .fields import VectorFieldJet, radial_field
-
-Exponent = tuple[int, ...]
 
 # Kernel solves refuse more unknowns than this before listing a column, and
 # resonances more candidate exponents before listing one; a plane normal form

@@ -45,15 +45,11 @@ from .parsing import (
 SCHEMA_VERSION = 2
 
 
-def _auto_dim(text: str) -> int:
+def parse_field_text(text: str) -> VectorFieldJet:
     dim = text.count(",") + 1
     if dim not in (2, 3):
         raise GermError(f"expected 2 or 3 components, got {dim}")
-    return dim
-
-
-def parse_field_text(text: str) -> VectorFieldJet:
-    return parse_field(text, _auto_dim(text))
+    return parse_field(text, dim)
 
 
 def parse_scalar(text: str) -> GaussianRational:

@@ -126,12 +126,6 @@ class VectorFieldJet:
             raise DimensionMismatchError("function and field dimensions differ")
         return [(k, c, f, i) for i, c in enumerate(self.comps)]
 
-    def substitute(self, images) -> "VectorFieldJet":
-        """Componentwise composition (no chain rule: coefficients only)."""
-        return VectorFieldJet(
-            [c.substitute(images) for c in self.comps]
-        )
-
     def jet_equal(self, other: "VectorFieldJet") -> bool:
         self._check(other)
         return all(a.jet_equal(b) for a, b in zip(self.comps, other.comps))

@@ -68,7 +68,10 @@ def closedness_check(omega: OneFormJet, g: PolySeries) -> tuple[bool, PolySeries
 
 
 def integrating_factor_check(x: VectorFieldJet, g: PolySeries) -> bool:
-    """X(g) = (div X) g, the exact certificate that dual_form(X)/g is closed."""
+    """X(g) = (div X) g, the exact certificate that dual_form(X)/g is closed;
+    jets are refused, as the terms they do not know can refute it."""
+    if not (x.is_total and g.is_total):
+        raise TruncationError("integrating_factor_check needs an exact field and factor")
     if g.is_zero():
         raise ZeroDivisionError("zero integrating factor candidate")
     div_g = [(-1, g, c, i) for i, c in enumerate(x.comps)]
@@ -76,7 +79,9 @@ def integrating_factor_check(x: VectorFieldJet, g: PolySeries) -> bool:
 
 
 def meromorphic_first_integral_check(x: VectorFieldJet, f: MeromorphicRatio) -> bool:
-    """X(P/Q) = 0, tested as Q X(P) - P X(Q) = 0."""
+    """X(P/Q) = 0, tested as Q X(P) - P X(Q) = 0 (a truncated X is refused)."""
+    if not x.is_total:
+        raise TruncationError("meromorphic_first_integral_check needs an exact field")
     p, q = f.numerator, f.denominator
     xp, xq = (_combination(x._apply_pairs(h)) for h in (p, q))
     return _combination([(1, q, xp), (-1, p, xq)]).is_zero()
@@ -120,9 +125,9 @@ class LogDecomposition:
     residues: tuple[GaussianRational, ...]
     phi: PolySeries
 
-    def reconstruct_cleared(self, g: PolySeries, unit: PolySeries) -> OneFormJet:
-        """g * (the decomposed form), organized to stay polynomial (g is
-        unit * prod_j factors[j]^multiplicities[j])."""
+    def reconstruct_cleared(self, unit: PolySeries) -> OneFormJet:
+        """The decomposed form times g = unit * prod_j factors[j]^multiplicities[j],
+        organized to stay polynomial."""
         return self._cleared(_quotients(self.factors, self.multiplicities, unit))
 
     def _cleared(self, quotients) -> OneFormJet:

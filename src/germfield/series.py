@@ -16,7 +16,6 @@ order everywhere downstream.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 from operator import add, lshift
@@ -500,11 +499,6 @@ def _combination(pairs) -> PolySeries:
     return _trusted(dim, {exps[key]: _reduce(a, b, d) for key, (a, b) in acc.items()}, trunc)
 
 
-def _descending(e: Exponent) -> tuple[int, tuple[int, ...]]:
-    """Heap key: the graded-lex greatest monomial comes out first."""
-    return (-sum(e), tuple(-k for k in reversed(e)))
-
-
 def poly_divides(d: PolySeries, f: PolySeries) -> tuple[bool, PolySeries | None]:
     """Decide d | f for exact polynomials by graded-lex leading-term elimination.
 
@@ -520,15 +514,10 @@ def poly_divides(d: PolySeries, f: PolySeries) -> tuple[bool, PolySeries | None]
     le, lc = d.leading_term()
     tail = [(e, -c) for e, c in d.terms.items() if e != le]
     quotient: dict[Exponent, GaussianRational] = {}
-    # the remainder, updated in place; a popped monomial that cancelled is skipped
-    rem = dict(f.terms)
-    heap = [(_descending(e), e) for e in rem]
-    heapq.heapify(heap)
-    while heap:
-        re_ = heapq.heappop(heap)[1]
-        rc = rem.pop(re_, None)
-        if rc is None:
-            continue
+    rem = dict(f.terms)  # the remainder, updated in place
+    while rem:
+        re_ = max(rem, key=monomial_key)
+        rc = rem.pop(re_)
         qe = tuple(a - b for a, b in zip(re_, le))
         if any(k < 0 for k in qe):
             return False, None
@@ -539,7 +528,6 @@ def poly_divides(d: PolySeries, f: PolySeries) -> tuple[bool, PolySeries | None]
             s = rem.get(e)
             if s is None:
                 rem[e] = qc * c
-                heapq.heappush(heap, (_descending(e), e))
             elif s := s + qc * c:
                 rem[e] = s
             else:

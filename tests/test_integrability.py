@@ -82,6 +82,15 @@ class TestIntegratingFactor:
             rhs, _ = closedness_check(dual_form(x), P(g))
             assert lhs == rhs
 
+    def test_jets_refused(self):
+        # the 3-jet of y + x^4, -x passes, but div X = 4 x^3 is past the cut
+        x = F("y + x^4, -x")
+        assert not integrating_factor_check(x, P("1"))
+        with pytest.raises(TruncationError):
+            integrating_factor_check(x.truncated(3), P("1"))
+        with pytest.raises(TruncationError):
+            integrating_factor_check(x, P("1").truncated(3))
+
 
 class TestMeromorphicIntegral:
     def test_holomorphic_case(self):
@@ -101,6 +110,13 @@ class TestMeromorphicIntegral:
         assert not meromorphic_first_integral_check(
             F("x, -y"), MeromorphicRatio(P("x + y"), P("1"))
         )
+
+    def test_jets_refused(self):
+        # X(xy) = x^5 for x, -y + x^4: only the jet's terms cancel
+        x, f = F("x, -y + x^4"), MeromorphicRatio(P("x*y"), P("1"))
+        assert not meromorphic_first_integral_check(x, f)
+        with pytest.raises(TruncationError):
+            meromorphic_first_integral_check(x.truncated(3), f)
 
 
 class TestDualPair:
@@ -204,7 +220,7 @@ class TestLogDecomposition:
         u = P(unit)
         scaled = log_decomposition(OneFormJet([c * u for c in omega.coeffs]), g * u, factors)
         assert scaled.decomposition == log_decomposition(omega, g, factors).decomposition
-        cleared = scaled.decomposition.reconstruct_cleared(g * u, u)
+        cleared = scaled.decomposition.reconstruct_cleared(u)
         assert cleared == OneFormJet([c * u for c in omega.coeffs])
 
     def test_wrong_factorization_rejected(self):
