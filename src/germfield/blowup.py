@@ -38,6 +38,9 @@ CHART_SLOPE_X = 2  # (x, y) = (t x, x)
 
 DEFAULT_MAX_DEPTH = 12
 MAX_DEPTH = 200  # resolve refuses deeper budgets: the tree code recurses per level
+# gaussian_roots refuses to hand sympy a square-free part of higher degree:
+# factor_list takes about 1 s there (notes/decisions.md, "sympy is a fallback")
+MAX_FACTOR_DEGREE = 32
 
 REDUCED_HYPERBOLIC = "reduced_hyperbolic"
 SADDLE_NODE = "saddle_node"
@@ -258,7 +261,8 @@ def gaussian_roots(f: PolySeries) -> tuple[list[tuple[GaussianRational, int]], l
     rest is split square-free (Yun); a part of degree 1 is a root, one of
     degree 2 gives two roots when its discriminant is a square in Q(i) and is
     irreducible otherwise.  Only a square-free part of degree 3 or more is
-    handed to sympy.
+    handed to sympy, and one of degree above MAX_FACTOR_DEGREE is refused
+    with GermError first.
     """
     if f.dim != 1:
         raise GermError("gaussian_roots expects a univariate polynomial")
@@ -271,6 +275,11 @@ def gaussian_roots(f: PolySeries) -> tuple[list[tuple[GaussianRational, int]], l
     for part, mult in _square_free(coeffs[n:]):
         factors = [(part, mult)]
         if len(part) > 3:
+            if len(part) > MAX_FACTOR_DEGREE + 1:
+                raise GermError(
+                    f"a witness factor of degree {len(part) - 1} is past the factoring budget "
+                    f"of degree {MAX_FACTOR_DEGREE}"
+                )
             _, found = sympy.factor_list(_sympy_poly(_sparse(part)))
             factors = [(_from_sympy(p), mult * m) for p, m in found]
         for factor, m in factors:
@@ -322,9 +331,11 @@ def _taylor_shift(f: PolySeries, i: int, c: GaussianRational) -> PolySeries:
         k = e[i]
         while len(powers) <= k:
             powers.append(powers[-1] * c)
+        binom = 1  # C(k, j), carried along the row
         for j in range(k + 1):
             key = e[:i] + (j,) + e[i + 1:]
-            out[key] = out.get(key, ZERO) + coeff * powers[k - j] * math.comb(k, j)
+            out[key] = out.get(key, ZERO) + coeff * powers[k - j] * binom
+            binom = binom * (k - j) // (j + 1)
     return _trusted(f.dim, {e: v for e, v in out.items() if v}, None)  # f is total
 
 

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from operator import add, lshift
 
-from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
+from .gaussian import ONE, ZERO, GaussianRational, _reduce
 
 Exponent = tuple[int, ...]
 
@@ -428,15 +428,17 @@ def _combination(pairs) -> PolySeries:
     TermLimitError as soon as the partial sum has more than MAX_TERMS
     terms.  Every pair writes Gaussian-integer numerators into one dict over
     D, the lcm of the pairs' D_f * D_g (D_f: the lcm of f's denominators); a
-    derivative scales g's numerators by e_i and lowers e_i, with no partial
-    series.  Each operand is written over D_f once per call.  Monomials are
-    packed into ints with bits = top.bit_length() bits per variable, top the
-    largest deg f + deg g over the pairs, so a product's key is the sum of
-    its factors' keys with no carry between slots.  No term past trunc is
-    formed, and each result term is reduced once, over D."""
+    derivative scales g's numerators by e_i and lowers e_i in the key, with
+    no partial series.  Each operand is written over D_f in one pass per
+    call.  Monomials are packed into ints with bits = top.bit_length() bits
+    per variable, top the largest deg f + deg g over the pairs, so a
+    product's key is the sum of its factors' keys with no carry between
+    slots, and each result exponent is read back from its key.  Each
+    left-hand term meets only the right-hand terms that keep the product
+    within trunc, and each result term is reduced once, over D."""
     dim = pairs[0][1].dim
     known = []
-    ops = {}  # id(operand) -> [D, [(e, (a, b), |e|)], max |e|], for this call only
+    ops = {}  # id(operand) -> [D, terms, max |e|], for this call only
     for _, f, g, *i in pairs:
         known.append(f.trunc)
         if g is not None and g.trunc is not None:
@@ -447,56 +449,50 @@ def _combination(pairs) -> PolySeries:
             if p is not None and id(p) not in ops:
                 if p.dim != dim:
                     raise DimensionMismatchError(f"dimension {p.dim} vs {dim}")
-                dp, num = over_common_denominator(p.terms.values())
-                ns = list(map(sum, p.terms))
-                ops[id(p)] = [dp, list(zip(p.terms, num, ns)), max(ns, default=0)]
+                terms = p.terms
+                ops[id(p)] = [math.lcm(*[c._d for c in terms.values()]), terms, max(map(sum, terms), default=0)]
     trunc = _least_trunc(known)
     top = max(ops[id(f)][2] + (0 if g is None else ops[id(g)][2]) for _, f, g, *_ in pairs)
     bits = top.bit_length()
     shifts = [bits * j for j in range(dim)]
     for op in ops.values():
-        op[1] = [(sum(map(lshift, e, shifts)), e, a, b, n) for e, (a, b), n in op[1]]
+        dp = op[0]
+        op[1] = [
+            (sum(map(lshift, e, shifts)), e, c._a * (m := dp // c._d), c._b * m, sum(e))
+            for e, c in op[1].items()
+        ]
     scaled = [
         (k, ops[id(f)], None if g is None else ops[id(g)], i[0] if i else None)
         for k, f, g, *i in pairs if f.terms and (g is None or g.terms)
     ]
     d = math.lcm(*(f[0] * (1 if g is None else g[0]) for _, f, g, _ in scaled))
-    acc: dict[int, tuple[int, int]] = {}
-    exps: dict[int, Exponent] = {}
+    acc: dict[int, list[int]] = {}  # key -> [re, im] over d
     get, cap = acc.get, MAX_TERMS
     for k, (df, lhs, _), g, i in scaled:
         if g is None:
-            rhs = [(0, (0,) * dim, k * (d // df), 0, 0)]
+            rhs = [(0, k * (d // df), 0, 0)]
         elif i is None:
             m = k * (d // (df * g[0]))
-            rhs = [(k2, e2, a * m, b * m, n) for k2, e2, a, b, n in g[1]]
+            rhs = [(k2, a * m, b * m, n) for k2, _, a, b, n in g[1]]
         else:
             m, unit = k * (d // (df * g[0])), 1 << bits * i
-            rhs = [
-                (k2 - unit, e2[:i] + (e2[i] - 1,) + e2[i + 1:], a * c, b * c, n - 1)
-                for k2, e2, a, b, n in g[1] if (c := m * e2[i])
-            ]
-        for k1, e1, a1, b1, n1 in lhs:
-            room = math.inf if trunc is None else trunc - n1
-            for k2, e2, a2, b2, n2 in rhs:
-                if n2 > room:
-                    continue
-                key = k1 + k2
-                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                s = get(key)
+            rhs = [(k2 - unit, a * c, b * c, n - 1) for k2, e2, a, b, n in g[1] if (c := m * e2[i])]
+        for k1, _, a1, b1, n1 in lhs:
+            row = rhs if trunc is None else [t for t in rhs if t[3] <= trunc - n1]
+            for k2, a2, b2, _ in row:
+                s = get(key := k1 + k2)
                 if s is None:
-                    acc[key] = re, im
-                    exps[key] = tuple(map(add, e1, e2))
+                    acc[key] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
                     if len(acc) > cap:
                         raise TermLimitError("result exceeds MAX_TERMS")
                     continue
-                re += s[0]
-                im += s[1]
-                if re or im:
-                    acc[key] = re, im
-                else:
+                s[0] += a1 * a2 - b1 * b2
+                s[1] += a1 * b2 + b1 * a2
+                if not (s[0] or s[1]):
                     del acc[key]
-    return _trusted(dim, {exps[key]: _reduce(a, b, d) for key, (a, b) in acc.items()}, trunc)
+    mask = (1 << bits) - 1
+    out = {tuple([key >> s & mask for s in shifts]): _reduce(a, b, d) for key, (a, b) in acc.items()}
+    return _trusted(dim, out, trunc)
 
 
 def poly_divides(d: PolySeries, f: PolySeries) -> tuple[bool, PolySeries | None]:

@@ -468,6 +468,15 @@ class TestTranslate:
         moved = translate_to_point(x, [a, b])
         assert field_to_sympy(moved) == sympy_translate(x, [(a.re, a.im), (b.re, b.im)])
 
+    def test_high_degree_rows_match_a_sympy_shift(self):
+        # rows of degree 40 to 47 in each variable: every binomial C(k, j)
+        # of those rows is carried along the row, none recomputed
+        x = F("y^2 + x^3 + 3/2*x^45*y - x^40, x^41*y^2 - 2*y^47 + (1 + 2*i)*x*y^40")
+        a, b = gq(1, -1), gq(Fraction(1, 2), 3)
+        moved = translate_to_point(x, [a, b])
+        assert max(k for c in moved.comps for e in c.terms for k in e) >= 40
+        assert field_to_sympy(moved) == sympy_translate(x, [(a.re, a.im), (b.re, b.im)])
+
 
 class TestResolve:
     def test_already_reduced(self):
@@ -545,6 +554,13 @@ class TestResolve:
     def test_non_isolated_refused(self):
         with pytest.raises(GermError):
             resolve(F("y, 0"))
+
+
+class _NoFactoring:
+    """Stands in for blowup's sympy where factor_list must not run."""
+
+    def factor_list(self, *args, **kwargs):
+        raise AssertionError("factor_list ran past the budget")
 
 
 class _CountingSympy:
@@ -640,6 +656,20 @@ class TestSympyFallbacks:
         assert not sympy_isolated(x) and not sympy_gcd_isolated(x)
         with pytest.raises(GermError):
             resolve(x)
+
+    def test_factoring_budget(self, bridge, monkeypatch):
+        # x^n, y^n has the witness t^n - t, whose part t^(n-1) - 1 goes to
+        # factor_list: at the budget it is factored, one degree past it the
+        # germ is refused before factor_list runs
+        at = blowup.MAX_FACTOR_DEGREE + 1
+        roots, markers = gaussian_roots(dicritical_test(F(f"x^{at}, y^{at}")).witness)
+        assert bridge == ["factor_list"]
+        assert len(roots) == 5 and sum(m.total_degree() for m, _ in markers) == at - 5
+        monkeypatch.setattr(blowup, "sympy", _NoFactoring())
+        x = F(f"x^{at + 1}, y^{at + 1}")
+        for run in (lambda: gaussian_roots(dicritical_test(x).witness), lambda: resolve(x, max_depth=1)):
+            with pytest.raises(GermError, match=f"degree {at} is past the factoring budget"):
+                run()
 
 
 # the seven germs of the benchmark's resolution workload

@@ -259,6 +259,22 @@ class TestCli:
         assert err.count("\n") == 1 and "outside 1..200, the depth budget" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_resolve_past_the_factoring_budget(self, capsys, monkeypatch):
+        # x^34, y^34 leaves t^33 - 1 for sympy's factor_list: one degree past
+        # the budget, so the germ is refused and factor_list never runs
+        from germfield import blowup
+
+        class NoFactoring:
+            def factor_list(self, *args, **kwargs):
+                raise AssertionError("factor_list ran past the budget")
+
+        monkeypatch.setattr(blowup, "sympy", NoFactoring())
+        n = blowup.MAX_FACTOR_DEGREE + 2
+        rc, out, err = run_cli(capsys, "resolve", f"x^{n}, y^{n}", "--depth", "1")
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1
+        assert f"degree {n - 1} is past the factoring budget of degree {blowup.MAX_FACTOR_DEGREE}" in err
+
     def test_resolve_at_the_depth_budget(self, capsys):
         rc, out, _ = run_cli(capsys, "resolve", "y, x^400", "--depth", "200")
         assert rc == 0
