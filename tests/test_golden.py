@@ -70,8 +70,8 @@ README_COMMANDS = {
     "cr-pair": ["cr-pair", "z^2", "--max-degree", "6"],
     "table": ["table", "5", "--n", "2"],
 }
-# text-only variants, jets with tentative vectors, an eigenvalue line, an
-# input error (exit 2) and the exit-1 answers
+# text-only variants, jets with tentative vectors, an eigenvalue line, a
+# rational ratio, an input error (exit 2) and the exit-1 answers
 MORE_COMMANDS = {
     "blowup-chart1": ["blowup", "x^2, y^2", "--chart", "1"],
     "blowup-chart2": ["blowup", "x^2, y^2", "--chart", "2"],
@@ -80,6 +80,7 @@ MORE_COMMANDS = {
     "centralizer-tentative": ["centralizer", "x^2, y + x*y", "--max-degree", "5"],
     "first-integrals-tentative": ["first-integrals", "x, -y + x^3", "--max-degree", "5"],
     "classify-eigenvalues": ["classify", "x, i*y"],
+    "classify-ratio": ["classify", "x, -3/2*y"],
     "table-no-row": ["table", "9"],
     "check-commute-false": ["check-commute", "x, y^2", "y, -x"],
     "verify-integral-false": ["verify-integral", "x, y", "(x) / (y^2)"],
@@ -87,7 +88,7 @@ MORE_COMMANDS = {
                                "--factor", "x:2", "--factor", "y"],
 }
 MORE_JSON = ("blowup-chart2", "blowup-non-isolated", "centralizer-tentative", "first-integrals-tentative", "check-commute-false",
-             "verify-integral-false", "log-decomp-no-solution")
+             "verify-integral-false", "log-decomp-no-solution", "classify-ratio")
 RESOLUTION_GERMS = {
     "cusp": "2*y, 3*x^2",
     "two_squares": "x^2, y^2",
