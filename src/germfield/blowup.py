@@ -27,6 +27,7 @@ from .series import (
     GermError,
     PolySeries,
     TruncationError,
+    _coerce_scalar,
     _trusted,
     divide_by_variable_power,
     variable_power_dividing,
@@ -41,6 +42,10 @@ MAX_DEPTH = 200  # resolve refuses deeper budgets: the tree code recurses per le
 # gaussian_roots refuses to hand sympy a square-free part of higher degree:
 # factor_list takes about 1 s there (notes/decisions.md, "sympy is a fallback")
 MAX_FACTOR_DEGREE = 32
+# blow-ups and translate_to_point refuse a germ of higher total degree before
+# testing or shifting it: a Taylor shift to the slope (3 + 2i)/5 takes about
+# 1 s there (notes/decisions.md, "a germ-degree budget for blow-ups")
+MAX_GERM_DEGREE = 7000
 
 REDUCED_HYPERBOLIC = "reduced_hyperbolic"
 SADDLE_NODE = "saddle_node"
@@ -76,6 +81,13 @@ def _require_blowup_input(x: VectorFieldJet):
         raise GermError("cannot blow up the zero field")
     if not x.vanishes_at_origin():
         raise GermError("blow-up requires a singular point at the origin")
+    _require_degree(x)
+
+
+def _require_degree(x: VectorFieldJet):
+    degree = max(c.total_degree() for c in x.comps)
+    if degree > MAX_GERM_DEGREE:
+        raise GermError(f"a germ of degree {degree} is past the blow-up budget of degree {MAX_GERM_DEGREE}")
 
 
 def _relabel(f: PolySeries, dx: int, dt: int) -> PolySeries:
@@ -341,9 +353,11 @@ def _taylor_shift(f: PolySeries, i: int, c: GaussianRational) -> PolySeries:
 
 def translate_to_point(x: VectorFieldJet, point: list[GaussianRational]) -> VectorFieldJet:
     """Exact affine recentering: the germ of X at the point, seen from 0, by
-    a Taylor shift in each nonzero coordinate (the origin returns X itself)."""
+    a Taylor shift in each nonzero coordinate (the origin returns X itself).
+    A germ past MAX_GERM_DEGREE is refused first."""
     if not x.is_total:
         raise TruncationError("translation needs an exact polynomial field")
+    _require_degree(x)
     comps = x.comps
     for i, c in zip(range(x.dim), point, strict=True):
         if c:
@@ -398,7 +412,7 @@ def classify_linear(matrix: list[list[GaussianRational]]) -> LinearClass:
     """Classify a 2x2 linear part over Q(i), with exact ratio rationality."""
     if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
         raise GermError("classify_linear expects a 2x2 matrix")
-    m = [[c if isinstance(c, GaussianRational) else GaussianRational(c) for c in row] for row in matrix]
+    m = [[_coerce_scalar(c) for c in row] for row in matrix]
     trace, det = _trace_det(m)
     if all(c.is_zero() for row in m for c in row):
         return LinearClass("zero", "undefined")
@@ -581,14 +595,9 @@ def _resolve_node(
     stop_here = classification in (REDUCED_HYPERBOLIC, SADDLE_NODE) or (
         classification in (PURELY_RADIAL, NPRS) and not force_radial
     )
-    if stop_here:
-        return ResolutionNode(
-            germ, history, classification, classification, None, (), would_be
-        )
-    if budget <= 0:
-        return ResolutionNode(
-            germ, history, classification, "unresolved_depth", None, (), would_be
-        )
+    if stop_here or budget <= 0:
+        verdict = classification if stop_here else "unresolved_depth"
+        return ResolutionNode(germ, history, classification, verdict, None, (), would_be)
     blowups = strict_transform(germ)
     children = []
     for point in divisor_singularities(blowups, True):

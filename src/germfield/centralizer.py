@@ -26,8 +26,8 @@ from operator import add, mul
 from . import linalg
 from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
 from .series import (
-    DimensionMismatchError, Exponent, GermError, PolySeries, TruncationError, _product,
-    _trusted, monomial_key, monomials_up_to,
+    DimensionMismatchError, Exponent, GermError, PolySeries, TruncationError, _coerce_scalar,
+    _product, _trusted, monomial_key, monomials_up_to,
 )
 from .fields import VectorFieldJet, radial_field
 
@@ -184,10 +184,7 @@ def _kernel(x: VectorFieldJet, max_degree: int, columns):
     if len(system.rows) > rank:
         exact = system.kernel()[::-1]
         span = linalg.Echelon(len(columns), exact)
-        for v in raw:
-            if not linalg.in_span(span, v):
-                tentative.append(v)
-                span.insert(v)
+        tentative = [v for v in raw if span.insert(v)]
     _check_residuals(images, exact)
     return horizon, exact, tentative
 
@@ -297,8 +294,6 @@ def _normal_form_weights(x: VectorFieldJet) -> list[tuple[int, int]]:
         return zero
     _, flat = over_common_denominator([c for row in x.linear_part_matrix() for c in row])
     lams = flat[:: dim + 1]
-    if not any(map(any, lams)):
-        return lams  # S = 0 already
     off = [[(0, 0) if i == j else flat[i * dim + j] for j in range(dim)] for i in range(dim)]
     power = off
     for _ in range(dim):  # off^1, ..., off^dim until one vanishes
@@ -395,10 +390,7 @@ def resonances(lambdas: list[GaussianRational], bound: int) -> tuple[Resonance, 
     """All resonance relations with 2 <= |k| <= bound."""
     if bound < 2:
         raise GermError("resonance bound must be at least 2")
-    lams = [
-        l if isinstance(l, GaussianRational) else GaussianRational(l)
-        for l in lambdas
-    ]
+    lams = [_coerce_scalar(l) for l in lambdas]
     n = len(lams)
     count = comb(bound + n, n) - 1 - n
     if count > MAX_UNKNOWNS:
@@ -459,22 +451,14 @@ def linear_centralizer_table(
     def module(span_field: VectorFieldJet, h: PolySeries) -> list[VectorFieldJet]:
         # jets of C{h}.V with coefficient degree <= max_degree
         base_deg = max(c.total_degree() for c in span_field.comps if not c.is_zero())
-        step = h.total_degree()
-        out = []
-        power = PolySeries.constant(2, 1)
-        m = 0
-        while base_deg + m * step <= max_degree:
-            out.append(span_field * power)
-            power = power * h
-            m += 1
-        return out
+        return [span_field * h**m for m in range((max_degree - base_deg) // h.total_degree() + 1)]
 
     if row == 1:
         return TableRow(1, r, (x_dx, x_dy, y_dx, y_dy), 2, 4)
     if row == 2:
         if ratio is None:
             raise GermError("row 2 needs the eigenvalue ratio")
-        lam = ratio if isinstance(ratio, GaussianRational) else GaussianRational(ratio)
+        lam = _coerce_scalar(ratio)
         if lam.is_rational():
             fr = lam.re
             bad = fr <= 0 or fr.denominator == 1 or fr.numerator == 1
@@ -510,9 +494,7 @@ def linear_centralizer_table(
     if row == 8:
         if p is None or p < 1:
             raise GermError("row 8 needs an integer p >= 1")
-        lam = residue if residue is not None else ZERO
-        if not isinstance(lam, GaussianRational):
-            lam = GaussianRational(lam)
+        lam = ZERO if residue is None else _coerce_scalar(residue)
         x = _vf2({(p + 1, 0): ONE}, {(0, 1): ONE, (p, 1): lam})
         gen1 = _vf2({(p + 1, 0): ONE}, {(p, 1): lam})
         return TableRow(8, x, (gen1, y_dy), 2, 2)

@@ -238,17 +238,38 @@ def _blowup(args):
     dic = dicritical_test(x)
     blowups = strict_transform(x)
     points = divisor_singularities(blowups, is_isolated_singularity(x))
-    charts = [b for b in blowups if args.chart in (None, b.chart)]
     kind = "dicritical" if dic.dicritical else "non-dicritical"
     lines = [f"nu = {dic.nu}, {kind}, witness {poly_to_text(dic.witness, ('t',))}"]
-    for b in charts:
-        lines += [
-            f"chart {b.chart}: pullback  {field_to_text(b.pullback, ('x', 't'))}",
-            f"chart {b.chart}: strict    {field_to_text(b.strict, ('x', 't'))}"
-            f"  [divisor mult {b.divisor_multiplicity}]",
-        ]
+    result = {
+        "nu": dic.nu,
+        "dicritical": dic.dicritical,
+        "witness": dic.witness,
+        "charts": [],
+        "singular_points": [],
+    }
+    for b in blowups:
+        if args.chart in (None, b.chart):
+            result["charts"].append({
+                "chart": b.chart,
+                "pullback": b.pullback,
+                "strict": b.strict,
+                "divisor_multiplicity": b.divisor_multiplicity,
+            })
+            lines += [
+                f"chart {b.chart}: pullback  {field_to_text(b.pullback, ('x', 't'))}",
+                f"chart {b.chart}: strict    {field_to_text(b.strict, ('x', 't'))}"
+                f"  [divisor mult {b.divisor_multiplicity}]",
+            ]
     lines.append("singular points on the divisor:" + ("" if points else " none"))
     for pt in points:
+        result["singular_points"].append({
+            "chart": pt.chart,
+            "slope": pt.coordinate,
+            "marker": pt.marker,
+            "classification": pt.classification,
+            "multiplicity": pt.multiplicity,
+            "non_isolated": pt.non_isolated,
+        })
         if pt.marker is not None:
             lines.append(
                 f"  irrational locus in chart {pt.chart}: {poly_to_text(pt.marker, ('t',))} = 0"
@@ -258,31 +279,6 @@ def _blowup(args):
                 f"  chart {pt.chart}, slope {pt.coordinate}: {pt.classification}"
                 f" (mu={pt.multiplicity})"
             )
-    result = {
-        "nu": dic.nu,
-        "dicritical": dic.dicritical,
-        "witness": dic.witness,
-        "charts": [
-            {
-                "chart": b.chart,
-                "pullback": b.pullback,
-                "strict": b.strict,
-                "divisor_multiplicity": b.divisor_multiplicity,
-            }
-            for b in charts
-        ],
-        "singular_points": [
-            {
-                "chart": pt.chart,
-                "slope": pt.coordinate,
-                "marker": pt.marker,
-                "classification": pt.classification,
-                "multiplicity": pt.multiplicity,
-                "non_isolated": pt.non_isolated,
-            }
-            for pt in points
-        ],
-    }
     return result, "\n".join(lines), 0
 
 

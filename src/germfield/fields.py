@@ -255,9 +255,7 @@ def hamiltonian_field(f: PolySeries) -> VectorFieldJet:
 
 
 def radial_field(dim: int) -> VectorFieldJet:
-    return VectorFieldJet(
-        [PolySeries.variable(dim, i) for i in range(dim)]
-    )
+    return weighted_euler(Weight((1,) * dim))
 
 
 def weighted_euler(weight: Weight) -> VectorFieldJet:

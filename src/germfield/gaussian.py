@@ -197,8 +197,6 @@ class GaussianRational:
 
 
 def _coerce(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
     if isinstance(value, (int, Fraction)):
         return GaussianRational(value)
     return NotImplemented

@@ -12,10 +12,10 @@ off the pivots is then, reversed, its graded-lex RREF, bit for bit.  The
 kernel constraint matrices are about 1 % dense, and a normal form's, kept to
 its resonant columns, is small and nearly diagonal: pivot rows stay short.
 
-The engine uses only ``Echelon``, ``in_span`` and ``solve`` (sparse rows).
-``rref`` and ``nullspace`` take and return dense rows (lists of
-GaussianRational); nothing in the package calls them, but the benchmark's
-tracer wraps them by name, with ``in_span`` and ``solve``, to count calls.
+The engine uses only ``Echelon`` and ``solve`` (sparse rows).  Nothing in
+the package calls ``rref``, ``nullspace`` (dense rows, lists of
+GaussianRational) or ``in_span``; the benchmark's tracer wraps them by name,
+with ``solve``, to count calls.
 """
 
 from __future__ import annotations
@@ -59,14 +59,14 @@ class Echelon:
             _subtract(out, out.pop(p), self.rows[p])
         return out
 
-    def insert(self, row: SparseRow):
-        """Add row to the span (a row already in it changes nothing)."""
-        self._insert_reduced(self.reduce(row))
+    def insert(self, row: SparseRow) -> bool:
+        """Add row to the span: True if it adds a pivot, False if already in it."""
+        return self._insert_reduced(self.reduce(row))
 
-    def _insert_reduced(self, rem: SparseRow):
+    def _insert_reduced(self, rem: SparseRow) -> bool:
         """Add a remainder already reduced modulo the pivot rows (consumed)."""
         if not rem:
-            return
+            return False
         p = min(rem)
         lead = rem.pop(p)
         if rem:
@@ -76,6 +76,7 @@ class Echelon:
             if p in other:
                 _subtract(other, other.pop(p), rem)
         self.rows[p] = rem
+        return True
 
     def basis(self) -> list[SparseRow]:
         """The reduced rows, ordered by pivot column."""

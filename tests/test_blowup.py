@@ -40,7 +40,9 @@ from germfield import (
     translate_to_point,
 )
 from germfield import blowup
-from germfield.blowup import MAX_DEPTH, _dense, _square_free, _univariate_gcd, gaussian_roots
+from germfield.blowup import (
+    MAX_DEPTH, MAX_GERM_DEGREE, _dense, _square_free, _univariate_gcd, gaussian_roots,
+)
 from germfield.gaussian import gq
 
 F = parse_field
@@ -476,6 +478,43 @@ class TestTranslate:
         moved = translate_to_point(x, [a, b])
         assert max(k for c in moved.comps for e in c.terms for k in e) >= 40
         assert field_to_sympy(moved) == sympy_translate(x, [(a.re, a.im), (b.re, b.im)])
+
+
+class TestGermDegreeBudget:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def ran(*_):
+            raise AssertionError("ran past the germ-degree budget")
+
+        monkeypatch.setattr(blowup, "_taylor_shift", ran)
+        monkeypatch.setattr(blowup, "is_isolated_singularity", ran)
+
+    def test_refused_before_any_test_or_shift(self, no_work):
+        n = MAX_GERM_DEGREE + 1
+        x = F(f"y, x^{n}")
+        message = f"a germ of degree {n} is past the blow-up budget of degree {MAX_GERM_DEGREE}"
+        for run in (resolve, blowup_pullback, dicritical_test, strict_transform):
+            with pytest.raises(GermError, match=message):
+                run(x)
+        for point in ([gq(0), gq(0)], [gq(0), gq(1)]):
+            with pytest.raises(GermError, match=message):
+                translate_to_point(x, point)
+
+    def test_accepted_at_the_budget(self, no_work):
+        x = F(f"y, x^{MAX_GERM_DEGREE}")
+        assert dicritical_test(x).nu == 1
+        assert translate_to_point(x, [gq(0), gq(0)]) is x
+
+    def test_a_node_past_the_budget_is_refused_before_its_shift(self, monkeypatch):
+        # the root has degree n, its chart-1 strict transform x(t^2 - 1),
+        # x^(n-2) t^n - t(t^2 - 1) degree 2n - 2, two past the budget
+        def ran(*_):
+            raise AssertionError("shifted past the germ-degree budget")
+
+        monkeypatch.setattr(blowup, "_taylor_shift", ran)
+        n = MAX_GERM_DEGREE // 2 + 2
+        with pytest.raises(GermError, match=f"a germ of degree {2 * n - 2} is past"):
+            resolve(F(f"y^2 - x^2, y^{n}"))
 
 
 class TestResolve:

@@ -346,6 +346,15 @@ class TestReferenceTable:
         linear_centralizer_table(2, ratio=gq(Fraction(3, 2)))
         linear_centralizer_table(2, ratio=gq(0, 1))  # non-real is fine
 
+    def test_float_parameters_refused(self):
+        # a float is no Q(i) scalar, here as in PolySeries: refused, not
+        # rounded through Fraction
+        assert linear_centralizer_table(2, ratio=Fraction(3, 2)).field == F("x, 3/2*y")
+        with pytest.raises(TypeError):
+            linear_centralizer_table(2, ratio=2.5)
+        with pytest.raises(TypeError):
+            linear_centralizer_table(8, p=1, residue=0.5)
+
     def test_row8_nonzero_residue(self):
         table = linear_centralizer_table(8, p=1, residue=gq(1))
         rep = ad_kernel(table.field, 6)
@@ -759,6 +768,12 @@ class TestResonances:
             )
             assert combo == lams[r.target - 1]
 
+    def test_float_eigenvalues_refused(self):
+        # ints and Fractions coerce as in PolySeries; a float is refused
+        assert resonances([1, Fraction(2)], 3) == resonances([gq(1), gq(2)], 3)
+        with pytest.raises(TypeError):
+            resonances([0.5, 1], 3)
+
     def test_zero_eigenvalues_resonate_everywhere(self):
         found = resonances([gq(0), gq(0)], 3)
         expected = [(t, e) for t in (1, 2) for e in monomials_up_to(2, 3, min_deg=2)]
@@ -843,6 +858,12 @@ class TestClassifyLinear:
         eigenvalues = None if lc.eigenvalues is None else tuple((e.re, e.im) for e in lc.eigenvalues)
         got = (lc.case, lc.ratio_rationality, lc.ratio, lc.rational_ratios, eigenvalues)
         assert got == sympy_classify_linear([[(c.re, c.im) for c in row] for row in m])
+
+    def test_float_entries_refused(self):
+        # without the refusal 0.1 became 3602879701896397/36028797018963968
+        assert classify_linear([[1, 0], [0, Fraction(-3, 2)]]).ratio == Fraction(-3, 2)
+        with pytest.raises(TypeError):
+            classify_linear([[0.1, 0], [0, 1]])
 
     def test_identity(self):
         lc = classify_linear([[gq(1), gq(0)], [gq(0), gq(1)]])

@@ -115,6 +115,28 @@ def test_near_diagonal_eliminator_matches_sympy(case):
     _check_eliminator(*case)
 
 
+def _check_insert(rows, ncols):
+    """insert reports a new pivot exactly when the rows so far gain rank."""
+    ranks = [0] + [len(sympy_rref(rows[:k], ncols)[1]) for k in range(1, len(rows) + 1)]
+    echelon = linalg.Echelon(ncols)
+    for k, row in enumerate(_sparse(rows)):
+        before = len(echelon.rows)
+        added = echelon.insert(row)
+        assert added is (len(echelon.rows) > before) is (ranks[k + 1] > ranks[k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_insert_reports_a_new_pivot(case):
+    _check_insert(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_diagonal())
+def test_near_diagonal_insert_reports_a_new_pivot(case):
+    _check_insert(*case)
+
+
 def _check_solve(rows, ncols, rhs):
     augmented = [row + [t] for row, t in zip(rows, rhs)]
     # sparse rows of [M | rhs], the rhs entry at column ncols

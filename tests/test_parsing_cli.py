@@ -275,6 +275,22 @@ class TestCli:
         assert err.count("\n") == 1
         assert f"degree {n - 1} is past the factoring budget of degree {blowup.MAX_FACTOR_DEGREE}" in err
 
+    @pytest.mark.parametrize("verb", ["blowup", "resolve"])
+    def test_past_the_germ_degree_budget(self, capsys, monkeypatch, verb):
+        # refused before the isolation test and before any Taylor shift
+        from germfield import blowup
+
+        def ran(*_):
+            raise AssertionError("ran past the germ-degree budget")
+
+        monkeypatch.setattr(blowup, "_taylor_shift", ran)
+        monkeypatch.setattr(blowup, "is_isolated_singularity", ran)
+        n = blowup.MAX_GERM_DEGREE + 1
+        rc, out, err = run_cli(capsys, verb, f"y^2 + x^3, x^{n}*y")
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1
+        assert f"degree {n + 1} is past the blow-up budget of degree {blowup.MAX_GERM_DEGREE}" in err
+
     def test_resolve_at_the_depth_budget(self, capsys):
         rc, out, _ = run_cli(capsys, "resolve", "y, x^400", "--depth", "200")
         assert rc == 0
