@@ -42,9 +42,10 @@ MAX_DEPTH = 200  # resolve refuses deeper budgets: the tree code recurses per le
 # gaussian_roots refuses to hand sympy a square-free part of higher degree:
 # factor_list takes about 1 s there (notes/decisions.md, "sympy is a fallback")
 MAX_FACTOR_DEGREE = 32
-# blow-ups and translate_to_point refuse a germ of higher total degree before
-# testing or shifting it: a Taylor shift to the slope (3 + 2i)/5 takes about
-# 1 s there (notes/decisions.md, "a germ-degree budget for blow-ups")
+# blow-ups refuse a germ of higher total degree before testing it, and
+# translate_to_point before shifting it: a Taylor shift to the slope
+# (3 + 2i)/5 takes about 1 s there (notes/decisions.md, "a germ-degree budget
+# for blow-ups")
 MAX_GERM_DEGREE = 7000
 
 REDUCED_HYPERBOLIC = "reduced_hyperbolic"
@@ -354,10 +355,11 @@ def _taylor_shift(f: PolySeries, i: int, c: GaussianRational) -> PolySeries:
 def translate_to_point(x: VectorFieldJet, point: list[GaussianRational]) -> VectorFieldJet:
     """Exact affine recentering: the germ of X at the point, seen from 0, by
     a Taylor shift in each nonzero coordinate (the origin returns X itself).
-    A germ past MAX_GERM_DEGREE is refused first."""
+    A germ past MAX_GERM_DEGREE is refused before it is shifted."""
     if not x.is_total:
         raise TruncationError("translation needs an exact polynomial field")
-    _require_degree(x)
+    if any(point):
+        _require_degree(x)
     comps = x.comps
     for i, c in zip(range(x.dim), point, strict=True):
         if c:

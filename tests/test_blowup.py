@@ -496,14 +496,15 @@ class TestGermDegreeBudget:
         for run in (resolve, blowup_pullback, dicritical_test, strict_transform):
             with pytest.raises(GermError, match=message):
                 run(x)
-        for point in ([gq(0), gq(0)], [gq(0), gq(1)]):
-            with pytest.raises(GermError, match=message):
-                translate_to_point(x, point)
+        with pytest.raises(GermError, match=message):
+            translate_to_point(x, [gq(0), gq(1)])
+        # the origin shifts nothing and returns X itself
+        assert translate_to_point(x, [gq(0), gq(0)]) is x
 
-    def test_accepted_at_the_budget(self, no_work):
+    def test_accepted_at_the_budget(self):
         x = F(f"y, x^{MAX_GERM_DEGREE}")
         assert dicritical_test(x).nu == 1
-        assert translate_to_point(x, [gq(0), gq(0)]) is x
+        assert translate_to_point(x, [gq(0), gq(1)]) == F(f"y + 1, x^{MAX_GERM_DEGREE}")
 
     def test_a_node_past_the_budget_is_refused_before_its_shift(self, monkeypatch):
         # the root has degree n, its chart-1 strict transform x(t^2 - 1),
