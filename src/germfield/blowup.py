@@ -380,9 +380,10 @@ class LinearClass:
 
 
 def eigenvalue_ratio_roots(trace: GaussianRational, det: GaussianRational) -> list[Fraction]:
-    """Rational solutions r of (1+r)^2 det = r trace^2, i.e. rational ratios.
+    """Rational solutions r of (1+r)^2 det = r trace^2, i.e. rational ratios,
+    for a nonzero det: both callers decide the det = 0 cases first.
 
-    With det != 0 no root is 0, and dividing by r det gives r + 1/r = s with
+    No root is 0, and dividing by r det gives r + 1/r = s with
     s = trace^2/det - 2, so r = (s +- sqrt(s^2 - 4))/2.  A rational r needs a
     real s (r + 1/r is real), and then r is rational iff s^2 - 4 is the square
     of a rational.  Over s = a/d in lowest terms, s^2 - 4 = n/d^2 with
@@ -390,8 +391,6 @@ def eigenvalue_ratio_roots(trace: GaussianRational, det: GaussianRational) -> li
     the roots are (a +- isqrt(n))/(2d); s = +-2 gives the double root +-1.
     Rationality is decided without extracting eigenvalues.
     """
-    if det.is_zero():  # r trace^2 = 0: only r = 0, or every r when trace = 0
-        return [Fraction(0)] if trace else []
     s = trace * trace / det - 2
     if not s.is_rational():
         return []
@@ -592,34 +591,22 @@ def resolve(
 
 
 def _resolve_node(
-    germ, classification, would_be, history, budget, force_radial
+    germ, classification, would_be, history, budget, force_radial, marker=None
 ) -> ResolutionNode:
-    stop_here = classification in (REDUCED_HYPERBOLIC, SADDLE_NODE) or (
+    stop_here = classification in (REDUCED_HYPERBOLIC, SADDLE_NODE, UNRESOLVABLE_IRRATIONAL) or (
         classification in (PURELY_RADIAL, NPRS) and not force_radial
     )
     if stop_here or budget <= 0:
         verdict = classification if stop_here else "unresolved_depth"
-        return ResolutionNode(germ, history, classification, verdict, None, (), would_be)
+        return ResolutionNode(germ, history, classification, verdict, None, (), would_be, marker)
     blowups = strict_transform(germ)
     children = []
     for point in divisor_singularities(blowups, True):
-        if point.marker is not None:
-            children.append(
-                ResolutionNode(
-                    germ,
-                    history + ((point.chart, None),),
-                    UNRESOLVABLE_IRRATIONAL,
-                    UNRESOLVABLE_IRRATIONAL,
-                    None,
-                    (),
-                    marker=point.marker,
-                )
-            )
-            continue
+        # a marker keeps the germ it was found on, and (chart, None) as its step
         child_history = history + ((point.chart, point.coordinate),)
         children.append(_resolve_node(
-            point.germ, point.classification, point.would_be_dicritical,
-            child_history, budget - 1, force_radial,
+            point.germ or germ, point.classification, point.would_be_dicritical,
+            child_history, budget - 1, force_radial, point.marker,
         ))
     return ResolutionNode(
         germ,

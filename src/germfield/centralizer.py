@@ -315,7 +315,10 @@ def ad_kernel(x: VectorFieldJet, max_degree: int) -> CentralizerReport:
 
 
 def centralizer_rank(x: VectorFieldJet, max_degree: int) -> int | None:
-    """ad_kernel(x, max_degree).rank_estimate, without the stabilization verdict."""
+    """ad_kernel(x, max_degree).rank_estimate, without the stabilization verdict.
+    Generic rank is defined for n=2 only: any other field is refused first."""
+    if x.dim != 2:
+        raise GermError("generic rank is defined for n=2 only")
     return _certified_centralizer(x, max_degree)[-1]
 
 

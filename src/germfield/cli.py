@@ -205,10 +205,8 @@ def _classify(args):
     from .blowup import classify_linear, classify_singularity
 
     x = parse_field_text(args.field)
-    if x.dim != 2:
-        raise GermError("classify is n=2 only")
+    sing, caveat = classify_singularity(x)  # refuses n != 2 before classify_linear
     lc = classify_linear(x.linear_part_matrix())
-    sing, caveat = classify_singularity(x)
     lines = [f"linear part: {lc.case} ({lc.ratio_rationality} ratio)"]
     if lc.ratio is not None:
         lines.append(f"ratio = {lc.ratio}")

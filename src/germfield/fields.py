@@ -274,16 +274,15 @@ def quasi_decompose(obj, weight: Weight):
     that S(f_k) = k f_k and [S, X_k] = k X_k with S the weighted Euler field.
     Empty input yields an empty mapping.
     """
-    if isinstance(obj, PolySeries):
-        return obj.weighted_parts(weight)
-    if isinstance(obj, VectorFieldJet):
-        buckets: dict[int, list[dict]] = {}
-        for i, comp in enumerate(obj.comps):
-            for e, c in comp.terms.items():
-                k = weight.degree_of(e) - weight[i]
-                buckets.setdefault(k, [{} for _ in range(obj.dim)])[i][e] = c
-        return {
-            k: VectorFieldJet([_trusted(obj.dim, t, obj.trunc) for t in comps])
-            for k, comps in sorted(buckets.items())
-        }
-    raise TypeError("quasi_decompose expects a PolySeries or VectorFieldJet")
+    field = isinstance(obj, VectorFieldJet)
+    if not (field or isinstance(obj, PolySeries)):
+        raise TypeError("quasi_decompose expects a PolySeries or VectorFieldJet")
+    # a function is a field of one component with shift 0
+    comps, shifts = (obj.comps, weight) if field else ((obj,), (0,))
+    buckets: dict[int, list[dict]] = {}
+    for i, comp in enumerate(comps):
+        for e, c in comp.terms.items():
+            k = weight.degree_of(e) - shifts[i]
+            buckets.setdefault(k, [{} for _ in comps])[i][e] = c
+    parts = {k: [_trusted(obj.dim, t, obj.trunc) for t in ts] for k, ts in sorted(buckets.items())}
+    return {k: VectorFieldJet(p) if field else p[0] for k, p in parts.items()}

@@ -284,16 +284,6 @@ class PolySeries:
             self.trunc,
         )
 
-    def weighted_parts(self, weight: Weight) -> dict[int, "PolySeries"]:
-        """Split into quasi-homogeneous components keyed by weighted degree."""
-        buckets: dict[int, dict[Exponent, GaussianRational]] = {}
-        for e, c in self.terms.items():
-            buckets.setdefault(weight.degree_of(e), {})[e] = c
-        return {
-            k: PolySeries(self.dim, t, self.trunc)
-            for k, t in sorted(buckets.items())
-        }
-
     def evaluate(self, point: list[GaussianRational]) -> GaussianRational:
         """Exact evaluation of a total polynomial at a Q(i) point."""
         if not self.is_total:
@@ -340,16 +330,17 @@ class PolySeries:
                 powers[i][k] = _product(power(i, k - 1), powers[i][1])
             return powers[i][k]
 
-        # one sum of products: each term's last image power is multiplied,
-        # and the terms summed, in the same pass
+        # one sum of products: each term's last image power (1 for the
+        # constant term) is multiplied, and the terms summed, in one pass
         one = (0,) * target
+        unit = _trusted(target, {one: ONE}, None)
         pairs = []
         for e, c in self.terms.items():
             term = _trusted(target, {one: c}, trunc)
-            factors = [power(i, k) for i, k in enumerate(e) if k]
+            factors = [power(i, k) for i, k in enumerate(e) if k] or [unit]
             for p in factors[:-1]:
                 term = _product(term, p)
-            pairs.append((1, term, factors[-1] if factors else None))
+            pairs.append((1, term, factors[-1]))
         return _combination(pairs) if pairs else _trusted(target, {}, trunc)
 
     # -- comparison / display -------------------------------------------------
@@ -420,9 +411,9 @@ def _product(f: PolySeries, g: PolySeries) -> PolySeries:
 
 
 def _combination(pairs) -> PolySeries:
-    """The sum of k * f * g over pairs (k, f, g), with k an int and g None
-    meaning 1, and of k * f * dg/dz_i over pairs (k, f, g, i), known as far
-    as every operand is: to the least truncation degree trunc among them,
+    """The sum of k * f * g over pairs (k, f, g), with k an int, and of
+    k * f * dg/dz_i over pairs (k, f, g, i), known as far as every operand
+    is: to the least truncation degree trunc among them,
     where dg/dz_i counts as known to g.trunc - 1 and a degree-0 jet's
     derivative is refused with TruncationError.
     TermLimitError as soon as the partial sum has more than MAX_TERMS
@@ -441,18 +432,18 @@ def _combination(pairs) -> PolySeries:
     ops = {}  # id(operand) -> [D, terms, max |e|], for this call only
     for _, f, g, *i in pairs:
         known.append(f.trunc)
-        if g is not None and g.trunc is not None:
+        if g.trunc is not None:
             if i and g.trunc == 0:
                 raise TruncationError("the derivative of a degree-0 jet is unknown")
             known.append(g.trunc - len(i))
         for p in (f, g):
-            if p is not None and id(p) not in ops:
+            if id(p) not in ops:
                 if p.dim != dim:
                     raise DimensionMismatchError(f"dimension {p.dim} vs {dim}")
                 terms = p.terms
                 ops[id(p)] = [math.lcm(*[c._d for c in terms.values()]), terms, max(map(sum, terms), default=0)]
     trunc = _least_trunc(known)
-    top = max(ops[id(f)][2] + (0 if g is None else ops[id(g)][2]) for _, f, g, *_ in pairs)
+    top = max(ops[id(f)][2] + ops[id(g)][2] for _, f, g, *_ in pairs)
     bits = top.bit_length()
     shifts = [bits * j for j in range(dim)]
     for op in ops.values():
@@ -462,16 +453,14 @@ def _combination(pairs) -> PolySeries:
             for e, c in op[1].items()
         ]
     scaled = [
-        (k, ops[id(f)], None if g is None else ops[id(g)], i[0] if i else None)
-        for k, f, g, *i in pairs if f.terms and (g is None or g.terms)
+        (k, ops[id(f)], ops[id(g)], i[0] if i else None)
+        for k, f, g, *i in pairs if f.terms and g.terms
     ]
-    d = math.lcm(*(f[0] * (1 if g is None else g[0]) for _, f, g, _ in scaled))
+    d = math.lcm(*(f[0] * g[0] for _, f, g, _ in scaled))
     acc: dict[int, list[int]] = {}  # key -> [re, im] over d
     get, cap = acc.get, MAX_TERMS
     for k, (df, lhs, _), g, i in scaled:
-        if g is None:
-            rhs = [(0, k * (d // df), 0, 0)]
-        elif i is None:
+        if i is None:
             m = k * (d // (df * g[0]))
             rhs = [(k2, a * m, b * m, n) for k2, _, a, b, n in g[1]]
         else:

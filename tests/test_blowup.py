@@ -418,6 +418,9 @@ class TestClassify:
         cls, caveat = classify_singularity(F("y, 0"))
         assert caveat and cls == "non_reduced_other"
 
+    def test_zero_field_is_non_isolated(self):
+        assert classify_singularity(F("0, 0")) == ("non_reduced_other", True)
+
 
 def _linear_plus(m, higher):
     a, b, c, d = m
@@ -586,6 +589,17 @@ class TestResolve:
         (leaf,) = [c for c in tree.children if c.marker is not None]
         assert leaf.chart_history == ((1, None),)
         assert [c.chart_history for c in tree.children if c.marker is None] == [((2, gq(0)),)]
+
+    def test_marker_at_the_last_level_stays_a_marker(self):
+        # the marker is a stop class: at depth 1 its child keeps its own
+        # verdict, not unresolved_depth, and the germ it was found on
+        x = F("x^2, y^2 + x*y - 2*x^2")
+        tree = resolve(x, max_depth=1)
+        marker, origin = tree.children
+        assert (marker.classification, marker.verdict) == ("unresolvable_irrational",) * 2
+        assert marker.germ == x and marker.would_be_dicritical is None
+        assert marker.chart_history == ((1, None),) and marker.children == ()
+        assert (origin.chart_history, origin.verdict) == (((2, gq(0)),), "reduced_hyperbolic")
 
     def test_force_radial_blows_the_radial_point(self):
         tree = resolve(F("x^2, y^2"), force_radial=True)

@@ -41,7 +41,7 @@ from germfield import (
     resonances,
     span_matches,
 )
-from germfield import PolySeries, VectorFieldJet, linalg, weighted_euler, wedge
+from germfield import PolySeries, VectorFieldJet, centralizer, linalg, weighted_euler, wedge
 from germfield.centralizer import (
     MAX_UNKNOWNS,
     _certify,
@@ -51,6 +51,7 @@ from germfield.centralizer import (
     _kernel,
     _normal_form_weights,
     _resonant,
+    centralizer_rank,
     monomials_up_to,
 )
 from germfield.gaussian import gq, over_common_denominator
@@ -738,6 +739,16 @@ class TestGenericRank:
     def test_empty_rejected(self):
         with pytest.raises(GermError):
             generic_rank([])
+
+    def test_three_dimensional_rank_refused_before_any_column(self, monkeypatch):
+        def ran(*_):
+            raise AssertionError("listed kernel columns for a 3D field")
+
+        x = F("x, 2*y, 3*z")
+        assert ad_kernel(x, 3).rank_estimate is None
+        monkeypatch.setattr(centralizer, "_columns", ran)
+        with pytest.raises(GermError, match="generic rank is defined for n=2 only"):
+            centralizer_rank(x, 3)
 
     @given(rank_families())
     @example([F("x, y"), F("x^2, x*y"), F("0, x")])  # first pair dependent

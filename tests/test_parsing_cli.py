@@ -93,6 +93,16 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_poly("x + z", 2)
 
+    @pytest.mark.parametrize("parse, message", [
+        (lambda: parse_poly("x^y"), "expected an integer exponent"),
+        (lambda: parse_poly("1/0*x"), "zero denominator"),
+        (lambda: parse_one_form("x dz", 2), "dz needs a higher dimension"),
+        (lambda: parse_field("x, y", 3), "expected 3 components, got 2"),
+    ], ids=["exponent", "denominator", "differential", "components"])
+    def test_refusals_name_their_cause(self, parse, message):
+        with pytest.raises(ParseError, match=f"^{message} at line 1"):
+            parse()
+
     def test_nesting_bound(self):
         # the bound parses from a caller that has used half the recursion
         # limit; one level past it is refused at its own '(' by a count
@@ -316,6 +326,19 @@ class TestCli:
         assert rc == 0 and json.loads(out)["rank"] == expected
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_rank_refuses_three_dimensions(self, capsys, monkeypatch, json_flag):
+        # generic rank is defined for n=2 only: refused before any column is listed
+        from germfield import centralizer
+
+        def ran(*_):
+            raise AssertionError("listed kernel columns for a 3D field")
+
+        monkeypatch.setattr(centralizer, "_columns", ran)
+        rc, out, err = run_cli(capsys, *json_flag, "rank", "x, 2*y, 3*z")
+        assert (rc, out) == (2, "")
+        assert err == "error: generic rank is defined for n=2 only\n"
+
     def test_resolve_cusp(self, capsys):
         rc, out, _ = run_cli(capsys, "resolve", "2*y, 3*x^2", "--depth", "6")
         assert rc == 0
@@ -411,6 +434,16 @@ class TestCli:
         rc, out, _ = run_cli(capsys, "classify", "x + y, x")
         assert rc == 0
         assert "irrational" in out
+
+    def test_classify_zero_linear_part(self, capsys):
+        rc, out, _ = run_cli(capsys, "classify", "x^2, y^2")
+        assert rc == 0
+        assert out.splitlines()[0] == "linear part: zero (undefined ratio)"
+
+    def test_classify_refuses_three_dimensions(self, capsys):
+        rc, out, err = run_cli(capsys, "classify", "x, y, z")
+        assert (rc, out) == (2, "")
+        assert err == "error: classification is n=2 only\n"
 
     def test_blowup_json_structure(self, capsys):
         rc, out, _ = run_cli(capsys, "--json", "blowup", "x^2, y^2")

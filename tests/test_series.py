@@ -82,9 +82,6 @@ class TestOrder:
     def test_weighted_order(self):
         w = Weight((1, 2))
         assert P("y - x^2").order(w) == 2
-        # both monomials sit in one quasi-homogeneous component
-        parts = P("y - x^2").weighted_parts(w)
-        assert list(parts) == [2]
 
 
 class TestDivides:

@@ -303,9 +303,9 @@ def test_bracket_past_the_term_cap(monkeypatch):
 def test_truncated_sums_stop_exactly_at_trunc():
     # known to degree 3: y * d(x^2*y)/dx = 2*x*y^2 lands on trunc and is
     # kept, x^2 * 2*x*y and x*y * x^2 pass it and must not appear; a plain
-    # pair, a derivative pair and a lone operand share the one cut
+    # pair, a derivative pair and a pair with the constant 1 share the one cut
     f = parse_poly("x^2 + y", 2).truncated(3)
     g = parse_poly("x^2*y + x", 2).truncated(4)
     h = parse_poly("x*y + y^3", 2)
-    ours = _combination([(1, f, g, 0), (-1, h, f), (2, g, None)])
+    ours = _combination([(1, f, g, 0), (-1, h, f), (2, g, parse_poly("1", 2))])
     assert ours == parse_poly("x^2 + x*y^2 + y + 2*x^2*y + 2*x", 2).truncated(3)
