@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .gaussian import ONE, ZERO, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational, _reduce, over_common_denominator
 from .series import (
     GermError,
     PolySeries,
     TruncationError,
     _coerce_scalar,
     _trusted,
-    divide_by_variable_power,
     variable_power_dividing,
 )
 from .fields import VectorFieldJet
@@ -91,27 +90,31 @@ def _require_degree(x: VectorFieldJet):
         raise GermError(f"a germ of degree {degree} is past the blow-up budget of degree {MAX_GERM_DEGREE}")
 
 
-def _relabel(f: PolySeries, dx: int, dt: int) -> PolySeries:
-    """f(x, tx) / x^dx * t^dt, by moving exponents: x^i y^j -> x^(i+j-dx) t^(j+dt)."""
-    # injective, and i + j - dx >= 0: dx <= 1 on a field vanishing at 0, dx = nu on its nu-jet
-    return _trusted(2, {(i + j - dx, j + dt): c for (i, j), c in f.terms.items()}, None)
+def _chart(p: PolySeries, q: PolySeries, s: int) -> tuple[dict, dict]:
+    """The term maps of P(x, tx) d/dx + [(Q - tP)(x, tx) / x] d/dt, in one pass
+    over each term map by x^i y^j -> x^(i+j) t^(e_s): (A, B, 1) gives chart 1,
+    (B, A, 0) chart 2.  A term of tP is negated, or subtracted where it lands on Q's."""
+    # (i, j) -> (i + j, e_s) is injective, and i + j >= 1 on a field vanishing at 0
+    dt = {(e[0] + e[1] - 1, e[s]): c for e, c in q.terms.items()}
+    dx = {}
+    for e, c in p.terms.items():
+        k, t = e[0] + e[1], e[s]
+        dx[k, t] = c
+        key = (k - 1, t + 1)
+        if (old := dt.get(key)) is None:
+            dt[key] = -c
+        elif new := old - c:
+            dt[key] = new
+        else:
+            del dt[key]
+    return dx, dt
 
 
 def blowup_pullback(x: VectorFieldJet) -> tuple[VectorFieldJet, VectorFieldJet]:
-    """Total transforms in charts 1 and 2, in (divisor, slope) coordinates.
-
-    Chart 1: A(x, tx) d/dx + [(B - tA)(x, tx) / x] d/dt, the division by x
-    being exact for any field vanishing at the origin.  The map is monomial,
-    so each component is built by relabelling exponents.
-    """
-    _require_blowup_input(x)
-    a, b = x.comps
-    # chart 2 is chart 1 of B(y, x) d/dx + A(y, x) d/dy: the same terms, the same degrees
-    swapped = [_trusted(2, {(j, i): c for (i, j), c in f.terms.items()}, f.trunc) for f in (b, a)]
-    return tuple(
-        VectorFieldJet([_relabel(p, 0, 0), _relabel(q, 1, 0) - _relabel(p, 1, 1)])
-        for p, q in ((a, b), swapped)
-    )
+    """Total transforms in charts 1 and 2, in (divisor, slope) coordinates,
+    as strict_transform builds them: A(x, tx) d/dx + [(B - tA)(x, tx) / x] d/dt
+    in chart 1, the division by x exact for any field vanishing at 0."""
+    return tuple(b.pullback for b in strict_transform(x))
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,9 @@ def dicritical_test(x: VectorFieldJet) -> DicriticalResult:
     """
     _require_blowup_input(x)
     nu = x.mu()
-    a, b = x.jet_part(nu).comps
-    witness = _restrict_to_divisor(_relabel(b, nu, 0) - _relabel(a, nu, 1))
+    # the d/dt component of the nu-jet's chart-1 pullback is x^(nu-1) W(t)
+    _, dt = _chart(*x.jet_part(nu).comps, 1)
+    witness = _trusted(1, {(t,): c for (_, t), c in dt.items()}, None)
     return DicriticalResult(witness.is_zero(), witness, nu)
 
 
@@ -152,15 +156,18 @@ def strict_transform(x: VectorFieldJet) -> tuple[BlownUpField, BlownUpField]:
     is dicritical, for every field vanishing at 0 (notes/decisions.md, "The
     divisor multiplicity is nu - 1 or nu"), so it also gives the verdict.
     """
-    pullbacks = blowup_pullback(x)
+    _require_blowup_input(x)
     nu = x.mu()
+    a, b = x.comps
     blowups = []
-    for chart, pullback in zip((CHART_SLOPE_Y, CHART_SLOPE_X), pullbacks):
-        power = min(
-            variable_power_dividing(c, 0) for c in pullback.comps if not c.is_zero()
-        )
+    for chart, maps in ((CHART_SLOPE_Y, _chart(a, b, 1)), (CHART_SLOPE_X, _chart(b, a, 0))):
+        # the least x-exponent of the keys: tuples compare their first entry first
+        power = min(min(m)[0] for m in maps if m)
         assert power in (nu - 1, nu)
-        strict = VectorFieldJet([divide_by_variable_power(c, 0, power) for c in pullback.comps])
+        pullback = VectorFieldJet([_trusted(2, m, None) for m in maps])
+        strict = VectorFieldJet([
+            _trusted(2, {(i - power, t): c for (i, t), c in m.items()}, None) for m in maps
+        ]) if power else pullback
         blowups.append(BlownUpField(chart, pullback, nu, power == nu, power, strict))
     return tuple(blowups)
 
@@ -379,46 +386,66 @@ class LinearClass:
     eigenvalues: tuple[GaussianRational, GaussianRational] | None = None
 
 
+def _linear_numerators(entries) -> tuple[int, tuple[int, int], tuple[int, int], bool]:
+    """D, trace*D and det*D^2 as (re, im) int pairs, and whether the matrix is
+    scalar, for the entries a, b, c, d of (a b; c d) over Q(i), D the lcm of
+    their denominators."""
+    den, ((a, ai), (b, bi), (c, ci), (d, di)) = over_common_denominator(entries)
+    trace = (a + d, ai + di)
+    det = (a * d - ai * di - b * c + bi * ci, a * di + ai * d - b * ci - bi * c)
+    return den, trace, det, not (b or bi or c or ci) and a == d and ai == di
+
+
+def _rational_ratio(trace: tuple[int, int], det: tuple[int, int]) -> tuple[int, int, int] | None:
+    """(a, root, d), d > 0, when the eigenvalue ratios (a +- root)/(2d) are
+    rational, else None; from trace*D and det*D^2 as (re, im) int pairs, for
+    one D > 0 and det nonzero.  With (trace*D)^2 = u + v*i and det*D^2 =
+    da + db*i, s = trace^2/det - 2 = ((u + v*i)(da - db*i) - 2d)/d over
+    d = da^2 + db^2 is real iff v*da = u*db, and is then a/d."""
+    (tr, ti), (da, db) = trace, det
+    d = da * da + db * db
+    if not d:
+        raise ZeroDivisionError("eigenvalue ratios need a nonzero determinant")
+    u, v = tr * tr - ti * ti, 2 * tr * ti
+    if v * da != u * db:
+        return None
+    a = u * da + v * db - 2 * d
+    n = a * a - 4 * d * d
+    if n < 0 or (root := math.isqrt(n)) ** 2 != n:
+        return None
+    return a, root, d
+
+
 def eigenvalue_ratio_roots(trace: GaussianRational, det: GaussianRational) -> list[Fraction]:
     """Rational solutions r of (1+r)^2 det = r trace^2, i.e. rational ratios,
-    for a nonzero det: both callers decide the det = 0 cases first.
+    for a nonzero det (ZeroDivisionError otherwise).
 
     No root is 0, and dividing by r det gives r + 1/r = s with
     s = trace^2/det - 2, so r = (s +- sqrt(s^2 - 4))/2.  A rational r needs a
     real s (r + 1/r is real), and then r is rational iff s^2 - 4 is the square
-    of a rational.  Over s = a/d in lowest terms, s^2 - 4 = n/d^2 with
-    n = a^2 - 4d^2, so that holds iff the integer n is a perfect square, and
-    the roots are (a +- isqrt(n))/(2d); s = +-2 gives the double root +-1.
-    Rationality is decided without extracting eigenvalues.
+    of a rational.  Over s = a/d, s^2 - 4 = n/d^2 with n = a^2 - 4d^2, so that
+    holds iff the integer n is a perfect square; a/d need not be in lowest
+    terms, since scaling both by k scales n by k^2.  The roots are
+    (a +- isqrt(n))/(2d); s = +-2 gives the double root +-1.
     """
-    s = trace * trace / det - 2
-    if not s.is_rational():
+    den, (t, (da, db)) = over_common_denominator((trace, det))
+    if (found := _rational_ratio(t, (da * den, db * den))) is None:
         return []
-    a, d = (q := s.re).numerator, q.denominator
-    n = a * a - 4 * d * d
-    if n < 0 or (root := math.isqrt(n)) ** 2 != n:
-        return []
+    a, root, d = found
     return sorted({Fraction(a - root, 2 * d), Fraction(a + root, 2 * d)})
-
-
-def _trace_det(m: list[list[GaussianRational]]) -> tuple[GaussianRational, GaussianRational]:
-    return m[0][0] + m[1][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _is_scalar(m: list[list[GaussianRational]]) -> bool:
-    return m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]
 
 
 def classify_linear(matrix: list[list[GaussianRational]]) -> LinearClass:
     """Classify a 2x2 linear part over Q(i), with exact ratio rationality."""
     if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
         raise GermError("classify_linear expects a 2x2 matrix")
-    m = [[_coerce_scalar(c) for c in row] for row in matrix]
-    trace, det = _trace_det(m)
-    if all(c.is_zero() for row in m for c in row):
+    entries = [_coerce_scalar(c) for row in matrix for c in row]
+    if not any(entries):
         return LinearClass("zero", "undefined")
-    if det.is_zero():
-        if trace.is_zero():
+    den, trace, det, scalar = _linear_numerators(entries)
+    trace, det = _reduce(*trace, den), _reduce(*det, den * den)
+    if not det:
+        if not trace:
             return LinearClass("nilpotent_nonzero", "undefined")
         eigs = tuple(sorted((ZERO, trace), key=GaussianRational.sort_key))
         return LinearClass("one_zero_eigenvalue", "undefined", eigenvalues=eigs)
@@ -429,7 +456,7 @@ def classify_linear(matrix: list[list[GaussianRational]]) -> LinearClass:
     if (s := disc.sqrt()) is not None:
         eigs = tuple(sorted(((trace - s) / 2, (trace + s) / 2), key=GaussianRational.sort_key))
     ratio = max(roots, key=lambda r: (abs(r), r)) if roots else None
-    case = "nondiagonal_resonant" if disc.is_zero() and not _is_scalar(m) else "semisimple"
+    case = "nondiagonal_resonant" if disc.is_zero() and not scalar else "semisimple"
     return LinearClass(case, "rational" if roots else "irrational", ratio, tuple(roots), eigs)
 
 
@@ -464,20 +491,22 @@ def _classify(germ: VectorFieldJet, nu: int, isolated: bool) -> tuple[str, bool,
     germs, whether their blow-up would be dicritical.  The germ is nonzero,
     singular at 0 and of multiplicity nu; isolated=False runs the test."""
     isolated = isolated or is_isolated_singularity(germ)
-    m = germ.linear_part_matrix()
-    # the cases of classify_linear that decide the class, without its eigenvalues
-    trace, det = _trace_det(m)
-    if nu == 1 and _is_scalar(m):  # _radial_jet at nu = 1, read off m
-        classification = PURELY_RADIAL  # m is nonzero, since nu == 1
-    elif det:  # semisimple or nondiagonal_resonant
-        positive = any(r > 0 for r in eigenvalue_ratio_roots(trace, det))
-        classification = NON_REDUCED_OTHER if positive else REDUCED_HYPERBOLIC
-    elif trace and isolated:  # one_zero_eigenvalue
-        classification = SADDLE_NODE
-    elif nu > 1 and isolated and _radial_jet(germ, nu):
-        classification = NPRS
+    if nu > 1:  # the linear part is zero
+        classification = NPRS if isolated and _radial_jet(germ, nu) else NON_REDUCED_OTHER
     else:
-        classification = NON_REDUCED_OTHER
+        # the cases of classify_linear that decide the class, on numerators
+        _, trace, det, scalar = _linear_numerators(
+            [f.terms.get(e, ZERO) for f in germ.comps for e in ((1, 0), (0, 1))])
+        if scalar:  # _radial_jet at nu = 1; the linear part is nonzero
+            classification = PURELY_RADIAL
+        elif any(det):  # semisimple or nondiagonal_resonant
+            # the two ratios have product 1, so both are positive iff a > 0
+            positive = (found := _rational_ratio(trace, det)) is not None and found[0] > 0
+            classification = NON_REDUCED_OTHER if positive else REDUCED_HYPERBOLIC
+        elif any(trace) and isolated:  # one_zero_eigenvalue
+            classification = SADDLE_NODE
+        else:
+            classification = NON_REDUCED_OTHER
     # both classes have a first jet h.R, so B(1, t) - t A(1, t) = t h(1, t) -
     # t h(1, t) vanishes identically: their blow-up is always dicritical
     would_be = True if classification in (PURELY_RADIAL, NPRS) else None

@@ -453,6 +453,11 @@ class TestClassifyAgainstSympy:
     @example(F("x^3 + x*y^2 + y^4, x^2*y + y^3"))
     @example(F("x^3 + x*y^2, x^2*y + y^3"))
     @example(F("y, 0"))
+    # linear parts over a denominator D > 1, decided on Gaussian-integer numerators
+    @example(F("(1/3 + 1/3*i)*x + y^2, (-2/3 - 2/3*i)*y"))  # ratio -2
+    @example(F("(1/3 + 1/3*i)*x + y^2, (2/3 + 2/3*i)*y"))  # ratio 2
+    @example(F("(1/5 + 2/5*i)*x + y, (1/5 + 2/5*i)*y"))  # Jordan block
+    @example(F("(1/2 + i)*x + y^3, (1/3 - 1/2*i)*y"))  # trace^2/det not real
     def test_matches_the_oracle(self, x):
         assert classify_singularity(x) == sympy_classify_singularity(x)
 

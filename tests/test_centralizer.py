@@ -54,6 +54,7 @@ from germfield.centralizer import (
     centralizer_rank,
     monomials_up_to,
 )
+from germfield.blowup import _rational_ratio, eigenvalue_ratio_roots
 from germfield.gaussian import gq, over_common_denominator
 
 F = parse_field
@@ -864,6 +865,11 @@ class TestClassifyLinear:
     @example(_companion(gq(1), gq(Fraction(5, 2))))  # ratios 1/2 and 2
     @example(_companion(gq(1), gq(Fraction(5, 2), 1)))  # Re s = 5/2, s not real
     @example([[gq(0, 1), gq(0)], [gq(0), gq(0, 2)]])  # eigenvalues i, 2i
+    # the linear parts of TestClassifyAgainstSympy's examples over D > 1
+    @example([[gq(Fraction(1, 3), Fraction(1, 3)), gq(0)], [gq(0), gq(Fraction(-2, 3), Fraction(-2, 3))]])  # ratio -2
+    @example([[gq(Fraction(1, 3), Fraction(1, 3)), gq(0)], [gq(0), gq(Fraction(2, 3), Fraction(2, 3))]])  # ratio 2
+    @example([[gq(Fraction(1, 5), Fraction(2, 5)), gq(1)], [gq(0), gq(Fraction(1, 5), Fraction(2, 5))]])  # Jordan block
+    @example([[gq(Fraction(1, 2), 1), gq(0)], [gq(0), gq(Fraction(1, 3), Fraction(-1, 2))]])  # s not real
     def test_against_sympy(self, m):
         lc = classify_linear(m)
         eigenvalues = None if lc.eigenvalues is None else tuple((e.re, e.im) for e in lc.eigenvalues)
@@ -909,6 +915,15 @@ class TestClassifyLinear:
         lc = classify_linear([[gq(1), gq(0)], [gq(1), gq(1)]])
         assert lc.case == "nondiagonal_resonant"
         assert lc.ratio == Fraction(1)
+
+    @pytest.mark.parametrize("trace", [gq(Fraction(2, 3), 1), gq(0)])
+    def test_ratio_roots_refuse_a_zero_determinant(self, trace):
+        # both callers decide det = 0 first; the integer ratio test refuses it
+        # itself, not through a Fraction over d = 0 that _classify never builds
+        with pytest.raises(ZeroDivisionError):
+            eigenvalue_ratio_roots(trace, gq(0))
+        with pytest.raises(ZeroDivisionError):
+            _rational_ratio(over_common_denominator([trace])[1][0], (0, 0))
 
     def test_ratio_two(self):
         lc = classify_linear(F("x, 2*y").linear_part_matrix())
