@@ -9,6 +9,8 @@ commands with ``--json`` (one of them also in the README's spelling, with
 ``resolve`` on the seven germs of ``test_blowup.RESOLUTION_GERMS``, and ``blowup`` (text
 and ``--json``) on a germ with every kind of divisor point.  A file holds the standard
 output, and for a nonzero exit also the exit code and standard error.
+``golden/scripts/`` holds what each script of ``scripts/`` prints, with its
+timing column masked.
 Regenerate the files only for an intended change of answer, with
 ``PYTHONPATH=src python tests/test_golden.py --write``.
 
@@ -20,6 +22,7 @@ The files of ``SYMPY_FILES`` do reach it, and are left out of that run.
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -203,23 +206,25 @@ def test_import_and_centralizer_leave_sympy_unloaded():
     assert run.returncode == 0, run.stderr
 
 
-# a script and one line of what it prints
-SCRIPTS = {
-    "resolve_examples.py": "     purely_radial at chart 1, slope 1: purely_radial [next blow-up would be dicritical]",
-    "centralizer_table.py": "  degree table {1: 2, 3: 2, 5: 2}",
-}
+# the README scripts and their golden output, the timing column masked
+SCRIPTS = ("centralizer_table.py", "resolve_examples.py")
+TIMING = re.compile(r", \d+\.\d ms$", re.M)
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs(script):
+def _script_output(script: str) -> str:
     path = Path(__file__).resolve().parent.parent / "scripts" / script
     run = _fresh_python(f"import runpy; runpy.run_path({str(path)!r}, run_name='__main__')")
     assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
-    assert SCRIPTS[script] in lines
+    return TIMING.sub(", <ms> ms", run.stdout)
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_runs(script):
+    out = _script_output(script)
+    assert out == (GOLDEN / "scripts" / f"{Path(script).stem}.txt").read_text()
     if script == "centralizer_table.py":
         # every table row's kernel spans its tabulated generators
-        rows = [line for line in lines if line.startswith("  kernel dim")]
+        rows = [line for line in out.splitlines() if line.startswith("  kernel dim")]
         assert len(rows) == 8 and all(", span match True," in line for line in rows)
 
 
@@ -227,3 +232,6 @@ if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
     for name, argv in ALL_FILES.items():
         (GOLDEN / name).write_text(_output(argv))
+    (GOLDEN / "scripts").mkdir(exist_ok=True)
+    for script in SCRIPTS:
+        (GOLDEN / "scripts" / f"{Path(script).stem}.txt").write_text(_script_output(script))
