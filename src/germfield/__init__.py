@@ -29,9 +29,9 @@ _EXPORTS = {
     ),
     "blowup": (
         "BlownUpField", "CHART_SLOPE_X", "CHART_SLOPE_Y", "DicriticalResult", "LinearClass",
-        "ResolutionNode", "SingularPoint", "blowup_pullback", "classify_linear",
-        "classify_singularity", "dicritical_test", "divisor_singularities",
-        "is_isolated_singularity", "resolve", "strict_transform", "translate_to_point",
+        "ResolutionNode", "SingularPoint", "classify_linear", "classify_singularity",
+        "dicritical_test", "divisor_singularities", "is_isolated_singularity", "resolve",
+        "strict_transform", "translate_to_point",
     ),
     "integrability": (
         "LogDecomposition", "LogDecompositionResult", "MeromorphicRatio", "RationalOneForm",

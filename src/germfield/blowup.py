@@ -110,35 +110,6 @@ def _chart(p: PolySeries, q: PolySeries, s: int) -> tuple[dict, dict]:
     return dx, dt
 
 
-def blowup_pullback(x: VectorFieldJet) -> tuple[VectorFieldJet, VectorFieldJet]:
-    """Total transforms in charts 1 and 2, in (divisor, slope) coordinates,
-    as strict_transform builds them: A(x, tx) d/dx + [(B - tA)(x, tx) / x] d/dt
-    in chart 1, the division by x exact for any field vanishing at 0."""
-    return tuple(b.pullback for b in strict_transform(x))
-
-
-@dataclass(frozen=True)
-class DicriticalResult:
-    dicritical: bool
-    witness: PolySeries  # univariate in the slope coordinate
-    nu: int
-
-
-def dicritical_test(x: VectorFieldJet) -> DicriticalResult:
-    """Decide whether the blow-up at 0 is dicritical.
-
-    The witness is W(t) = B_nu(1, t) - t A_nu(1, t) built from the first
-    nonzero jet; the blow-up is dicritical iff W vanishes identically, which
-    happens exactly when that jet is colinear with the radial field.
-    """
-    _require_blowup_input(x)
-    nu = x.mu()
-    # the d/dt component of the nu-jet's chart-1 pullback is x^(nu-1) W(t)
-    _, dt = _chart(*x.jet_part(nu).comps, 1)
-    witness = _trusted(1, {(t,): c for (_, t), c in dt.items()}, None)
-    return DicriticalResult(witness.is_zero(), witness, nu)
-
-
 @dataclass(frozen=True)
 class BlownUpField:
     chart: int
@@ -147,6 +118,18 @@ class BlownUpField:
     dicritical: bool
     divisor_multiplicity: int  # maximal power of the divisor coordinate dividing
     strict: VectorFieldJet
+
+    def witness(self) -> PolySeries:
+        """W(t) = B_nu(1, t) - t A_nu(1, t) in this chart's slope coordinate
+        (chart 2 swaps A and B, and x and y), read off the strict transform.
+
+        The d/dt component of the pullback is x^(nu-1) W(t) + O(x^nu), so W
+        is the strict transform's d/dt component on the divisor when the
+        blow-up is not dicritical, and 0 when it is.
+        """
+        if self.dicritical:
+            return PolySeries.zero(1)
+        return _restrict_to_divisor(self.strict.comps[1])
 
 
 def strict_transform(x: VectorFieldJet) -> tuple[BlownUpField, BlownUpField]:
@@ -170,6 +153,25 @@ def strict_transform(x: VectorFieldJet) -> tuple[BlownUpField, BlownUpField]:
         ]) if power else pullback
         blowups.append(BlownUpField(chart, pullback, nu, power == nu, power, strict))
     return tuple(blowups)
+
+
+@dataclass(frozen=True)
+class DicriticalResult:
+    dicritical: bool
+    witness: PolySeries  # univariate in the slope coordinate
+    nu: int
+
+
+def dicritical_test(x: VectorFieldJet) -> DicriticalResult:
+    """Decide whether the blow-up at 0 is dicritical.
+
+    The witness is W(t) = B_nu(1, t) - t A_nu(1, t) built from the first
+    nonzero jet; the blow-up is dicritical iff W vanishes identically, which
+    happens exactly when that jet is colinear with the radial field.  Chart 1
+    of strict_transform holds nu, the verdict and W.
+    """
+    one = strict_transform(x)[0]
+    return DicriticalResult(one.dicritical, one.witness(), one.nu)
 
 
 # -- singular points on the divisor -------------------------------------------
@@ -399,9 +401,18 @@ def _linear_numerators(entries) -> tuple[int, tuple[int, int], tuple[int, int], 
 def _rational_ratio(trace: tuple[int, int], det: tuple[int, int]) -> tuple[int, int, int] | None:
     """(a, root, d), d > 0, when the eigenvalue ratios (a +- root)/(2d) are
     rational, else None; from trace*D and det*D^2 as (re, im) int pairs, for
-    one D > 0 and det nonzero.  With (trace*D)^2 = u + v*i and det*D^2 =
-    da + db*i, s = trace^2/det - 2 = ((u + v*i)(da - db*i) - 2d)/d over
-    d = da^2 + db^2 is real iff v*da = u*db, and is then a/d."""
+    one D > 0 and det nonzero (ZeroDivisionError otherwise).
+
+    A ratio r of the eigenvalues solves (1+r)^2 det = r trace^2.  No root is
+    0, and dividing by r det gives r + 1/r = s with s = trace^2/det - 2, so
+    r = (s +- sqrt(s^2 - 4))/2.  A rational r needs a real s (r + 1/r is
+    real), and then r is rational iff s^2 - 4 is the square of a rational.
+    With (trace*D)^2 = u + v*i and det*D^2 = da + db*i, s = ((u + v*i)(da -
+    db*i) - 2d)/d over d = da^2 + db^2 is real iff v*da = u*db, and is then
+    a/d.  Then s^2 - 4 = n/d^2 with n = a^2 - 4d^2, so r is rational iff the
+    integer n is a perfect square; a/d need not be in lowest terms, since
+    scaling both by k scales n by k^2.  s = +-2 gives the double root +-1.
+    """
     (tr, ti), (da, db) = trace, det
     d = da * da + db * db
     if not d:
@@ -416,25 +427,6 @@ def _rational_ratio(trace: tuple[int, int], det: tuple[int, int]) -> tuple[int, 
     return a, root, d
 
 
-def eigenvalue_ratio_roots(trace: GaussianRational, det: GaussianRational) -> list[Fraction]:
-    """Rational solutions r of (1+r)^2 det = r trace^2, i.e. rational ratios,
-    for a nonzero det (ZeroDivisionError otherwise).
-
-    No root is 0, and dividing by r det gives r + 1/r = s with
-    s = trace^2/det - 2, so r = (s +- sqrt(s^2 - 4))/2.  A rational r needs a
-    real s (r + 1/r is real), and then r is rational iff s^2 - 4 is the square
-    of a rational.  Over s = a/d, s^2 - 4 = n/d^2 with n = a^2 - 4d^2, so that
-    holds iff the integer n is a perfect square; a/d need not be in lowest
-    terms, since scaling both by k scales n by k^2.  The roots are
-    (a +- isqrt(n))/(2d); s = +-2 gives the double root +-1.
-    """
-    den, (t, (da, db)) = over_common_denominator((trace, det))
-    if (found := _rational_ratio(t, (da * den, db * den))) is None:
-        return []
-    a, root, d = found
-    return sorted({Fraction(a - root, 2 * d), Fraction(a + root, 2 * d)})
-
-
 def classify_linear(matrix: list[list[GaussianRational]]) -> LinearClass:
     """Classify a 2x2 linear part over Q(i), with exact ratio rationality."""
     if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
@@ -442,22 +434,25 @@ def classify_linear(matrix: list[list[GaussianRational]]) -> LinearClass:
     entries = [_coerce_scalar(c) for row in matrix for c in row]
     if not any(entries):
         return LinearClass("zero", "undefined")
-    den, trace, det, scalar = _linear_numerators(entries)
-    trace, det = _reduce(*trace, den), _reduce(*det, den * den)
+    den, trace_num, det_num, scalar = _linear_numerators(entries)
+    trace, det = _reduce(*trace_num, den), _reduce(*det_num, den * den)
     if not det:
         if not trace:
             return LinearClass("nilpotent_nonzero", "undefined")
         eigs = tuple(sorted((ZERO, trace), key=GaussianRational.sort_key))
         return LinearClass("one_zero_eigenvalue", "undefined", eigenvalues=eigs)
 
-    roots = eigenvalue_ratio_roots(trace, det)
+    roots = ()
+    if (found := _rational_ratio(trace_num, det_num)) is not None:
+        a, root, d = found
+        roots = tuple(sorted({Fraction(a - root, 2 * d), Fraction(a + root, 2 * d)}))
     disc = trace * trace - det * 4
     eigs = None
     if (s := disc.sqrt()) is not None:
         eigs = tuple(sorted(((trace - s) / 2, (trace + s) / 2), key=GaussianRational.sort_key))
     ratio = max(roots, key=lambda r: (abs(r), r)) if roots else None
     case = "nondiagonal_resonant" if disc.is_zero() and not scalar else "semisimple"
-    return LinearClass(case, "rational" if roots else "irrational", ratio, tuple(roots), eigs)
+    return LinearClass(case, "rational" if roots else "irrational", ratio, roots, eigs)
 
 
 def classify_singularity(germ: VectorFieldJet) -> tuple[str, bool]:

@@ -225,23 +225,18 @@ def _classify(args):
 
 
 def _blowup(args):
-    from .blowup import (
-        dicritical_test,
-        divisor_singularities,
-        is_isolated_singularity,
-        strict_transform,
-    )
+    from .blowup import divisor_singularities, is_isolated_singularity, strict_transform
 
     x = parse_field_text(args.field)
-    dic = dicritical_test(x)
     blowups = strict_transform(x)
+    one, witness = blowups[0], blowups[0].witness()
     points = divisor_singularities(blowups, is_isolated_singularity(x))
-    kind = "dicritical" if dic.dicritical else "non-dicritical"
-    lines = [f"nu = {dic.nu}, {kind}, witness {poly_to_text(dic.witness, ('t',))}"]
+    kind = "dicritical" if one.dicritical else "non-dicritical"
+    lines = [f"nu = {one.nu}, {kind}, witness {poly_to_text(witness, ('t',))}"]
     result = {
-        "nu": dic.nu,
-        "dicritical": dic.dicritical,
-        "witness": dic.witness,
+        "nu": one.nu,
+        "dicritical": one.dicritical,
+        "witness": witness,
         "charts": [],
         "singular_points": [],
     }

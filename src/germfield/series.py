@@ -520,20 +520,6 @@ def poly_divides(d: PolySeries, f: PolySeries) -> tuple[bool, PolySeries | None]
     return True, _trusted(d.dim, quotient, None)
 
 
-def divide_by_variable_power(f: PolySeries, var_index: int, k: int) -> PolySeries:
-    """Exact division of a total polynomial by x_i^k (raises if not exact)."""
-    if not f.is_total:
-        raise TruncationError("exact division requires a total polynomial")
-    if k == 0:
-        return f
-    out = {}
-    for e, c in f.terms.items():
-        if e[var_index] < k:
-            raise GermError(f"{VAR_NAMES[var_index]}^{k} does not divide the input")
-        out[tuple(v - k if j == var_index else v for j, v in enumerate(e))] = c
-    return _trusted(f.dim, out, None)  # shifts f's exponents, checked above
-
-
 def variable_power_dividing(f: PolySeries, var_index: int) -> int:
     """Largest k with x_i^k dividing f (f must be a nonzero total polynomial)."""
     if f.is_zero():

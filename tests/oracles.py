@@ -232,6 +232,19 @@ def sympy_blowup_pullback(x: VectorFieldJet, chart: int) -> list:
     return [sympy.expand(c.subs({s: xs, t: ys}, simultaneous=True)) for c in (p, slope)]
 
 
+def sympy_witness(x: VectorFieldJet) -> tuple[int, tuple]:
+    """nu and the dicritical witness W(t) = B_nu(1, t) - t A_nu(1, t) of a
+    nonzero plane field, by substitution: nu is the least total degree of a
+    term of A or B, and A_nu, B_nu are their parts of that degree.  W is
+    plain data (below)."""
+    xs, ys = _SYMS[:2]
+    t = sympy.Symbol("t")
+    polys = [sympy.Poly(c, xs, ys) for c in field_to_sympy(x)]
+    nu = min(i + j for p in polys for (i, j), c in p.terms() if c != 0)
+    a_nu, b_nu = (sum((c * t**j for (i, j), c in p.terms() if i + j == nu), sympy.Integer(0)) for p in polys)
+    return nu, _plain(sympy.Poly(sympy.expand(b_nu - t * a_nu), t, domain=QQ_I))
+
+
 def sympy_linear_root(c1, c0) -> tuple[Fraction, Fraction]:
     """The root of c1 t + c0 read off sympy's factor_list over QQ_I; c0, c1
     are (re, im) Fraction pairs."""

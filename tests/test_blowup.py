@@ -20,6 +20,7 @@ from oracles import (
     sympy_square_free,
     sympy_translate,
     sympy_univariate_gcd,
+    sympy_witness,
 )
 
 from germfield import (
@@ -27,7 +28,6 @@ from germfield import (
     GermError,
     PolySeries,
     VectorFieldJet,
-    blowup_pullback,
     classify_singularity,
     dicritical_test,
     divisor_singularities,
@@ -87,20 +87,20 @@ VANISHING_FIELDS = st.one_of(
 
 class TestPullback:
     def test_radial(self):
-        assert blowup_pullback(radial_field(2))[0] == F("x, 0")
+        assert strict_transform(radial_field(2))[0].pullback == F("x, 0")
 
     def test_nilpotent_shear(self):
         # y d/dx pulls back to tx d/dx - t^2 d/dt
-        assert blowup_pullback(F("y, 0"))[0] == F("x*y, -y^2")
+        assert strict_transform(F("y, 0"))[0].pullback == F("x*y, -y^2")
 
     def test_level_foliation_field(self):
-        got = blowup_pullback(F("2*x*y, 2*y^2 - x^3"))[0]
+        got = strict_transform(F("2*x*y, 2*y^2 - x^3"))[0].pullback
         assert got == F("2*x^2*y, -x^2")
 
     def test_blowing_down_recovers_the_field(self):
         # substitute t = y/x back: A = P(x, y/x), B = x Q(x, y/x) + t P
         x = F("x^2 + y^2, x*y - y^3")
-        up = blowup_pullback(x)[0]
+        up = strict_transform(x)[0].pullback
         p, q = up.comps
         deg = max(e[1] for e in list(p.terms) + list(q.terms))
         xv, yv = PolySeries.variable(2, 0), PolySeries.variable(2, 1)
@@ -116,7 +116,7 @@ class TestPullback:
 
     def test_nonsingular_rejected(self):
         with pytest.raises(GermError):
-            blowup_pullback(F("1, y"))
+            strict_transform(F("1, y"))
 
 
 class TestDicritical:
@@ -148,6 +148,22 @@ class TestDicritical:
             assert (b.nu, b.dicritical) == (d.nu, d.dicritical)
             assert b.divisor_multiplicity == (d.nu if d.dicritical else d.nu - 1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(VANISHING_FIELDS)
+    @example(F("y, 0"))
+    @example(F("x^2, y^2 + x*y - 2*x^2"))
+    @example(F("x, y"))
+    @example(F("x*y + y^3, y^2"))
+    @example(F("(2 + i)*x^3 - x^2*y + x^4, (2 + i)*x^2*y - x*y^2 + y^5"))
+    def test_witness_matches_sympy(self, x):
+        # nu, the verdict and W(t) read off chart 1's strict transform
+        # against W built from the nu-jet by substitution (tests/oracles.py);
+        # VANISHING_FIELDS draws dicritical first jets h R too
+        d = dicritical_test(x)
+        nu, witness = sympy_witness(x)
+        assert (d.nu, _plain(_dense(d.witness))) == (nu, witness)
+        assert d.dicritical == (witness == ())
+
     @settings(max_examples=60, deadline=None)
     @given(VANISHING_FIELDS)
     def test_radial_and_nprs_germs_are_dicritical(self, x):
@@ -167,8 +183,8 @@ def _sympy_order(exprs, weights) -> int:
 
 
 class TestChartsAgainstSympy:
-    # both charts of blowup_pullback and strict_transform against a pullback
-    # by substitution (tests/oracles.py)
+    # both charts of strict_transform against a pullback by substitution
+    # (tests/oracles.py)
     @settings(max_examples=80, deadline=None)
     @given(VANISHING_FIELDS)
     @example(F("y, 0"))
@@ -176,11 +192,11 @@ class TestChartsAgainstSympy:
     def test_both_charts(self, x):
         xs = sympy.Symbol("x")
         nu = _sympy_order(field_to_sympy(x), (1, 1))
-        for chart, pullback, b in zip((1, 2), blowup_pullback(x), strict_transform(x)):
+        for chart, b in zip((1, 2), strict_transform(x)):
             want = sympy_blowup_pullback(x, chart)
             k = _sympy_order(want, (1, 0))  # the largest power of x dividing both
-            assert b.chart == chart and b.pullback == pullback
-            assert all(sympy.expand(p - q) == 0 for p, q in zip(field_to_sympy(pullback), want))
+            assert b.chart == chart
+            assert all(sympy.expand(p - q) == 0 for p, q in zip(field_to_sympy(b.pullback), want))
             assert b.divisor_multiplicity == k
             assert all(sympy.expand(p - q / xs**k) == 0 for p, q in zip(field_to_sympy(b.strict), want))
             assert b.nu == nu
@@ -501,7 +517,7 @@ class TestGermDegreeBudget:
         n = MAX_GERM_DEGREE + 1
         x = F(f"y, x^{n}")
         message = f"a germ of degree {n} is past the blow-up budget of degree {MAX_GERM_DEGREE}"
-        for run in (resolve, blowup_pullback, dicritical_test, strict_transform):
+        for run in (resolve, dicritical_test, strict_transform):
             with pytest.raises(GermError, match=message):
                 run(x)
         with pytest.raises(GermError, match=message):

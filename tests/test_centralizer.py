@@ -54,7 +54,7 @@ from germfield.centralizer import (
     centralizer_rank,
     monomials_up_to,
 )
-from germfield.blowup import _rational_ratio, eigenvalue_ratio_roots
+from germfield.blowup import _rational_ratio
 from germfield.gaussian import gq, over_common_denominator
 
 F = parse_field
@@ -919,9 +919,7 @@ class TestClassifyLinear:
     @pytest.mark.parametrize("trace", [gq(Fraction(2, 3), 1), gq(0)])
     def test_ratio_roots_refuse_a_zero_determinant(self, trace):
         # both callers decide det = 0 first; the integer ratio test refuses it
-        # itself, not through a Fraction over d = 0 that _classify never builds
-        with pytest.raises(ZeroDivisionError):
-            eigenvalue_ratio_roots(trace, gq(0))
+        # itself, not through a Fraction over d = 0 that neither builds
         with pytest.raises(ZeroDivisionError):
             _rational_ratio(over_common_denominator([trace])[1][0], (0, 0))
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from germfield import (
-    GermError,
     PolySeries,
     TruncationError,
     Weight,
@@ -18,7 +17,6 @@ from germfield import series as series_module
 from germfield.gaussian import gq
 from germfield.series import (
     _product,
-    divide_by_variable_power,
     monomial_key,
     monomials_up_to,
     variable_power_dividing,
@@ -155,9 +153,6 @@ def test_monomials_up_to_is_sorted_product(dim):
 def test_variable_power_division():
     f = P("x^2*y + x^3")
     assert variable_power_dividing(f, 0) == 2
-    assert divide_by_variable_power(f, 0, 2) == P("y + x")
-    with pytest.raises(GermError):
-        divide_by_variable_power(P("x + y"), 0, 1)
 
 
 def test_term_cap(monkeypatch):
