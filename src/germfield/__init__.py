@@ -23,12 +23,11 @@ _EXPORTS = {
     ),
     "centralizer": (
         "CentralizerReport", "CertifiedJet", "FirstIntegralReport", "Resonance",
-        "TableRow", "ad_kernel", "extendable_jet_dimension",
-        "first_integral_kernel", "generic_rank", "linear_centralizer_table", "resonances",
-        "span_matches",
+        "TableRow", "ad_kernel", "first_integral_kernel", "generic_rank",
+        "linear_centralizer_table", "resonances", "span_matches",
     ),
     "blowup": (
-        "BlownUpField", "CHART_SLOPE_X", "CHART_SLOPE_Y", "DicriticalResult", "LinearClass",
+        "BlownUpField", "CHART_SLOPE_X", "CHART_SLOPE_Y", "LinearClass",
         "ResolutionNode", "SingularPoint", "classify_linear", "classify_singularity",
         "dicritical_test", "divisor_singularities", "is_isolated_singularity", "resolve",
         "strict_transform", "translate_to_point",

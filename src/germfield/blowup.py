@@ -119,6 +119,7 @@ class BlownUpField:
     divisor_multiplicity: int  # maximal power of the divisor coordinate dividing
     strict: VectorFieldJet
 
+    @property
     def witness(self) -> PolySeries:
         """W(t) = B_nu(1, t) - t A_nu(1, t) in this chart's slope coordinate
         (chart 2 swaps A and B, and x and y), read off the strict transform.
@@ -155,23 +156,14 @@ def strict_transform(x: VectorFieldJet) -> tuple[BlownUpField, BlownUpField]:
     return tuple(blowups)
 
 
-@dataclass(frozen=True)
-class DicriticalResult:
-    dicritical: bool
-    witness: PolySeries  # univariate in the slope coordinate
-    nu: int
+def dicritical_test(x: VectorFieldJet) -> BlownUpField:
+    """Decide whether the blow-up at 0 is dicritical: chart 1 of strict_transform.
 
-
-def dicritical_test(x: VectorFieldJet) -> DicriticalResult:
-    """Decide whether the blow-up at 0 is dicritical.
-
-    The witness is W(t) = B_nu(1, t) - t A_nu(1, t) built from the first
+    Its witness is W(t) = B_nu(1, t) - t A_nu(1, t) built from the first
     nonzero jet; the blow-up is dicritical iff W vanishes identically, which
-    happens exactly when that jet is colinear with the radial field.  Chart 1
-    of strict_transform holds nu, the verdict and W.
+    happens exactly when that jet is colinear with the radial field.
     """
-    one = strict_transform(x)[0]
-    return DicriticalResult(one.dicritical, one.witness(), one.nu)
+    return strict_transform(x)[0]
 
 
 # -- singular points on the divisor -------------------------------------------

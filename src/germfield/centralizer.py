@@ -31,13 +31,6 @@ from .series import (
 )
 from .fields import VectorFieldJet, radial_field
 
-# Kernel solves refuse more unknowns than this before listing a column, and
-# resonances more candidate exponents before listing one; a plane normal form
-# near this size (x, -y at N = 98) takes under 2 ms, since its resonant
-# columns are solved for, not found among all 9,900.  A dense field keeps
-# every column: a dense rotation takes about 0.25 s at N = 20.
-MAX_UNKNOWNS = 10_000
-
 
 @dataclass(frozen=True)
 class CertifiedJet:
@@ -95,9 +88,7 @@ def _columns(x: VectorFieldJet, max_degree: int, functions: bool) -> list[tuple[
     if max_degree < 1:
         raise GermError("max_degree must be at least 1")
     count = comb(max_degree + x.dim, x.dim)
-    count = count - 1 if functions else x.dim * count
-    if count > MAX_UNKNOWNS:
-        raise GermError(f"{count} unknowns exceed the kernel budget of {MAX_UNKNOWNS}")
+    linalg.require_unknowns(count - 1 if functions else x.dim * count)
     lams = _normal_form_weights(x)
     if functions:
         return [(e, None) for e, _ in _resonant(lams, [(0, 0)], max_degree, min_deg=1)][::-1]
@@ -347,18 +338,6 @@ def first_integral_kernel(x: VectorFieldJet, max_degree: int) -> FirstIntegralRe
     return FirstIntegralReport(x, max_degree, x.mu(), *_certify(x, max_degree, functions=True))
 
 
-def extendable_jet_dimension(x: VectorFieldJet, max_degree: int, d: int) -> int:
-    """Dimension of degree-<=d jets that extend within the degree-N kernel.
-
-    Monotone non-increasing in max_degree for fixed d: deeper truncations add
-    constraints that extendable low jets must survive.
-    """
-    columns = _columns(x, max_degree, functions=False)
-    _, exact, tentative = _kernel(x, max_degree, columns)
-    truncated = [{c: a for c, a in v.items() if sum(columns[c][0]) <= d} for v in exact + tentative]
-    return len(linalg.Echelon(len(columns), truncated).rows)
-
-
 def generic_rank(basis: list[VectorFieldJet]) -> int:
     """Largest r in {1, 2} with r generically independent members (plane case)."""
     if not basis:
@@ -395,9 +374,7 @@ def resonances(lambdas: list[GaussianRational], bound: int) -> tuple[Resonance, 
         raise GermError("resonance bound must be at least 2")
     lams = [_coerce_scalar(l) for l in lambdas]
     n = len(lams)
-    count = comb(bound + n, n) - 1 - n
-    if count > MAX_UNKNOWNS:
-        raise GermError(f"{count} candidate exponents exceed the budget of {MAX_UNKNOWNS}")
+    linalg.require_unknowns(comb(bound + n, n) - 1 - n, "candidate exponents")
     _, nums = over_common_denominator(lams)
     found = [Resonance(i + 1, k) for k, i in _resonant(nums, nums, bound, min_deg=2)]
     found.sort(key=lambda r: (r.target, monomial_key(r.exponents)))

@@ -70,6 +70,13 @@ def parse_univariate(text: str) -> PolySeries:
     return PolySeries(1, {(e[axis],): c for e, c in p.terms.items()})
 
 
+def parse_integer(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise GermError(f"{flag} expects integers, got {text!r}") from None
+
+
 def _encode(value):
     """The JSON form of an engine value; json.dumps calls this for every value
     it cannot write itself."""
@@ -128,7 +135,7 @@ def _bracket(args):
 def _wedge(args):
     fields = [parse_field_text(t) for t in args.fields]
     if args.weights:
-        fields.insert(0, weighted_euler(Weight(int(v) for v in args.weights.split(","))))
+        fields.insert(0, weighted_euler(Weight(parse_integer(v, "--weights") for v in args.weights.split(","))))
     w = wedge(fields)
     text = poly_to_text(w) if isinstance(w, PolySeries) else "\n".join(poly_to_text(c) for c in w)
     return {"wedge": w}, text, 0
@@ -229,7 +236,7 @@ def _blowup(args):
 
     x = parse_field_text(args.field)
     blowups = strict_transform(x)
-    one, witness = blowups[0], blowups[0].witness()
+    one, witness = blowups[0], blowups[0].witness
     points = divisor_singularities(blowups, is_isolated_singularity(x))
     kind = "dicritical" if one.dicritical else "non-dicritical"
     lines = [f"nu = {one.nu}, {kind}, witness {poly_to_text(witness, ('t',))}"]
@@ -358,7 +365,7 @@ def _log_decomp(args):
     factors = []
     for spec in args.factor:
         poly_text, mult = spec.rsplit(":", 1) if ":" in spec else (spec, "1")
-        factors.append((parse_poly(poly_text, 2), int(mult)))
+        factors.append((parse_poly(poly_text, 2), parse_integer(mult, "--factor")))
     found = log_decomposition(omega, g, factors, args.phi_bound)
     if not found.success:
         text = "no solution; residual " + one_form_to_text(found.residual)

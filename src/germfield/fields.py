@@ -78,10 +78,6 @@ class VectorFieldJet:
             rows.append(row)
         return rows
 
-    def jet_part(self, k: int) -> "VectorFieldJet":
-        """Homogeneous part of coefficient degree k."""
-        return VectorFieldJet([c.homogeneous_part(k) for c in self.comps])
-
     def truncated(self, n: int) -> "VectorFieldJet":
         return VectorFieldJet([c.truncated(n) for c in self.comps])
 

@@ -181,8 +181,10 @@ def log_decomposition(
     before solving; residues and phi come from one exact linear solve on the
     cleared-denominator identity, free parameters pinned to zero.  The search
     space for phi is every monomial of total degree <= phi_degree_bound
-    (default: the total degree of g).  A truncated omega is refused with
-    TruncationError: the terms it does not know can refute any answer.
+    (default: the total degree of g), and more unknowns than the budget of
+    linalg.MAX_UNKNOWNS are refused before any row is built.  A truncated
+    omega is refused with TruncationError: the terms it does not know can
+    refute any answer.
     """
     if omega.dim != 2:
         raise GermError("log_decomposition is n=2 only")
@@ -192,9 +194,12 @@ def log_decomposition(
         raise TruncationError("log_decomposition needs an exact form, not a jet")
     if any(k < 1 for _, k in factors):
         raise GermError("factor multiplicities must be >= 1")
-    if phi_degree_bound is not None and phi_degree_bound < 0:
+    if phi_degree_bound is None:
+        phi_degree_bound = g.total_degree()
+    if phi_degree_bound < 0:
         raise GermError("the phi degree bound must be >= 0")
     dim = omega.dim
+    linalg.require_unknowns(len(factors) + comb(phi_degree_bound + dim, dim), "residue and phi unknowns")
     flist = [f for f, _ in factors]
     mults = [k for _, k in factors]
     one = PolySeries.constant(dim, 1)
@@ -204,8 +209,6 @@ def log_decomposition(
         raise GermError("g is not a unit times the claimed factorization")
     if unit != one:  # g = unit * prod: every quotient carries the unit
         cofs, q, q_over = [unit * c for c in cofs], unit * q, [unit * h for h in q_over]
-    if phi_degree_bound is None:
-        phi_degree_bound = g.total_degree()
 
     # (component, monomial) -> {column: coefficient} of the cleared identity,
     # with omega at column ncols; columns are the residues, then phi's

@@ -12,19 +12,34 @@ off the pivots is then, reversed, its graded-lex RREF, bit for bit.  The
 kernel constraint matrices are about 1 % dense, and a normal form's, kept to
 its resonant columns, is small and nearly diagonal: pivot rows stay short.
 
-The engine uses only ``Echelon`` and ``solve`` (sparse rows).  Nothing in
-the package calls ``rref``, ``nullspace`` (dense rows, lists of
-GaussianRational) or ``in_span``; the benchmark's tracer wraps them by name,
-with ``solve``, to count calls.
+The engine solves with ``Echelon`` and ``solve`` (sparse rows), sized by
+``require_unknowns`` first.  Nothing in the package calls ``rref``,
+``nullspace`` (dense rows, lists of GaussianRational) or ``in_span``; the
+benchmark's tracer wraps them by name, with ``solve``, to count calls.
 """
 
 from __future__ import annotations
 
 from .gaussian import ONE, ZERO, GaussianRational
+from .series import GermError
+
+# Every solve refuses more unknowns than this before it lists a column or
+# builds a row (require_unknowns): kernels, resonance candidates and a log
+# decomposition's residues and phi coefficients.  A plane normal form near
+# this size (x, -y at N = 98) takes under 2 ms, since its resonant columns are
+# solved for, not found among all 9,900; a dense field keeps every column,
+# and a dense rotation takes about 0.25 s at N = 20.
+MAX_UNKNOWNS = 10_000
 
 Vector = list[GaussianRational]
 Matrix = list[Vector]
 SparseRow = dict[int, GaussianRational]
+
+
+def require_unknowns(count: int, what: str = "unknowns"):
+    """Refuse a solve of count unknowns past MAX_UNKNOWNS."""
+    if count > MAX_UNKNOWNS:
+        raise GermError(f"{count} {what} exceed the budget of {MAX_UNKNOWNS}")
 
 
 def _subtract(row: SparseRow, f: GaussianRational, tail: SparseRow):

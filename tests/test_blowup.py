@@ -142,8 +142,10 @@ class TestDicritical:
     @example(F("x^2*y, x*y^2"))
     def test_multiplicity_dichotomy(self, x):
         # the divided power is nu - 1 (non-dicritical) or nu (dicritical) in
-        # both charts, non-isolated fields such as x^2*y, x*y^2 included
+        # both charts, non-isolated fields such as x^2*y, x*y^2 included;
+        # the test's answer is chart 1 itself
         d = dicritical_test(x)
+        assert d == strict_transform(x)[0]
         for b in strict_transform(x):
             assert (b.nu, b.dicritical) == (d.nu, d.dicritical)
             assert b.divisor_multiplicity == (d.nu if d.dicritical else d.nu - 1)

@@ -15,7 +15,9 @@ from germfield import (
     dual_form,
     hamiltonian_field,
     lie_bracket,
+    one_form_to_text,
     parse_field,
+    parse_one_form,
     parse_poly,
     quasi_decompose,
     radial_field,
@@ -219,3 +221,20 @@ def test_wedge_of_fewer_fields_outside_3d_is_refused():
     with pytest.raises(GermError):
         wedge([x, x])
     assert wedge([x]) == list(x.comps)
+
+
+def test_field_difference_is_componentwise():
+    x, y = F("x + 2*y^2, i*y"), F("x - y^2, x*y").truncated(3)
+    d = x - y
+    assert d.trunc == 3
+    for a, b, c in zip(x.comps, y.comps, d.comps):
+        for e in set(a.terms) | set(b.terms):
+            assert c.coefficient(e) == a.coefficient(e) - b.coefficient(e)
+    assert set(d.comps[0].terms) == {(0, 2)} and set(d.comps[1].terms) == {(0, 1), (1, 1)}
+    with pytest.raises(DimensionMismatchError):
+        x - F("x, y, z")
+
+
+def test_one_form_repr_shows_its_text():
+    omega = parse_one_form("x^2 dy - y dx")
+    assert repr(omega) == f"<OneFormJet {one_form_to_text(omega)}>"

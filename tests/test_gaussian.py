@@ -229,3 +229,15 @@ def test_zero_division_everywhere():
         1 / gq(0)
     with pytest.raises(ZeroDivisionError):
         gq(0) ** -1
+
+
+def test_float_operands_are_refused():
+    # a float is not exact: every operator returns NotImplemented for it, so
+    # Python raises TypeError either way round
+    v = gq(1, 2)
+    for op in (
+        lambda: v + 0.5, lambda: 0.5 + v, lambda: v - 0.5, lambda: 0.5 - v,
+        lambda: v * 0.5, lambda: 0.5 * v, lambda: v / 0.5, lambda: 0.5 / v,
+    ):
+        with pytest.raises(TypeError):
+            op()

@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import field_to_sympy, poly_from_sympy, poly_to_sympy, sympy_cauchy_riemann, sympy_log_form
 
 from germfield import (
+    DimensionMismatchError,
     GermError,
     MeromorphicRatio,
     OneFormJet,
@@ -32,6 +33,7 @@ from germfield import (
     parse_ratio,
     radial_field,
 )
+from germfield import integrability
 from germfield.gaussian import gq
 
 F = parse_field
@@ -58,6 +60,11 @@ class TestClosedness:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             closedness_check(parse_one_form("x dy"), P("0"))
+
+    def test_denominator_of_another_dimension_rejected(self):
+        # the products g * dq, ... meet operands in dimensions 3 and 2
+        with pytest.raises(DimensionMismatchError, match="dimension 2 vs 3"):
+            closedness_check(parse_one_form("x dy - y dx"), parse_poly("x*z", 3))
 
 
 class TestIntegratingFactor:
@@ -211,6 +218,21 @@ class TestLogDecomposition:
         monkeypatch.setattr(PolySeries, "__mul__", no_product)
         with pytest.raises(GermError, match="phi degree bound"):
             log_decomposition(omega, g, factors, -1)
+
+    def test_phi_budget_refused_before_any_row(self, monkeypatch):
+        # 2 residues and C(B + 2, 2) phi coefficients: 9,872 unknowns at
+        # B = 139 solve, 10,013 at B = 140 are refused before phi's columns
+        # are listed or a row is summed
+        omega, g, factors = parse_one_form("x^2 dy - y dx"), P("x^2*y"), [(P("x"), 2), (P("y"), 1)]
+        assert log_decomposition(omega, g, factors, 139).decomposition.phi == P("1")
+
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(integrability, "monomials_up_to", no_rows)
+        monkeypatch.setattr(integrability, "_combination", no_rows)
+        with pytest.raises(GermError, match="10013 residue and phi unknowns exceed the budget of 10000"):
+            log_decomposition(omega, g, factors, 140)
 
     @pytest.mark.parametrize("unit", ["2", "1 + y", "3 - i*x + x*y"])
     def test_unit_times_the_factorization(self, unit):

@@ -261,6 +261,28 @@ class TestCli:
         assert rc == 2 and "budget" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_phi_budget_is_exit_2(self, capsys):
+        # 2 residues and C(B + 2, 2) phi coefficients: 10,013 unknowns at B = 140
+        argv = ("log-decomp", "x^2 dy - y dx", "--denominator", "x^2*y", "--factor", "x:2", "--factor", "y:1")
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, *argv, "--phi-bound", "140")
+        assert (rc, out) == (2, "")
+        assert err == "error: 10013 residue and phi unknowns exceed the budget of 10000\n"
+        assert time.perf_counter() - start < 1.0
+        rc, out, _ = run_cli(capsys, *argv, "--phi-bound", "139")
+        assert rc == 0 and out.endswith("phi = 1\n")
+
+    @pytest.mark.parametrize("argv, flag, text", [
+        (("wedge", "--weights", "a,b", "y, x^2"), "--weights", "a"),
+        (("wedge", "--weights", "1,", "y, x^2"), "--weights", ""),
+        (("log-decomp", "x^2 dy - y dx", "--denominator", "x^2*y", "--factor", "x:two", "--factor", "y:1"),
+         "--factor", "two"),
+    ])
+    def test_malformed_integer_flag_is_exit_2(self, capsys, argv, flag, text):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {flag} expects integers, got {text!r}\n"
+
     def test_resolve_depth_budget_is_exit_2(self, capsys):
         # deeper trees would exhaust the recursion limit in the tree code
         start = time.perf_counter()

@@ -153,7 +153,7 @@ def test_radial_grading(x):
     # [R, X_k] = (k-1) X_k on homogeneous components
     r = radial_field(2)
     for k in range(0, 5):
-        part = x.jet_part(k)
+        part = VectorFieldJet([c.homogeneous_part(k) for c in x.comps])
         if part.is_zero():
             continue
         assert lie_bracket(r, part) == part * (k - 1)

@@ -186,6 +186,26 @@ def test_term_cap_in_substitute(monkeypatch):
         f.substitute(images)
 
 
+def test_scalar_minus_series_is_termwise():
+    f = P("2 + x - i*y^2").truncated(3)
+    for c in (3, Fraction(1, 2), gq(1, -1)):
+        d = c - f
+        assert d.trunc == 3
+        assert d.constant_term() == c - f.constant_term()
+        assert {e: v for e, v in d.terms.items() if any(e)} == {
+            e: -v for e, v in f.terms.items() if any(e)
+        }
+
+
+def test_equality_with_scalars():
+    assert P("3") == 3 and P("1/2") == Fraction(1, 2) and P("2 - i") == gq(2, -1)
+    assert P("3").truncated(2) == 3 and P("3") != P("3").truncated(2)
+    assert P("3 + x") != 3 and P("0") == 0
+    # a foreign type is not a scalar: == falls back to identity
+    assert P("1").__eq__(1.0) is NotImplemented and P("1").__eq__("1") is NotImplemented
+    assert P("1") != 1.0 and P("1") != "1"
+
+
 def test_evaluate_exact():
     f = P("x^2 + i*y")
     assert f.evaluate([gq(Fraction(1, 2)), gq(2)]) == gq(Fraction(1, 4), 2)
