@@ -461,6 +461,10 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one verb; argv=None means this process is the CLI, and only then
+    is Python's int/text digit limit lifted so that every answer prints."""
+    if argv is None and hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser(_verb_named(sys.argv[1:] if argv is None else argv))
     args = parser.parse_args(argv)
     try:

@@ -6,7 +6,10 @@ new values.  X(f), brackets, pairings, wedges and the divergence are each a
 sum of products k * f * g or k * f * dg/dz_i, computed in one pass on one
 common denominator (series._combination) with no intermediate series per
 product: the derivatives of brackets, X(f), the divergence and the
-integrability checks are taken inside that pass.  Such a sum is certified
+integrability checks are taken inside that pass.  The sums that share their
+operands are computed in one call, which packs each operand once: the n
+components of a bracket, the three of a wedge in dimension 3, the minors
+of a determinant and both partials of a Hamiltonian field.  Such a sum is certified
 exactly as far as every operand is, and no further: a bracket component of
 jets known mod N and M (so partials mod N - 1 and M - 1) is known mod
 min(N, M) - 1.
@@ -113,7 +116,7 @@ class VectorFieldJet:
 
     def apply(self, f: PolySeries) -> PolySeries:
         """Directional derivative X(f) = sum_i X_i * df/dz_i."""
-        return _combination(self._apply_pairs(f))
+        return _combination([self._apply_pairs(f)])[0]
 
     def _apply_pairs(self, f: PolySeries, k: int = 1) -> list:
         """The products (k, X_i, f, i), meaning k * X_i * df/dz_i, that sum to
@@ -160,7 +163,7 @@ class OneFormJet:
         """Pairing omega(X)."""
         if x.dim != self.dim:
             raise DimensionMismatchError("form and field dimensions differ")
-        return _combination([(1, a, c) for a, c in zip(self.coeffs, x.comps)])
+        return _combination([[(1, a, c) for a, c in zip(self.coeffs, x.comps)]])[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OneFormJet):
@@ -177,12 +180,11 @@ class OneFormJet:
 
 
 def lie_bracket(x: VectorFieldJet, y: VectorFieldJet) -> VectorFieldJet:
-    """[X, Y] with components X(Y_i) - Y(X_i), each one sum of 2n products."""
+    """[X, Y] with components X(Y_i) - Y(X_i): n sums of 2n products, one call."""
     x._check(y)
-    return VectorFieldJet([
-        _combination(x._apply_pairs(yc) + y._apply_pairs(xc, -1))
-        for xc, yc in zip(x.comps, y.comps)
-    ])
+    return VectorFieldJet(_combination([
+        x._apply_pairs(yc) + y._apply_pairs(xc, -1) for xc, yc in zip(x.comps, y.comps)
+    ]))
 
 
 def wedge(fields: list[VectorFieldJet]):
@@ -202,32 +204,34 @@ def wedge(fields: list[VectorFieldJet]):
     if m > n:
         raise GermError(f"cannot wedge {m} fields in dimension {n}")
     if m == n:
-        return _determinant([f.comps for f in fields])
+        return _determinants([[f.comps for f in fields]])[0]
     if m == 1:
         return list(fields[0].comps)
     if n != 3:
         raise GermError(f"wedge of {m} fields supported in dimension 3 only")
     a, b = fields[0].comps, fields[1].comps
-    return [
-        _combination([(1, a[i], b[j]), (-1, a[j], b[i])])
-        for i, j in ((1, 2), (2, 0), (0, 1))
-    ]
-
-
-def _determinant(rows) -> PolySeries:
-    """Cofactor expansion along the first row, one sum of products per minor;
-    each sum is cut at the least truncation degree of its own entries."""
-    if len(rows) == 1:
-        return rows[0][0]
     return _combination([
-        ((-1) ** j, top, _determinant([r[:j] + r[j + 1:] for r in rows[1:]]))
-        for j, top in enumerate(rows[0])
+        [(1, a[i], b[j]), (-1, a[j], b[i])] for i, j in ((1, 2), (2, 0), (0, 1))
+    ])
+
+
+def _determinants(matrices) -> list[PolySeries]:
+    """Determinants of same-size square matrices by cofactor expansion along
+    the first row: one call for the minors of every expansion, then one for
+    the expansions; each sum is cut at the least truncation degree of its own entries."""
+    n = len(matrices[0])
+    if n == 1:
+        return [m[0][0] for m in matrices]
+    minors = _determinants([[r[:j] + r[j + 1:] for r in m[1:]] for m in matrices for j in range(n)])
+    return _combination([
+        [((-1) ** j, top, minors[k * n + j]) for j, top in enumerate(m[0])]
+        for k, m in enumerate(matrices)
     ])
 
 
 def divergence(x: VectorFieldJet) -> PolySeries:
     one = PolySeries.constant(x.dim, 1)
-    return _combination([(1, one, c, i) for i, c in enumerate(x.comps)])
+    return _combination([[(1, one, c, i) for i, c in enumerate(x.comps)]])[0]
 
 
 def dual_form(x: VectorFieldJet) -> OneFormJet:
@@ -244,10 +248,12 @@ def dual_form(x: VectorFieldJet) -> OneFormJet:
 
 
 def hamiltonian_field(f: PolySeries) -> VectorFieldJet:
-    """H_f = f_y d/dx - f_x d/dy (plane only); annihilates f by construction."""
+    """H_f = f_y d/dx - f_x d/dy (plane only), both partials in one call;
+    annihilates f by construction."""
     if f.dim != 2:
         raise DimensionMismatchError("hamiltonian fields are n=2 only")
-    return VectorFieldJet([f.partial(1), -f.partial(0)])
+    one = PolySeries.constant(2, 1)
+    return VectorFieldJet(_combination([[(1, one, f, 1)], [(-1, one, f, 0)]]))
 
 
 def radial_field(dim: int) -> VectorFieldJet:

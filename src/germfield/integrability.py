@@ -63,7 +63,7 @@ def closedness_check(omega: OneFormJet, g: PolySeries) -> tuple[bool, PolySeries
     if g.is_zero():
         raise ZeroDivisionError("zero denominator in closedness_check")
     p, q = omega.coeffs
-    residual = _combination([(1, g, q, 0), (-1, g, p, 1), (-1, q, g, 0), (1, p, g, 1)])
+    residual = _combination([[(1, g, q, 0), (-1, g, p, 1), (-1, q, g, 0), (1, p, g, 1)]])[0]
     return residual.is_zero(), residual
 
 
@@ -75,7 +75,7 @@ def integrating_factor_check(x: VectorFieldJet, g: PolySeries) -> bool:
     if g.is_zero():
         raise ZeroDivisionError("zero integrating factor candidate")
     div_g = [(-1, g, c, i) for i, c in enumerate(x.comps)]
-    return _combination(x._apply_pairs(g) + div_g).is_zero()
+    return _combination([x._apply_pairs(g) + div_g])[0].is_zero()
 
 
 def meromorphic_first_integral_check(x: VectorFieldJet, f: MeromorphicRatio) -> bool:
@@ -83,8 +83,8 @@ def meromorphic_first_integral_check(x: VectorFieldJet, f: MeromorphicRatio) -> 
     if not x.is_total:
         raise TruncationError("meromorphic_first_integral_check needs an exact field")
     p, q = f.numerator, f.denominator
-    xp, xq = (_combination(x._apply_pairs(h)) for h in (p, q))
-    return _combination([(1, q, xp), (-1, p, xq)]).is_zero()
+    xp, xq = _combination([x._apply_pairs(h) for h in (p, q)])
+    return _combination([[(1, q, xp), (-1, p, xq)]])[0].is_zero()
 
 
 def invariance_check(x: VectorFieldJet, f: PolySeries) -> bool:
@@ -132,19 +132,19 @@ class LogDecomposition:
 
     def _cleared(self, quotients) -> OneFormJet:
         """Component i is sum_j lam_j cof_j df_j/dz_i + q dphi/dz_i
-        - sum_j (k_j - 1) phi (q/f_j) df_j/dz_i, one sum of products."""
+        - sum_j (k_j - 1) phi (q/f_j) df_j/dz_i, one sum of products, every
+        component in one call."""
         cofs, q, q_over = quotients
         scaled = [cof * lam for cof, lam in zip(cofs, self.residues)]
         drifts = [
             (1 - k, self.phi * h, f)
             for f, k, h in zip(self.factors, self.multiplicities, q_over) if k > 1
         ]
-        return OneFormJet([
-            _combination(
-                [(1, s, f, i) for s, f in zip(scaled, self.factors)] + [(1, q, self.phi, i)]
-                + [(k, p, f, i) for k, p, f in drifts])
+        return OneFormJet(_combination([
+            [(1, s, f, i) for s, f in zip(scaled, self.factors)] + [(1, q, self.phi, i)]
+            + [(k, p, f, i) for k, p, f in drifts]
             for i in range(q.dim)
-        ])
+        ]))
 
 
 @dataclass(frozen=True)
@@ -217,14 +217,17 @@ def log_decomposition(
     # shifts and scales of q and D_i with no product.
     phi_monomials = monomials_up_to(dim, phi_degree_bound)
     n, ncols = len(flist), len(flist) + len(phi_monomials)
-    rows: dict[tuple[int, Exponent], linalg.SparseRow] = {}
-    for j, (cof, f) in enumerate(zip(cofs, flist)):
-        for i in range(dim):
-            for e, c in _combination([(1, cof, f, i)]).terms.items():
-                rows.setdefault((i, e), {})[j] = c
+    # the residue images cof_j df_j/dz_i and the D_i are sums of one call
     drifts = [(1 - k, h, f) for f, k, h in zip(flist, mults, q_over) if k > 1]
-    minus_d = [_combination([(*t, i) for t in drifts]).terms if drifts else {}
-               for i in range(dim)]
+    images = _combination(
+        [[(1, cof, f, i)] for cof, f in zip(cofs, flist) for i in range(dim)]
+        + [[(*t, i) for t in drifts] for i in range(dim) if drifts])
+    rows: dict[tuple[int, Exponent], linalg.SparseRow] = {}
+    for j in range(n):
+        for i in range(dim):
+            for e, c in images[j * dim + i].terms.items():
+                rows.setdefault((i, e), {})[j] = c
+    minus_d = [p.terms for p in images[n * dim:]] or [{}] * dim
     for col, m in enumerate(phi_monomials, n):
         for i in range(dim):
             image = {}

@@ -38,6 +38,12 @@ class ParseError(Exception):
 # interpreter's recursion limit, decides the refusal, the same for every caller.
 MAX_NESTING = 100
 
+# The most digits a number literal may have; a longer one is refused with
+# ParseError before its quadratic-time conversion.  This is Python's default
+# int/text limit, so the library in process and the CLI, which lifts that
+# limit so that every answer prints, accept the same literals.
+MAX_LITERAL_DIGITS = 4300
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<diff>d[xyz])|(?P<name>[ixyz])|(?P<op>[-+*/^(),]))"
 )
@@ -54,6 +60,9 @@ def _tokenize(text: str):
                 break
             raise ParseError("unexpected character", text, len(text) - len(stripped))
         kind = m.lastgroup
+        if kind == "number" and len(m.group(kind)) > MAX_LITERAL_DIGITS:
+            message = f"a literal of {len(m.group(kind))} digits exceeds the budget of {MAX_LITERAL_DIGITS} digits"
+            raise ParseError(message, text, m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return tokens

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from operator import add, lshift
 
-from .gaussian import ONE, ZERO, GaussianRational, _reduce
+from .gaussian import ONE, ZERO, GaussianRational
 
 Exponent = tuple[int, ...]
 
@@ -254,7 +254,7 @@ class PolySeries:
         """
         if not 0 <= var_index < self.dim:
             raise ValueError(f"variable index {var_index} out of range")
-        return _combination([(1, PolySeries.constant(self.dim, 1), self, var_index)])
+        return _combination([[(1, PolySeries.constant(self.dim, 1), self, var_index)]])[0]
 
     def truncated(self, n: int) -> "PolySeries":
         """The jet of degree n (keeps total inputs' terms up to degree n)."""
@@ -341,7 +341,7 @@ class PolySeries:
             for p in factors[:-1]:
                 term = _product(term, p)
             pairs.append((1, term, factors[-1]))
-        return _combination(pairs) if pairs else _trusted(target, {}, trunc)
+        return _combination([pairs])[0] if pairs else _trusted(target, {}, trunc)
 
     # -- comparison / display -------------------------------------------------
 
@@ -407,43 +407,46 @@ def _product(f: PolySeries, g: PolySeries) -> PolySeries:
         if len(out) > MAX_TERMS:
             raise TermLimitError("result exceeds MAX_TERMS")
         return _trusted(f.dim, out, trunc)
-    return _combination([(1, f, g)])
+    return _combination([[(1, f, g)]])[0]
 
 
-def _combination(pairs) -> PolySeries:
-    """The sum of k * f * g over pairs (k, f, g), with k an int, and of
-    k * f * dg/dz_i over pairs (k, f, g, i), known as far as every operand
-    is: to the least truncation degree trunc among them,
-    where dg/dz_i counts as known to g.trunc - 1 and a degree-0 jet's
-    derivative is refused with TruncationError.
-    TermLimitError as soon as the partial sum has more than MAX_TERMS
-    terms.  Every pair writes Gaussian-integer numerators into one dict over
-    D, the lcm of the pairs' D_f * D_g (D_f: the lcm of f's denominators); a
-    derivative scales g's numerators by e_i and lowers e_i in the key, with
-    no partial series.  Each operand is written over D_f in one pass per
-    call.  Monomials are packed into ints with bits = top.bit_length() bits
-    per variable, top the largest deg f + deg g over the pairs, so a
-    product's key is the sum of its factors' keys with no carry between
-    slots, and each result exponent is read back from its key.  Each
-    left-hand term meets only the right-hand terms that keep the product
-    within trunc, and each result term is reduced once, over D."""
-    dim = pairs[0][1].dim
-    known = []
+def _combination(sums) -> list[PolySeries]:
+    """One sum of products per list of pairs in sums: the sum of k * f * g
+    over its pairs (k, f, g), k an int, and of k * f * dg/dz_i over its pairs
+    (k, f, g, i).  Each sum is known as far as all its operands are: to the
+    least truncation degree trunc among them, dg/dz_i counting as known to
+    g.trunc - 1; a degree-0 jet's derivative is refused with TruncationError,
+    and TermLimitError is raised as soon as one sum's partial result has more
+    than MAX_TERMS terms.  The operands of all the sums are packed once per
+    call: each is written in Gaussian-integer numerators over D_f, the lcm
+    of its denominators, and its monomials are packed into ints with bits =
+    top.bit_length() bits per variable, top the largest deg f + deg g over
+    the call's pairs, so a product's key is the sum of its factors' keys with
+    no carry between slots.  Each sum writes its products into its own dict
+    over its own D, the lcm of its pairs' D_f * D_g; a derivative scales g's
+    numerators by e_i and lowers e_i in the key.  Each left-hand term meets
+    only the right-hand terms that keep the product within the sum's trunc.
+    A sum's output is built one variable at a time, each slot read from all
+    its keys in one pass, and each coefficient is reduced once, in place."""
+    dim = sums[0][0][1].dim
+    truncs = []
     ops = {}  # id(operand) -> [D, terms, max |e|], for this call only
-    for _, f, g, *i in pairs:
-        known.append(f.trunc)
-        if g.trunc is not None:
-            if i and g.trunc == 0:
-                raise TruncationError("the derivative of a degree-0 jet is unknown")
-            known.append(g.trunc - len(i))
-        for p in (f, g):
-            if id(p) not in ops:
-                if p.dim != dim:
-                    raise DimensionMismatchError(f"dimension {p.dim} vs {dim}")
-                terms = p.terms
-                ops[id(p)] = [math.lcm(*[c._d for c in terms.values()]), terms, max(map(sum, terms), default=0)]
-    trunc = _least_trunc(known)
-    top = max(ops[id(f)][2] + ops[id(g)][2] for _, f, g, *_ in pairs)
+    for pairs in sums:
+        known = []
+        for _, f, g, *i in pairs:
+            known.append(f.trunc)
+            if g.trunc is not None:
+                if i and g.trunc == 0:
+                    raise TruncationError("the derivative of a degree-0 jet is unknown")
+                known.append(g.trunc - len(i))
+            for p in (f, g):
+                if id(p) not in ops:
+                    if p.dim != dim:
+                        raise DimensionMismatchError(f"dimension {p.dim} vs {dim}")
+                    terms = p.terms
+                    ops[id(p)] = [math.lcm(*[c._d for c in terms.values()]), terms, max(map(sum, terms), default=0)]
+        truncs.append(_least_trunc(known))
+    top = max(ops[id(f)][2] + ops[id(g)][2] for pairs in sums for _, f, g, *_ in pairs)
     bits = top.bit_length()
     shifts = [bits * j for j in range(dim)]
     for op in ops.values():
@@ -452,36 +455,48 @@ def _combination(pairs) -> PolySeries:
             (sum(map(lshift, e, shifts)), e, c._a * (m := dp // c._d), c._b * m, sum(e))
             for e, c in op[1].items()
         ]
-    scaled = [
-        (k, ops[id(f)], ops[id(g)], i[0] if i else None)
-        for k, f, g, *i in pairs if f.terms and g.terms
-    ]
-    d = math.lcm(*(f[0] * g[0] for _, f, g, _ in scaled))
-    acc: dict[int, list[int]] = {}  # key -> [re, im] over d
-    get, cap = acc.get, MAX_TERMS
-    for k, (df, lhs, _), g, i in scaled:
-        if i is None:
-            m = k * (d // (df * g[0]))
-            rhs = [(k2, a * m, b * m, n) for k2, _, a, b, n in g[1]]
-        else:
-            m, unit = k * (d // (df * g[0])), 1 << bits * i
-            rhs = [(k2 - unit, a * c, b * c, n - 1) for k2, e2, a, b, n in g[1] if (c := m * e2[i])]
-        for k1, _, a1, b1, n1 in lhs:
-            row = rhs if trunc is None else [t for t in rhs if t[3] <= trunc - n1]
-            for k2, a2, b2, _ in row:
-                s = get(key := k1 + k2)
-                if s is None:
-                    acc[key] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                    if len(acc) > cap:
-                        raise TermLimitError("result exceeds MAX_TERMS")
-                    continue
-                s[0] += a1 * a2 - b1 * b2
-                s[1] += a1 * b2 + b1 * a2
-                if not (s[0] or s[1]):
-                    del acc[key]
-    mask = (1 << bits) - 1
-    out = {tuple([key >> s & mask for s in shifts]): _reduce(a, b, d) for key, (a, b) in acc.items()}
-    return _trusted(dim, out, trunc)
+    mask, gcd, new, cap = (1 << bits) - 1, math.gcd, object.__new__, MAX_TERMS
+    results = []
+    for pairs, trunc in zip(sums, truncs):
+        scaled = [
+            (k, ops[id(f)], ops[id(g)], i[0] if i else None)
+            for k, f, g, *i in pairs if f.terms and g.terms
+        ]
+        d = math.lcm(*(f[0] * g[0] for _, f, g, _ in scaled))
+        acc: dict[int, list[int]] = {}  # key -> [re, im] over d
+        get = acc.get
+        for k, (df, lhs, _), g, i in scaled:
+            if i is None:
+                m = k * (d // (df * g[0]))
+                rhs = [(k2, a * m, b * m, n) for k2, _, a, b, n in g[1]]
+            else:
+                m, unit = k * (d // (df * g[0])), 1 << bits * i
+                rhs = [(k2 - unit, a * c, b * c, n - 1) for k2, e2, a, b, n in g[1] if (c := m * e2[i])]
+            for k1, _, a1, b1, n1 in lhs:
+                row = rhs if trunc is None else [t for t in rhs if t[3] <= trunc - n1]
+                for k2, a2, b2, _ in row:
+                    s = get(key := k1 + k2)
+                    if s is None:
+                        acc[key] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                        if len(acc) > cap:
+                            raise TermLimitError("result exceeds MAX_TERMS")
+                        continue
+                    s[0] += a1 * a2 - b1 * b2
+                    s[1] += a1 * b2 + b1 * a2
+                    if not (s[0] or s[1]):
+                        del acc[key]
+        slots = []  # each variable's exponents, read from every key at once
+        for sh in shifts:
+            slots.append([key >> sh & mask for key in acc])
+        out = {}
+        for e, (a, b) in zip(zip(*slots), acc.values()):
+            out[e] = v = new(GaussianRational)
+            if (h := gcd(a, b, d)) == 1:
+                v._a, v._b, v._d = a, b, d
+            else:
+                v._a, v._b, v._d = a // h, b // h, d // h
+        results.append(_trusted(dim, out, trunc))
+    return results
 
 
 def poly_divides(d: PolySeries, f: PolySeries) -> tuple[bool, PolySeries | None]:

@@ -229,8 +229,12 @@ class TestLogDecomposition:
         def no_rows(*args):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(integrability, "monomials_up_to", no_rows)
-        monkeypatch.setattr(integrability, "_combination", no_rows)
+        # each patched name is on the path to the rows: under budget, the
+        # call reaches it (the residue images and D_i are one _combination)
+        for name in ("_combination", "monomials_up_to"):
+            monkeypatch.setattr(integrability, name, no_rows)
+            with pytest.raises(AssertionError, match="a row was built"):
+                log_decomposition(omega, g, factors, 139)
         with pytest.raises(GermError, match="10013 residue and phi unknowns exceed the budget of 10000"):
             log_decomposition(omega, g, factors, 140)
 

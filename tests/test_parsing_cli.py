@@ -666,3 +666,38 @@ def test_closed_pipe_exits_141_quietly():
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def _cli(*argv) -> subprocess.CompletedProcess:
+    """One `python -m germfield.cli` process: the CLI itself, not main(argv)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "germfield.cli", *argv], capture_output=True, text=True, env=env)
+
+
+def test_answers_past_pythons_digit_limit_print(capsys):
+    # [N x^2 d/dx + y d/dy, y d/dx + N x^2 d/dy] has the coefficient 2 N^2,
+    # 6,000 digits, past the 4,300 that Python converts to text by default
+    n = "1" + "0" * 2999
+    argv = ["bracket", f"{n}*x^2, y", f"y, {n}*x^2"]
+    text, as_json = _cli(*argv), _cli("--json", *argv)
+    assert (text.returncode, text.stderr, as_json.returncode, as_json.stderr) == (0, "", 0, "")
+    assert "2" + "0" * 5998 + "*x^3" in text.stdout
+    assert json.loads(as_json.stdout)["version"] and '"2' + "0" * 5998 + '"' in as_json.stdout
+    # only the CLI process lifts the limit: an in-process caller keeps its own
+    if hasattr(sys, "get_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        assert main(["bracket", "y, 0", "0, x"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_literal_digit_budget():
+    from germfield.parsing import MAX_LITERAL_DIGITS
+
+    assert parse_poly("7" * MAX_LITERAL_DIGITS + "*x") == parse_poly("x") * int("7" * MAX_LITERAL_DIGITS)
+    with pytest.raises(ParseError, match=f"^a literal of 5000 digits exceeds the budget of {MAX_LITERAL_DIGITS} digits at line 1, column 5"):
+        parse_poly("x + " + "7" * 5000)
+    run = _cli("bracket", "7" * 5000 + "*x^2, y", "y, x")
+    assert run.returncode == 2 and run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("error: a literal of 5000 digits exceeds the budget of 4300 digits")

@@ -9,10 +9,13 @@ plus a small change, so that most products cancel against each other.
 The kernel packs each monomial into one int and takes derivatives itself, so
 the tests at the end draw derivative pairs with exact and jet operands in
 1, 2 and 3 variables, put exponents at the edge of the packing's slots, and
-check the degree-0 refusal and the term cap on the same path.
+check the degree-0 refusal and the term cap on the same path.  One call
+computes several sums over operands it packs once, so a grouped call is
+checked against one call per sum, term for term.
 """
 
 import itertools
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +36,7 @@ from oracles import (
 )
 
 from germfield import (
+    DimensionMismatchError,
     OneFormJet,
     PolySeries,
     TruncationError,
@@ -164,15 +168,75 @@ def test_derivative_pairs(pairs):
     known = [n for k, f, g, *i in pairs for n in (f.trunc, g.trunc and g.trunc - len(i)) if n is not None]
     if any(i and g.trunc == 0 for k, f, g, *i in pairs):
         with pytest.raises(TruncationError):
-            _combination(pairs)
+            _combination([pairs])[0]
         return
-    ours = _combination(pairs)
+    ours = _combination([pairs])[0]
     assert ours.trunc == min(known, default=None)
     theirs = sum(
         k * poly_to_sympy(f) * (sympy.diff(poly_to_sympy(g), SYMS[i[0]]) if i else poly_to_sympy(g))
         for k, f, g, *i in pairs
     )
     assert same_jet(ours, sympy.expand(theirs))
+
+
+def grouped(dim):
+    """Sums of one to three pairs over a shared pool of operands: a pair is
+    (k, f, g) or (k, f, g, i) with f and g drawn from the pool by index."""
+    pair = st.tuples(
+        st.sampled_from([1, -1, 2]), st.integers(0, 3), st.integers(0, 3),
+        st.one_of(st.none(), st.integers(0, dim - 1)),
+    )
+    return st.tuples(
+        st.lists(jets(dim), min_size=4, max_size=4),
+        st.lists(st.lists(pair, min_size=1, max_size=3), min_size=1, max_size=4),
+    ).map(lambda t: [
+        [(k, t[0][a], t[0][b]) + (() if i is None else (i,)) for k, a, b, i in pairs]
+        for pairs in t[1]
+    ])
+
+
+def refusal(sums):
+    """The first error one call per sum raises, in order, or None; a sum in
+    another dimension than the first refuses the grouped call."""
+    for pairs in sums:
+        if pairs[0][1].dim != sums[0][0][1].dim:
+            return DimensionMismatchError
+        try:
+            _combination([pairs])
+        except (TruncationError, DimensionMismatchError) as exc:
+            return type(exc)
+    return None
+
+
+X2 = parse_poly("x^2 + 1/2*y", 2)
+Y2 = parse_poly("i*x*y + 1/3*y^3", 2)
+
+
+@given(st.sampled_from([1, 2, 3]).flatmap(grouped), st.sampled_from([False, False, False, True]))
+@settings(max_examples=100, deadline=None)
+@example(  # truncation degrees 4, 2 and exact over the denominators D = 6, 4 and 18
+    [[(1, X2.truncated(4), Y2)], [(1, X2, X2.truncated(3), 1)], [(-1, Y2, Y2, 0), (2, Y2, X2)]],
+    False,
+)
+@example([[(1, X2, Y2.truncated(0), 0)], [(1, X2, Y2)]], False)
+@example([[(1, X2, X2)]], True)
+def test_grouped_call_equals_one_call_per_sum(sums, foreign):
+    # every sum keeps its own truncation degree, denominator and refusals,
+    # and each coefficient is reduced: d > 0 and gcd(a, b, d) = 1
+    if foreign:  # a sum in another dimension refuses the whole call
+        other = PolySeries.constant(sums[0][0][1].dim % 3 + 1, 1)
+        sums = sums[:1] + [[(1, other, other)]] + sums[1:]
+    expected = refusal(sums)
+    if expected:
+        with pytest.raises(expected):
+            _combination(sums)
+        return
+    ours = _combination(sums)
+    assert len(ours) == len(sums)
+    for got, pairs in zip(ours, sums):
+        single = _combination([pairs])[0]
+        assert got.trunc == single.trunc and got.terms == single.terms
+        assert all(c._d > 0 and math.gcd(c._a, c._b, c._d) == 1 for c in got.terms.values())
 
 
 @given(st.sampled_from([1, 2, 3]).flatmap(lambda n: st.lists(jets(n), min_size=n, max_size=n)))
@@ -307,5 +371,5 @@ def test_truncated_sums_stop_exactly_at_trunc():
     f = parse_poly("x^2 + y", 2).truncated(3)
     g = parse_poly("x^2*y + x", 2).truncated(4)
     h = parse_poly("x*y + y^3", 2)
-    ours = _combination([(1, f, g, 0), (-1, h, f), (2, g, parse_poly("1", 2))])
+    ours = _combination([[(1, f, g, 0), (-1, h, f), (2, g, parse_poly("1", 2))]])[0]
     assert ours == parse_poly("x^2 + x*y^2 + y + 2*x^2*y + 2*x", 2).truncated(3)
