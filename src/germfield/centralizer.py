@@ -396,12 +396,8 @@ class TableRow:
         return [g.truncated(max_degree).as_total() for g in self.generators]
 
 
-def _poly2(terms) -> PolySeries:
-    return PolySeries(2, terms)
-
-
 def _vf2(c1_terms, c2_terms) -> VectorFieldJet:
-    return VectorFieldJet([_poly2(c1_terms), _poly2(c2_terms)])
+    return VectorFieldJet([PolySeries(2, c1_terms), PolySeries(2, c2_terms)])
 
 
 def linear_centralizer_table(
@@ -451,7 +447,7 @@ def linear_centralizer_table(
             raise GermError("row 3 needs positive integers p, q")
         lam = GaussianRational(Fraction(-p, q))
         x = x_dx + y_dy * lam
-        h = _poly2({(p, q): ONE})
+        h = PolySeries(2, {(p, q): ONE})
         gens = tuple(module(x_dx, h) + module(y_dy, h))
         return TableRow(3, x, gens, 2, None)
     if row == 4:

@@ -3,11 +3,11 @@
 ``VERBS`` maps each verb to its handler and its arguments; the parser and
 the dispatch both read it.  Each handler parses its payload with the shared
 text grammar, calls the engine and returns one result: a dict of engine
-values, its text report, and the exit code.  ``run`` prints the text, or with --json the dict as a
-stable, deterministic JSON schema.  ``_encode`` is the one place that knows
-the JSON form of each value type; the text stays with each verb, because the
-two forms differ.  Exit codes: 0 success, 1 mathematical false / no solution,
-2 input errors.
+values, its text report, and the exit code.  ``main`` prints the text, or
+with --json the dict as a stable, deterministic JSON schema.  ``_encode`` is
+the one place that knows the JSON form of each value type; the text stays
+with each verb, because the two forms differ.  Exit codes: 0 success, 1
+mathematical false / no solution, 2 input errors.
 
 Only the modules that ``_encode`` and every verb need are imported here; each
 verb imports its engine functions from ``centralizer``, ``blowup`` or
@@ -302,9 +302,8 @@ def _resolution(node, indent: str = ""):
         extra = f" [nu={b.nu}, {kind}, divisor mult {b.divisor_multiplicity}]"
     if node.would_be_dicritical is not None:
         out["would_be_dicritical"] = node.would_be_dicritical
-        if node.verdict != "blown_up":
-            kind = "dicritical" if node.would_be_dicritical else "non-dicritical"
-            extra = f" [next blow-up would be {kind}]"
+        if node.verdict != "blown_up":  # only True is ever forecast
+            extra = " [next blow-up would be dicritical]"
     if node.marker is not None:
         out["marker"] = node.marker
     label = "blow up" if node.verdict == "blown_up" else node.verdict
@@ -450,25 +449,25 @@ VERBS = {
 }
 
 
-def run(args) -> int:
-    result, text, code = VERBS[args.verb][0](args)
-    if getattr(args, "json", False):
-        result = {"version": SCHEMA_VERSION, "command": args.verb, **result}
-        print(json.dumps(result, sort_keys=True, indent=2, default=_encode))
-    else:
-        print(text)
-    return code
-
-
 def main(argv=None) -> int:
-    """Run one verb; argv=None means this process is the CLI, and only then
-    is Python's int/text digit limit lifted so that every answer prints."""
-    if argv is None and hasattr(sys, "set_int_max_str_digits"):
+    """Run one verb and return its exit code, argparse's usage errors and
+    --help included; argv=None reads sys.argv.  Python's int/text digit
+    limit is lifted for the call, so that every answer prints, and the
+    caller's limit is put back."""
+    argv = sys.argv[1:] if argv is None else argv
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser(_verb_named(sys.argv[1:] if argv is None else argv))
-    args = parser.parse_args(argv)
     try:
-        code = run(args)
+        try:
+            args = build_parser(_verb_named(argv)).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+        result, text, code = VERBS[args.verb][0](args)
+        if getattr(args, "json", False):
+            result = {"version": SCHEMA_VERSION, "command": args.verb, **result}
+            text = json.dumps(result, sort_keys=True, indent=2, default=_encode)
+        print(text)
         sys.stdout.flush()
         return code
     except (ParseError, GermError, ZeroDivisionError, ValueError) as exc:
@@ -479,6 +478,9 @@ def main(argv=None) -> int:
         # 141 is a shell's status for a process ended by SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

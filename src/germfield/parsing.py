@@ -239,7 +239,7 @@ def parse_ratio(text: str, dim: int = 2):
 
     Ambiguous inputs (several viable splits) are rejected; parenthesize the
     numerator and denominator to disambiguate.  When no split parses, the
-    error of the side that parsed furthest is raised at its place in text.
+    furthest error, a zero denominator included, is raised at its place.
     """
     from .integrability import MeromorphicRatio
 
@@ -264,7 +264,9 @@ def parse_ratio(text: str, dim: int = 2):
         except ParseError as err:
             errors.append((start + err.position, err.message))
             continue
-        if not den.is_zero():
+        if den.is_zero():  # at the denominator's first character
+            errors.append((len(text) - len(text[start:].lstrip()), "zero denominator"))
+        else:
             parses.append((idx, num, den))
     if not parses:  # the error of the side that parsed furthest, if any
         position, message = max(errors, key=lambda e: e[0], default=(0, "expected a ratio P / Q"))

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,9 @@ from germfield import (
     CHART_SLOPE_Y,
     GermError,
     PolySeries,
+    TruncationError,
     VectorFieldJet,
+    classify_linear,
     classify_singularity,
     dicritical_test,
     divisor_singularities,
@@ -803,3 +806,24 @@ def test_multiplicity_monotonicity_at_generic_points():
         up1 = f1.substitute(images)
         up2 = f2.substitute(images)
         assert up1.order() < up2.order()
+
+
+# refusal -> (the call, its exception, its message); the CLI tests reach the
+# n != 2 and zero-field refusals of a blow-up
+REFUSALS = {
+    "blowup-jet": (lambda: strict_transform(F("y, x").truncated(3)), TruncationError,
+                   "blow-up needs an exact polynomial field"),
+    "roots-dimension": (lambda: gaussian_roots(P("x")), GermError, "gaussian_roots expects a univariate polynomial"),
+    "roots-zero": (lambda: gaussian_roots(PolySeries.zero(1)), GermError, "the zero polynomial has every root"),
+    "isolation-dimension": (lambda: is_isolated_singularity(F("x, y, z")), GermError,
+                            "isolation test needs an exact plane field"),
+    "translate-jet": (lambda: translate_to_point(F("y, x").truncated(3), [gq(1), gq(0)]), TruncationError,
+                      "translation needs an exact polynomial field"),
+    "linear-shape": (lambda: classify_linear([[gq(1)]]), GermError, "classify_linear expects a 2x2 matrix"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -6,6 +6,7 @@ and then pinned here as regression values; a few small cases keep running
 both paths side by side.
 """
 
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -28,6 +29,7 @@ from oracles import (
 from germfield import (
     DimensionMismatchError,
     GermError,
+    TruncationError,
     ad_kernel,
     classify_linear,
     first_integral_kernel,
@@ -921,3 +923,18 @@ class TestClassifyLinear:
         lc = classify_linear(F("x, 2*y").linear_part_matrix())
         assert lc.ratio == Fraction(2)
         assert lc.rational_ratios == (Fraction(1, 2), Fraction(2))
+
+
+# refusal -> (the call, its exception, its message); the CLI tests reach the
+# table's parameter refusals and the resonance bound
+REFUSALS = {
+    "kernel-jet": (lambda: ad_kernel(F("x, 2*y").truncated(3), 4), TruncationError,
+                   "the base field must be an exact polynomial"),
+    "rank-dimension": (lambda: generic_rank([F("x, y, z")]), GermError, "generic_rank is implemented for n=2"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

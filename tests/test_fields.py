@@ -1,3 +1,4 @@
+import re
 import sys
 from pathlib import Path
 
@@ -8,6 +9,8 @@ from oracles import field_to_sympy, poly_to_sympy, sympy_bracket
 
 from germfield import (
     DimensionMismatchError,
+    GermError,
+    OneFormJet,
     TruncationError,
     VectorFieldJet,
     Weight,
@@ -198,6 +201,38 @@ def test_linear_part_matrix_convention():
     from germfield.gaussian import gq
 
     assert m == [[gq(1), gq(2)], [gq(3), gq(0)]]
+
+
+# refusal -> (the call, its exception, its message)
+REFUSALS = {
+    "no-component": (lambda: VectorFieldJet([]), ValueError, "a vector field needs at least one component"),
+    "component-dimensions": (lambda: VectorFieldJet([P("x"), P("x", 3)]), DimensionMismatchError,
+                             "components live in different dimensions"),
+    "component-count": (lambda: VectorFieldJet([P("x")]), DimensionMismatchError, "1 components for dimension 2"),
+    "field-immutable": (lambda: setattr(F("x, y"), "dim", 3), AttributeError, "VectorFieldJet is immutable"),
+    "sum-type": (lambda: F("x, y") + 1, TypeError, "expected a VectorFieldJet"),
+    "apply-dimensions": (lambda: F("x, y").apply(P("x", 3)), DimensionMismatchError,
+                         "function and field dimensions differ"),
+    "form-coefficients": (lambda: OneFormJet([P("x")]), DimensionMismatchError,
+                          "one-form coefficients are inconsistent"),
+    "form-immutable": (lambda: setattr(parse_one_form("x dy"), "dim", 3), AttributeError,
+                       "OneFormJet is immutable"),
+    "pairing-dimensions": (lambda: parse_one_form("x dy").apply(F("x, y, z")), DimensionMismatchError,
+                           "form and field dimensions differ"),
+    "wedge-empty": (lambda: wedge([]), ValueError, "wedge of an empty list"),
+    "dual-form-dimension": (lambda: dual_form(VectorFieldJet([P("x", 1)])), GermError,
+                            "dual_form supported for n in {2, 3}"),
+    "hamiltonian-dimension": (lambda: hamiltonian_field(P("x", 3)), DimensionMismatchError,
+                              "hamiltonian fields are n=2 only"),
+    "decompose-type": (lambda: quasi_decompose(1, Weight((1, 1))), TypeError,
+                       "quasi_decompose expects a PolySeries or VectorFieldJet"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_term_cap_counts_the_partial_bracket(monkeypatch):

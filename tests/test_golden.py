@@ -130,10 +130,7 @@ ALL_FILES = {**FILES, **SYMPY_FILES}
 def _output(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = cli.main(argv)
     if code == 0:
         return out.getvalue()
     return f"{out.getvalue()}exit {code}\n{err.getvalue()}"

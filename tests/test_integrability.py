@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -411,3 +412,30 @@ def test_log_decomposition_round_trip_against_sympy(mults, data):
     # phi is unique up to a multiple of D; the form it gives is not
     _, again = sympy_log_form(list(zip(fs, mults)), d.residues, d.phi)
     assert all(sympy.expand(a * poly_to_sympy(u) - b) == 0 for a, b in zip(again, omega))
+
+
+# refusal -> (the call, its exception, its message)
+REFUSALS = {
+    "ratio-jet": (lambda: MeromorphicRatio(P("x").truncated(2), P("y")), GermError,
+                  "meromorphic ratios need total polynomials"),
+    "ratio-zero": (lambda: MeromorphicRatio(P("x"), P("0")), ZeroDivisionError,
+                   "zero denominator in meromorphic ratio"),
+    "closedness-dimension": (lambda: closedness_check(parse_one_form("x dy", 3), P("1", 3)), GermError,
+                             "closedness_check is n=2 only"),
+    "integrating-factor-zero": (lambda: integrating_factor_check(F("x, y"), P("0")), ZeroDivisionError,
+                                "zero integrating factor candidate"),
+    "invariance-zero": (lambda: invariance_check(F("x, y"), P("0")), GermError,
+                        "invariance_check needs a nonzero polynomial"),
+    "log-dimension": (lambda: log_decomposition(parse_one_form("x dy", 3), P("x", 3), [(P("x", 3), 1)]),
+                      GermError, "log_decomposition is n=2 only"),
+    "log-no-factor": (lambda: log_decomposition(parse_one_form("x dy"), P("x"), []), GermError,
+                      "log_decomposition needs at least one factor"),
+    "cauchy-riemann-dimension": (lambda: cauchy_riemann_pair(P("x"), 3), GermError,
+                                 "cauchy_riemann_pair expects a one-variable series"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

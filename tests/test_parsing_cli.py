@@ -163,8 +163,10 @@ class TestRatio:
             parse_ratio(text)
 
     def test_refusals_kept(self):
-        for text in ("x + y", "x / 0", "1/0"):
-            with pytest.raises(ParseError, match="^expected a ratio P / Q at line 1, column 1:"):
+        with pytest.raises(ParseError, match="^expected a ratio P / Q at line 1, column 1:"):
+            parse_ratio("x + y")
+        for text, column in (("x / 0", 5), ("1/0", 3)):
+            with pytest.raises(ParseError, match=f"^zero denominator at line 1, column {column}:"):
                 parse_ratio(text)
         for text, column in (("1/2/3", 4), ("x + 1/2/3", 8)):
             with pytest.raises(ParseError, match=f"^ambiguous ratio.* column {column}:"):
@@ -209,6 +211,30 @@ class TestRoundTrip:
     def test_printing_is_graded_lex_ascending(self):
         f = parse_poly("x^3 - 2*y^2 + x")
         assert poly_to_text(f) == "x - 2*y^2 + x^3"
+
+
+# each refusal of the engine, the CLI's own parsing or a ratio that a verb
+# can reach: exit 2 with its one error line, and nothing on stdout
+CLI_REFUSALS = [
+    (("blowup", "0, 0"), "cannot blow up the zero field"),
+    (("resolve", "x, y, z"), "blow-ups are implemented for n=2"),
+    (("classify", "1, 0"), "classification expects a singular germ"),
+    (("wedge", "x, y", "x, y, z"), "wedge of fields in different dimensions"),
+    (("wedge", "--weights", "0,1", "y, x"), "weights must be positive integers"),
+    (("wedge", "--weights", "2,4", "y, x^2"), "weight entries must have gcd 1"),
+    (("table", "2"), "row 2 needs the eigenvalue ratio"),
+    (("table", "3"), "row 3 needs positive integers p, q"),
+    (("table", "5"), "row 5 needs an integer ratio n >= 2"),
+    (("table", "8"), "row 8 needs an integer p >= 1"),
+    (("resonances", "1,2", "--bound", "1"), "resonance bound must be at least 2"),
+    (("resonances", "x,1"), "expected a scalar, got 'x'"),
+    (("cr-pair", "x + y"), "expected a one-variable polynomial"),
+    (("cr-pair", "z^2", "--max-degree", "-1"), "truncation degree must be >= 0"),
+    (("dual-pair", "x, y, z", "y, z, x"), "dual_pair is n=2 only"),
+    (("log-decomp", "x dy", "--denominator", "x", "--factor", "x:0"), "factor multiplicities must be >= 1"),
+    (("verify-integral", "x, y", "x / 0"), "zero denominator at line 1, column 5: '0'"),
+    (("verify-integral", "x, y", "1/0"), "zero denominator at line 1, column 3: '0'"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -282,6 +308,10 @@ class TestCli:
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err == f"error: {flag} expects integers, got {text!r}\n"
+
+    @pytest.mark.parametrize("argv, message", CLI_REFUSALS, ids=[" ".join(a) for a, _ in CLI_REFUSALS])
+    def test_refusal_is_one_error_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_resolve_depth_budget_is_exit_2(self, capsys):
         # deeper trees would exhaust the recursion limit in the tree code
@@ -534,10 +564,7 @@ class TestCli:
 
 def outcome(capsys, argv):
     """(stdout, stderr, exit code) of main(argv), argparse's exits included."""
-    try:
-        rc = main(list(argv))
-    except SystemExit as exc:
-        rc = exc.code
+    rc = main(list(argv))
     captured = capsys.readouterr()
     return captured.out, captured.err, rc
 
@@ -684,11 +711,33 @@ def test_answers_past_pythons_digit_limit_print(capsys):
     assert (text.returncode, text.stderr, as_json.returncode, as_json.stderr) == (0, "", 0, "")
     assert "2" + "0" * 5998 + "*x^3" in text.stdout
     assert json.loads(as_json.stdout)["version"] and '"2' + "0" * 5998 + '"' in as_json.stdout
-    # only the CLI process lifts the limit: an in-process caller keeps its own
-    if hasattr(sys, "get_int_max_str_digits"):
-        limit = sys.get_int_max_str_digits()
-        assert main(["bracket", "y, 0", "0, x"]) == 0
-        assert sys.get_int_max_str_digits() == limit
+    # main(argv) in process answers as the process does
+    assert outcome(capsys, argv) == (text.stdout, "", 0)
+    assert outcome(capsys, ["--json", *argv]) == (as_json.stdout, "", 0)
+
+
+def test_argparse_exits_are_returned(capsys):
+    out, err, rc = outcome(capsys, ["--help"])
+    assert (err, rc) == ("", 0) and out.startswith("usage: germfield [-h] [--json]")
+    out, err, rc = outcome(capsys, ["nosuchverb"])
+    assert (out, rc) == ("", 2) and err.startswith("usage: germfield [-h] [--json]")
+    assert "invalid choice: 'nosuchverb'" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/text digit limit")
+@pytest.mark.parametrize("argv, code", [
+    (["bracket", "y, 0", "0, x"], 0),
+    (["bracket", "x", "y"], 2),  # a GermError
+    (["--help"], 0),
+], ids=["answer", "refusal", "help"])
+def test_the_callers_digit_limit_is_put_back(capsys, argv, code):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert outcome(capsys, argv)[2] == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_literal_digit_budget():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from germfield import (
+    DimensionMismatchError,
+    GermError,
     PolySeries,
     TruncationError,
     Weight,
@@ -155,12 +158,46 @@ def test_variable_power_division():
     assert variable_power_dividing(f, 0) == 2
 
 
+# refusal -> (the call, its exception, its message)
+REFUSALS = {
+    "dimension": (lambda: PolySeries(0), ValueError, "dimension must be >= 1"),
+    "truncation": (lambda: PolySeries(2, trunc=-1), ValueError, "truncation degree must be >= 0"),
+    "exponent": (lambda: PolySeries(2, {(1,): 1}), ValueError, "bad exponent (1,) for dimension 2"),
+    "immutable": (lambda: setattr(P("x"), "trunc", 3), AttributeError, "PolySeries is immutable"),
+    "variable": (lambda: PolySeries.variable(2, 2), ValueError, "variable index 2 out of range for dim 2"),
+    "sum-dimensions": (lambda: P("x") + P("x", 3), DimensionMismatchError, "dimension 2 vs 3"),
+    "negative-power": (lambda: P("x") ** -1, ValueError, "negative power of a series"),
+    "sum-type": (lambda: P("x") + "x", TypeError, "cannot combine PolySeries with str"),
+    "evaluate-jet": (lambda: P("x").truncated(2).evaluate([1, 1]), TruncationError,
+                     "evaluation requires a total polynomial"),
+    "evaluate-point": (lambda: P("x").evaluate([1]), DimensionMismatchError, "point has wrong length"),
+    "image-count": (lambda: P("x").substitute([P("x")]), DimensionMismatchError, "need 2 image series, got 1"),
+    "image-dimensions": (lambda: P("x").substitute([P("x"), P("x", 3)]), DimensionMismatchError,
+                         "image series have mixed dimensions"),
+    "divides-dimensions": (lambda: poly_divides(P("x"), P("x", 3)), DimensionMismatchError,
+                           "dimension mismatch in poly_divides"),
+    "divides-zero": (lambda: poly_divides(P("0"), P("x")), ZeroDivisionError, "zero divisor in poly_divides"),
+    "multiplicity-zero": (lambda: variable_power_dividing(P("0"), 0), GermError,
+                          "zero polynomial has no finite variable multiplicity"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_term_cap(monkeypatch):
     monkeypatch.setattr(series_module, "MAX_TERMS", 3)
     from germfield.series import TermLimitError
 
     with pytest.raises(TermLimitError):
         (P("1 + x + y") * P("1 + x + y"))
+    # a one-term factor takes the shift-and-scale path, capped the same way
+    with pytest.raises(TermLimitError):
+        P("x") * P("1 + x + y + x*y")
+    assert P("x") * P("1 + x + y") == P("x + x^2 + x*y")
 
 
 def test_term_cap_counts_the_partial_product(monkeypatch):
