@@ -43,8 +43,8 @@ MAX_DEPTH = 200  # resolve refuses deeper budgets: the tree code recurses per le
 MAX_FACTOR_DEGREE = 32
 # blow-ups refuse a germ of higher total degree before testing it, and
 # translate_to_point before shifting it: a Taylor shift to the slope
-# (3 + 2i)/5 takes about 1 s there (notes/decisions.md, "a germ-degree budget
-# for blow-ups")
+# (3 + 2i)/5 takes about 0.4 s there (notes/decisions.md, "a germ-degree
+# budget for blow-ups" and "Blow-up nodes in one pass")
 MAX_GERM_DEGREE = 7000
 
 REDUCED_HYPERBOLIC = "reduced_hyperbolic"
@@ -72,20 +72,25 @@ class _LazySympy:
 sympy = _LazySympy()
 
 
-def _require_blowup_input(x: VectorFieldJet):
+def _require_blowup_input(x: VectorFieldJet) -> int:
+    """nu of a plane germ that a blow-up accepts.  One scan of the terms'
+    total degrees finds the zero field, a germ not singular at 0 and one past
+    the degree budget, in that order, after the dimension and jet checks."""
     if x.dim != 2:
         raise GermError("blow-ups are implemented for n=2")
     if not x.is_total:
         raise TruncationError("blow-up needs an exact polynomial field")
-    if x.is_zero():
+    degrees = [sum(e) for c in x.comps for e in c.terms]
+    if not degrees:
         raise GermError("cannot blow up the zero field")
-    if not x.vanishes_at_origin():
+    nu = min(degrees)
+    if not nu:
         raise GermError("blow-up requires a singular point at the origin")
-    _require_degree(x)
+    _require_degree(max(degrees))
+    return nu
 
 
-def _require_degree(x: VectorFieldJet):
-    degree = max(c.total_degree() for c in x.comps)
+def _require_degree(degree: int):
     if degree > MAX_GERM_DEGREE:
         raise GermError(f"a germ of degree {degree} is past the blow-up budget of degree {MAX_GERM_DEGREE}")
 
@@ -140,8 +145,7 @@ def strict_transform(x: VectorFieldJet) -> tuple[BlownUpField, BlownUpField]:
     is dicritical, for every field vanishing at 0 (notes/decisions.md, "The
     divisor multiplicity is nu - 1 or nu"), so it also gives the verdict.
     """
-    _require_blowup_input(x)
-    nu = x.mu()
+    nu = _require_blowup_input(x)
     a, b = x.comps
     blowups = []
     for chart, maps in ((CHART_SLOPE_Y, _chart(a, b, 1)), (CHART_SLOPE_X, _chart(b, a, 0))):
@@ -249,6 +253,8 @@ def _square_free(a: list) -> list[tuple[list, int]]:
         return [([a[0] / a[1], ONE], 1)] if len(a) == 2 else []
     da = _derivative(a)
     g = _gcd(a, da)
+    if len(g) == 1:  # a is square-free: Yun's loop would return a alone
+        return [([c / a[-1] for c in a], 1)]
     w, y = _divmod(a, g)[0], _divmod(da, g)[0]
     parts, i = [], 1
     while len(w) > 1:
@@ -339,18 +345,35 @@ def is_isolated_singularity(x: VectorFieldJet) -> bool:
 
 
 def _taylor_shift(f: PolySeries, i: int, c: GaussianRational) -> PolySeries:
-    """f with z_i replaced by z_i + c: z_i^k = sum_j C(k, j) c^(k-j) z_i^j."""
-    powers, out = [ONE], {}
-    for e, coeff in f.terms.items():
+    """f with z_i replaced by z_i + c: z_i^k = sum_j C(k, j) c^(k-j) z_i^j.
+
+    Summed in Gaussian-integer numerators.  With f's coefficients a_k over
+    their common denominator D, c = g/q and K the largest exponent of z_i,
+    the coefficient of z_i^j is the sum of a_k q^(K-k) C(k, j) g^(k-j) over
+    D q^(K-j): each term is scaled once, and each output term is one sum of
+    (re, im) int pairs, reduced once."""
+    den, nums = over_common_denominator(f.terms.values())
+    top = max((e[i] for e in f.terms), default=0)
+    q, ((ga, gb),) = over_common_denominator([c])
+    qpow, gpow = [1], [(1, 0)]  # q^m and g^m
+    for _ in range(top):
+        a, b = gpow[-1]
+        gpow.append((a * ga - b * gb, a * gb + b * ga))
+        qpow.append(qpow[-1] * q)
+    acc = {}  # exponent e -> (re, im) over D q^(K - e_i)
+    for e, (a, b) in zip(f.terms, nums):
         k = e[i]
-        while len(powers) <= k:
-            powers.append(powers[-1] * c)
+        a, b = a * qpow[top - k], b * qpow[top - k]
         binom = 1  # C(k, j), carried along the row
         for j in range(k + 1):
+            pa, pb = gpow[k - j]
+            ra, rb = a * binom, b * binom
             key = e[:i] + (j,) + e[i + 1:]
-            out[key] = out.get(key, ZERO) + coeff * powers[k - j] * binom
+            sa, sb = acc.get(key, (0, 0))
+            acc[key] = (sa + ra * pa - rb * pb, sb + ra * pb + rb * pa)
             binom = binom * (k - j) // (j + 1)
-    return _trusted(f.dim, {e: v for e, v in out.items() if v}, None)  # f is total
+    out = {e: _reduce(a, b, den * qpow[top - e[i]]) for e, (a, b) in acc.items() if a or b}
+    return _trusted(f.dim, out, None)  # f is total
 
 
 def translate_to_point(x: VectorFieldJet, point: list[GaussianRational]) -> VectorFieldJet:
@@ -360,7 +383,7 @@ def translate_to_point(x: VectorFieldJet, point: list[GaussianRational]) -> Vect
     if not x.is_total:
         raise TruncationError("translation needs an exact polynomial field")
     if any(point):
-        _require_degree(x)
+        _require_degree(max(c.total_degree() for c in x.comps))
     comps = x.comps
     for i, c in zip(range(x.dim), point, strict=True):
         if c:
@@ -597,12 +620,12 @@ def resolve(
     by induction every node of the tree is isolated and is classified
     without a further gcd.
     """
-    _require_blowup_input(x)
+    nu = _require_blowup_input(x)
     if not 1 <= max_depth <= MAX_DEPTH:
         raise GermError(f"max_depth {max_depth} is outside 1..{MAX_DEPTH}, the depth budget")
     if not is_isolated_singularity(x):
         raise GermError("resolve requires an isolated singularity at 0")
-    classification, _caveat, would_be = _classify(x, x.mu(), True)
+    classification, _caveat, would_be = _classify(x, nu, True)
     return _resolve_node(x, classification, would_be, (), max_depth, force_radial)
 
 

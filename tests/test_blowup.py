@@ -379,8 +379,15 @@ class TestNativeAlgebra:
         f, g = _product(lead_f, common + only_f), _product(lead_g, common + only_g)
         assert _plain(_dense(_univariate_gcd(f, g))) == sympy_univariate_gcd(f, g)
 
+    # a square-free polynomial of degree 5, whose split ends at gcd(a, a') = 1,
+    # and one with repeated factors, which runs Yun's loop
+    SQUARE_FREE = (gq(2, -1), [(T - gq(1), 1), (T - gq(0, 1), 1), (T**3 - 2, 1)])
+    REPEATED = (gq(Fraction(1, 2)), [(T - gq(Fraction(-2, 3), Fraction(1, 3)), 2), (T**2 + T + 1, 1), (T - 1, 3)])
+
     @settings(max_examples=60, deadline=None)
     @given(LEAD, FACTORS.filter(bool))
+    @example(*SQUARE_FREE)
+    @example(*REPEATED)
     def test_square_free_matches_sympy(self, lead, factors):
         f = _product(lead, factors)
         ours = sorted((_plain(part), k) for part, k in _square_free(_dense(f)))
@@ -388,6 +395,8 @@ class TestNativeAlgebra:
 
     @settings(max_examples=40, deadline=None)  # sympy's factor_list dominates
     @given(LEAD, FACTORS)
+    @example(*SQUARE_FREE)
+    @example(*REPEATED)
     def test_gaussian_roots_match_factor_list(self, lead, factors):
         f = _product(lead, factors)
         roots, markers = gaussian_roots(f)
@@ -495,6 +504,12 @@ class TestTranslate:
 
     @settings(max_examples=30, deadline=None)
     @given(VANISHING_FIELDS, st.one_of(st.just(gq(0)), COEFF), COEFF)
+    @example(F("x*y - y^3, 0"), gq(2), gq(0, -1))  # a component with no terms
+    @example(  # slopes with denominators and imaginary parts, over coefficients with denominators
+        F("1/2*x^2 + 3*x*y, (2/3 + i)*y^3 - x*y"), gq(Fraction(2, 5), Fraction(-3, 5)),
+        gq(Fraction(-1, 2), Fraction(3, 4)),
+    )
+    @example(F("x^3 - y, x*y^2 + 1/3*x^2"), gq(Fraction(1, 3), 2), gq(0))  # a shift in x alone
     def test_nonzero_point_matches_a_sympy_shift(self, x, a, b):
         moved = translate_to_point(x, [a, b])
         assert field_to_sympy(moved) == sympy_translate(x, [(a.re, a.im), (b.re, b.im)])
@@ -790,6 +805,26 @@ def test_divisor_points_of_an_isolated_germ_are_isolated():
                 assert (pt.classification, pt.non_isolated) == classify_singularity(pt.germ)
 
 
+@pytest.mark.parametrize("text", ["x^2, y^2", "x^3 - 3*x*y^2, 3*x^2*y - y^3"])
+def test_resolve_calls_the_blowup_steps_by_name(monkeypatch, text):
+    # the benchmark's tracer counts these module names, and CI gates on the
+    # counts: every node builds its blow-up with one strict_transform call
+    # and translates its strict transform once per chart-1 root
+    calls = {}
+    for name in ("strict_transform", "divisor_singularities", "translate_to_point", "gaussian_roots"):
+        def counted(*args, real=getattr(blowup, name), seen=calls.setdefault(name, [])):
+            seen.append((args, out := real(*args)))
+            return out
+
+        monkeypatch.setattr(blowup, name, counted)
+    resolve(F(text), max_depth=16)
+    assert len(calls["strict_transform"]) == len(calls["divisor_singularities"]) > 0
+    roots = [v for _, (found, _) in calls["gaussian_roots"] for v, _ in found]
+    points = [point for (_, point), _ in calls["translate_to_point"]]
+    assert len(points) == len(roots)
+    assert sum(map(any, points)) == sum(map(bool, roots)) > 0
+
+
 def test_multiplicity_monotonicity_at_generic_points():
     # mu(f1) < mu(f2) forces mu(f1 o Pi, p) < mu(f2 o Pi, p) at p generic
     # for f1 (slope avoiding the roots of its leading form)
@@ -809,10 +844,16 @@ def test_multiplicity_monotonicity_at_generic_points():
 
 
 # refusal -> (the call, its exception, its message); the CLI tests reach the
-# n != 2 and zero-field refusals of a blow-up
+# n != 2 refusal of a blow-up.  A blow-up refuses a jet, then the zero field,
+# then a germ not singular at 0, then one past the degree budget.
 REFUSALS = {
     "blowup-jet": (lambda: strict_transform(F("y, x").truncated(3)), TruncationError,
                    "blow-up needs an exact polynomial field"),
+    "blowup-zero-jet": (lambda: strict_transform(F("0, 0").truncated(3)), TruncationError,
+                        "blow-up needs an exact polynomial field"),
+    "blowup-zero": (lambda: strict_transform(F("0, 0")), GermError, "cannot blow up the zero field"),
+    "blowup-nonsingular": (lambda: strict_transform(F(f"1 + y, x^{MAX_GERM_DEGREE + 1}")), GermError,
+                           "blow-up requires a singular point at the origin"),
     "roots-dimension": (lambda: gaussian_roots(P("x")), GermError, "gaussian_roots expects a univariate polynomial"),
     "roots-zero": (lambda: gaussian_roots(PolySeries.zero(1)), GermError, "the zero polynomial has every root"),
     "isolation-dimension": (lambda: is_isolated_singularity(F("x, y, z")), GermError,
